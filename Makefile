@@ -3,8 +3,8 @@ GO ?= go
 # BENCH_BASELINE / BENCH_NEW name the checked-in summaries the regression
 # gate compares; BENCH_THRESHOLD is the min-ns/op slowdown (percent) that
 # fails bench-compare.
-BENCH_BASELINE ?= BENCH_PR9.json
-BENCH_NEW ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_NEW ?= BENCH_PR13.json
 BENCH_THRESHOLD ?= 10
 
 .PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism

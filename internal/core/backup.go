@@ -97,7 +97,7 @@ func (e *Engine) SLAConstrainedPair(i, j int, maxStretch float64, searchWidth in
 	if searchWidth <= 0 {
 		searchWidth = 16
 	}
-	paths, miles := e.dist.KShortestPaths(i, j, searchWidth)
+	paths, miles := e.adj.Graph(0).KShortestPaths(i, j, searchWidth)
 	if len(paths) == 0 {
 		return PairResult{}, fmt.Errorf("core: no path between %d and %d", i, j)
 	}

@@ -10,12 +10,21 @@
 // The metric's impact factor α_ij = c_i + c_j depends on the endpoint pair,
 // so edge weights are pair-dependent: a fresh shortest-path problem per
 // pair. The engine exploits that α enters as a single scalar multiplier:
-// α values are quantized into a small number of buckets, one risk-weighted
-// graph (and, for robustness scoring, one all-pairs table) is built per
-// bucket, and each pair routes on its bucket's graph while its cost is
-// evaluated at the pair's exact α. Exact per-pair search is available for
-// verification (EvaluateExact) and agrees with the quantized path within the
-// bucket width; the property is pinned by tests.
+// under the symmetric formulation every edge weight is affine in α,
+// w_e = m_e + α·r_e, so one immutable CSR adjacency holding each link's
+// miles m_e and risk r_e (graph.Affine) serves a search at any α, with the
+// weight computed inline. There are no per-α graphs. Point queries
+// (RiskRoutePair, Explain) search at the pair's exact α. The all-pairs
+// evaluations quantize α into a small number of buckets: each source runs
+// one sweep per bucket its destinations fall in, and each pair's cost is
+// evaluated at its exact α. Exact per-pair search is available for
+// verification (EvaluateExact) and agrees with the quantized path within
+// the bucket width; the property is pinned by tests.
+//
+// An engine is immutable once built, so its query methods are safe for
+// concurrent callers. Reprice derives an engine for a new risk context over
+// the same network: it shares the adjacency's topology and link miles and
+// recomputes only the O(N+E) risk side.
 package core
 
 import (
@@ -30,14 +39,15 @@ import (
 	"riskroute/internal/parallel"
 	"riskroute/internal/resilience"
 	"riskroute/internal/risk"
-	"riskroute/internal/topology"
 )
 
 // Options tune the engine.
 type Options struct {
 	// AlphaBuckets is the number of quantization levels for the impact
-	// factor α (default 16). More buckets cost more Dijkstra sweeps and
-	// memory but track per-pair optima more closely.
+	// factor α in the all-pairs evaluations (default 16): each source runs
+	// one Dijkstra sweep per bucket its destinations fall in, and
+	// robustness scoring builds one all-pairs table per bucket in use. More
+	// buckets cost more sweeps but track per-pair optima more closely.
 	AlphaBuckets int
 	// CandidateReduction is the bit-mile reduction a direct link must
 	// achieve for its PoP pair to enter the robustness candidate set E_C.
@@ -57,7 +67,7 @@ type Options struct {
 	// pairs on fragmented topologies) and sweep degradations.
 	Health *resilience.Health
 	// Metrics, when non-nil, receives engine telemetry under core.engine.*
-	// and core.sweep.* (build/prebuild timings, per-source sweep durations,
+	// and core.sweep.* (build timings, per-source sweep durations,
 	// pair counts, worker gauge). Handles are resolved once at build; the
 	// sweep inner loops stay untouched, so disabled telemetry costs nothing
 	// and enabled telemetry stays within the ≤2% Evaluate budget.
@@ -85,15 +95,14 @@ func (o Options) withDefaults() Options {
 // evaluations never take the registry lock. The zero value (nil handles, the
 // telemetry-disabled state) no-ops everywhere.
 type engineObs struct {
-	buildSeconds    *obs.Histogram // core.engine.build_seconds
-	prebuildSeconds *obs.Histogram // core.engine.prebuild_seconds
-	sourceSeconds   *obs.Histogram // core.sweep.source_seconds (one sweep per source)
-	pairs           *obs.Counter   // core.sweep.pairs_total
-	skippedSweeps   *obs.Counter   // core.sweep.skipped_total
-	evaluations     *obs.Counter   // core.engine.evaluations_total
-	workers         *obs.Gauge     // core.sweep.workers
-	unreachable     *obs.Gauge     // core.engine.unreachable_pairs
-	alphaBuckets    *obs.Gauge     // core.engine.alpha_buckets
+	buildSeconds  *obs.Histogram // core.engine.build_seconds
+	sourceSeconds *obs.Histogram // core.sweep.source_seconds (one sweep per source)
+	pairs         *obs.Counter   // core.sweep.pairs_total
+	skippedSweeps *obs.Counter   // core.sweep.skipped_total
+	evaluations   *obs.Counter   // core.engine.evaluations_total
+	workers       *obs.Gauge     // core.sweep.workers
+	unreachable   *obs.Gauge     // core.engine.unreachable_pairs
+	alphaBuckets  *obs.Gauge     // core.engine.alpha_buckets
 }
 
 func newEngineObs(r *obs.Registry) engineObs {
@@ -101,110 +110,133 @@ func newEngineObs(r *obs.Registry) engineObs {
 		return engineObs{}
 	}
 	return engineObs{
-		buildSeconds:    r.Histogram("core.engine.build_seconds", obs.LatencyBuckets()),
-		prebuildSeconds: r.Histogram("core.engine.prebuild_seconds", obs.LatencyBuckets()),
-		sourceSeconds:   r.Histogram("core.sweep.source_seconds", obs.LatencyBuckets()),
-		pairs:           r.Counter("core.sweep.pairs_total"),
-		skippedSweeps:   r.Counter("core.sweep.skipped_total"),
-		evaluations:     r.Counter("core.engine.evaluations_total"),
-		workers:         r.Gauge("core.sweep.workers"),
-		unreachable:     r.Gauge("core.engine.unreachable_pairs"),
-		alphaBuckets:    r.Gauge("core.engine.alpha_buckets"),
+		buildSeconds:  r.Histogram("core.engine.build_seconds", obs.LatencyBuckets()),
+		sourceSeconds: r.Histogram("core.sweep.source_seconds", obs.LatencyBuckets()),
+		pairs:         r.Counter("core.sweep.pairs_total"),
+		skippedSweeps: r.Counter("core.sweep.skipped_total"),
+		evaluations:   r.Counter("core.engine.evaluations_total"),
+		workers:       r.Gauge("core.sweep.workers"),
+		unreachable:   r.Gauge("core.engine.unreachable_pairs"),
+		alphaBuckets:  r.Gauge("core.engine.alpha_buckets"),
 	}
 }
 
-// Engine answers RiskRoute queries for one risk context.
+// Engine answers RiskRoute queries for one risk context. It is immutable
+// once built, so its query methods are safe for concurrent callers.
 type Engine struct {
+	// Ctx is the context the engine was built for. The engine snapshots
+	// the context's risk vectors (ρ per PoP, span and r_e per link) at
+	// build time, so mutating Ctx — or the network and slices it points
+	// to — afterwards is unsupported: build a new engine or Reprice.
 	Ctx  *risk.Context
 	opts Options
 	tel  engineObs
 	lg   *slog.Logger // never nil (LoggerOrNop at build)
 
-	dist *graph.Graph // pure bit-mile graph
+	// Topology-invariant state, shared by every engine Reprice derives.
+	miles       []float64 // line-of-sight miles m_e, index-aligned with Net.Links
+	components  int       // connected components of the topology (1 when whole)
+	unreachable int       // unordered PoP pairs split across components
 
-	components  int // connected components of the topology (1 when whole)
-	unreachable int // unordered PoP pairs split across components
+	// Risk state, recomputed per context.
+	adj  *graph.Affine // Net.Links as CSR: base m_e, slope r_e
+	rho  []float64     // ρ(v) per PoP
+	span []float64     // λ_h-scaled span risk per link
 
 	alphaLo, alphaHi float64
-	logBuckets       bool           // log-spaced quantization for skewed α
-	buckets          []float64      // representative α per bucket
-	bucketGraphs     []*graph.Graph // lazily built risk-weighted graphs
+	logBuckets       bool      // log-spaced quantization for skewed α
+	buckets          []float64 // representative α per bucket
 }
 
-// New builds an engine after validating the context.
+// New builds an engine after validating the context: the adjacency and link
+// miles of its network, and the risk side of the context.
 func New(ctx *risk.Context, opts Options) (*Engine, error) {
+	return build(nil, ctx, opts)
+}
+
+// Reprice builds an engine for ctx that shares e's topology-invariant
+// state — the adjacency's structure, the link miles and the component
+// census — and recomputes only the risk side, in O(N+E). ctx.Net must be
+// e's own network (the same *topology.Network, unmodified). The result is
+// identical to New(ctx, opts).
+func (e *Engine) Reprice(ctx *risk.Context, opts Options) (*Engine, error) {
+	if ctx.Net != e.Ctx.Net {
+		return nil, fmt.Errorf("core: Reprice needs the engine's own network %q", e.Ctx.Net.Name)
+	}
+	return build(e, ctx, opts)
+}
+
+// build is New (shared == nil) and Reprice (shared != nil).
+func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 	if err := opts.Injector.ForcedError(resilience.PointEngineBuild, 0); err != nil {
 		return nil, err
 	}
-	build := opts.Trace.Child("engine-build")
-	defer build.End()
+	span := opts.Trace.Child("engine-build")
+	defer span.End()
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	if len(ctx.Net.PoPs) < 2 {
+	n := len(ctx.Net.PoPs)
+	if n < 2 {
 		return nil, fmt.Errorf("core: network %q has fewer than two PoPs", ctx.Net.Name)
 	}
 	opts = opts.withDefaults()
-
-	var alphaLo, alphaHi float64
-	if ctx.Impact != nil {
-		// Arbitrary impact override: scan all pairs for the true range.
-		alphaLo, alphaHi = math.Inf(1), math.Inf(-1)
-		n := len(ctx.Net.PoPs)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				a := ctx.Alpha(i, j)
-				if a < 0 {
-					return nil, fmt.Errorf("core: negative impact for pair (%d,%d)", i, j)
-				}
-				if a < alphaLo {
-					alphaLo = a
-				}
-				if a > alphaHi {
-					alphaHi = a
-				}
-			}
-		}
-	} else {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, f := range ctx.Fractions {
-			if f < lo {
-				lo = f
-			}
-			if f > hi {
-				hi = f
-			}
-		}
-		alphaLo, alphaHi = 2*lo, 2*hi
+	alphaLo, alphaHi, err := alphaRange(ctx)
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		Ctx:     ctx,
 		opts:    opts,
 		tel:     newEngineObs(opts.Metrics),
 		lg:      obs.LoggerOrNop(opts.Logger),
-		dist:    ctx.DistanceGraph(),
 		alphaLo: alphaLo,
 		alphaHi: alphaHi,
+	}
+
+	links := ctx.Net.Links
+	e.rho = make([]float64, n)
+	for v := range e.rho {
+		e.rho[v] = ctx.NodeRisk(v)
+	}
+	e.span = make([]float64, len(links))
+	r := make([]float64, len(links))
+	for li, l := range links {
+		e.span[li] = ctx.LinkRisk(l.A, l.B)
+		r[li] = ctx.EdgeRisk(l.A, l.B)
+		if !(r[li] >= 0) || math.IsInf(r[li], 1) {
+			return nil, fmt.Errorf("core: network %q link %d has invalid risk %v", ctx.Net.Name, li, r[li])
+		}
+	}
+	if shared != nil {
+		e.miles, e.components, e.unreachable = shared.miles, shared.components, shared.unreachable
+		e.adj = shared.adj.WithSlopes(r)
+	} else {
+		e.miles = make([]float64, len(links))
+		edges := make([]graph.Edge, len(links))
+		for li, l := range links {
+			e.miles[li] = ctx.Net.LinkMiles(l)
+			edges[li] = graph.Edge{U: l.A, V: l.B, Weight: e.miles[li]}
+		}
+		e.adj = graph.NewAffine(n, edges, r)
+		sizes := e.adj.ComponentSizes()
+		e.components = len(sizes)
+		reachable := 0
+		for _, c := range sizes {
+			reachable += c * (c - 1) / 2
+		}
+		e.unreachable = n*(n-1)/2 - reachable
 	}
 
 	// Fragmented topologies (a lenient parse can keep them) still route
 	// within each component; cross-component pairs are unreachable and the
 	// evaluations skip them. Surface the fact rather than failing the build.
-	comps := ctx.Net.Graph().Components()
-	e.components = len(comps)
 	if e.components > 1 {
-		n := len(ctx.Net.PoPs)
-		reachable := 0
-		for _, c := range comps {
-			reachable += len(c) * (len(c) - 1) / 2
-		}
-		e.unreachable = n*(n-1)/2 - reachable
 		opts.Health.Degrade("engine", nil,
 			"network %q has %d components: %d of %d PoP pairs unreachable",
 			ctx.Net.Name, e.components, e.unreachable, n*(n-1)/2)
 	} else {
-		opts.Health.Record("engine", "built over %d PoPs, %d links",
-			len(ctx.Net.PoPs), len(ctx.Net.Links))
+		opts.Health.Record("engine", "built over %d PoPs, %d links", n, len(links))
 	}
 
 	k := opts.AlphaBuckets
@@ -227,21 +259,53 @@ func New(ctx *risk.Context, opts Options) (*Engine, error) {
 			e.buckets[b] = e.alphaLo + (e.alphaHi-e.alphaLo)*f
 		}
 	}
-	e.bucketGraphs = make([]*graph.Graph, k)
 
-	build.SetAttr("pops", len(ctx.Net.PoPs))
-	build.SetAttr("links", len(ctx.Net.Links))
-	build.SetAttr("alpha_buckets", k)
-	build.SetAttr("components", e.components)
+	span.SetAttr("pops", n)
+	span.SetAttr("links", len(links))
+	span.SetAttr("alpha_buckets", k)
+	span.SetAttr("components", e.components)
 	e.tel.alphaBuckets.Set(float64(k))
 	e.tel.unreachable.Set(float64(e.unreachable))
-	buildSeconds := build.End().Seconds()
+	buildSeconds := span.End().Seconds()
 	e.tel.buildSeconds.Observe(buildSeconds)
 	e.lg.Info("engine built", "network", ctx.Net.Name,
-		"pops", len(ctx.Net.PoPs), "links", len(ctx.Net.Links),
+		"pops", n, "links", len(links),
 		"alpha_buckets", k, "components", e.components,
 		"seconds", buildSeconds)
 	return e, nil
+}
+
+// alphaRange returns the smallest and largest pairwise impact of ctx.
+func alphaRange(ctx *risk.Context) (lo, hi float64, err error) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	if ctx.Impact != nil {
+		// Arbitrary impact override: scan all pairs for the true range.
+		n := len(ctx.Net.PoPs)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				a := ctx.Alpha(i, j)
+				if a < 0 {
+					return 0, 0, fmt.Errorf("core: negative impact for pair (%d,%d)", i, j)
+				}
+				if a < lo {
+					lo = a
+				}
+				if a > hi {
+					hi = a
+				}
+			}
+		}
+		return lo, hi, nil
+	}
+	for _, f := range ctx.Fractions {
+		if f < lo {
+			lo = f
+		}
+		if f > hi {
+			hi = f
+		}
+	}
+	return 2 * lo, 2 * hi, nil
 }
 
 // N returns the PoP count.
@@ -291,31 +355,10 @@ func (e *Engine) bucketOf(alpha float64) int {
 	return b
 }
 
-// bucketGraph lazily builds the risk-weighted graph for bucket b.
-func (e *Engine) bucketGraph(b int) *graph.Graph {
-	if e.bucketGraphs[b] == nil {
-		e.bucketGraphs[b] = e.Ctx.WeightedGraph(e.buckets[b])
-	}
-	return e.bucketGraphs[b]
-}
-
-// Prebuild materializes every α-bucket graph eagerly. After Prebuild the
-// engine's query methods (RiskRoutePair, ShortestPair, Evaluate, …) are safe
-// for concurrent callers: all remaining state is read-only, and the lazy
-// bucket-graph initialization — the engine's only internal mutation — has
-// already happened. The serving daemon calls this once per published
-// snapshot so request goroutines share one engine without locks.
-func (e *Engine) Prebuild() { e.prebuildBuckets() }
-
-// prebuildBuckets materializes every bucket graph up front so parallel
-// workers never race on the lazy initialization.
-func (e *Engine) prebuildBuckets() {
-	start := time.Now()
-	for b := range e.buckets {
-		e.bucketGraph(b)
-	}
-	e.tel.prebuildSeconds.Observe(time.Since(start).Seconds())
-}
+// Prebuild is a no-op, kept so existing callers compile. An engine is
+// immutable from construction, so its query methods are safe for
+// concurrent callers without any preparation.
+func (e *Engine) Prebuild() {}
 
 // PairResult describes one routed pair.
 type PairResult struct {
@@ -327,18 +370,47 @@ type PairResult struct {
 // RiskRoutePair solves Equation 3 for one pair with the pair's exact α
 // (no quantization): the minimum bit-risk-mile path from i to j.
 func (e *Engine) RiskRoutePair(i, j int) PairResult {
-	g := e.Ctx.WeightedGraph(e.Ctx.Alpha(i, j))
-	path, _ := g.ShortestPath(i, j)
-	return e.describe(path, i, j)
+	return e.route(i, j, e.Ctx.Alpha(i, j))
 }
 
-// ShortestPair routes i to j by pure geographic shortest path and prices it
-// in bit-risk miles — the baseline of Equations 5 and 6.
+// ShortestPair routes i to j by pure geographic shortest path (α = 0) and
+// prices it in bit-risk miles — the baseline of Equations 5 and 6.
 func (e *Engine) ShortestPair(i, j int) PairResult {
-	path, _ := e.dist.ShortestPath(i, j)
-	return e.describe(path, i, j)
+	return e.route(i, j, 0)
 }
 
+// route searches i→j under weights m_e + alpha·r_e and prices the path at
+// the pair's own α.
+func (e *Engine) route(i, j int, alpha float64) PairResult {
+	s := e.adj.Route(i, j, alpha)
+	defer s.Release()
+	path := s.PathTo(j)
+	if path == nil {
+		return PairResult{BitRiskMiles: math.Inf(1), Miles: math.Inf(1)}
+	}
+	pairAlpha := e.Ctx.Alpha(i, j)
+	var cost, miles float64
+	// PathCost's and PathMiles's exact accumulation, with each hop's miles
+	// and span risk read from the link the search arrived by.
+	for _, v := range path[1:] {
+		l := s.Via[v]
+		cost += e.miles[l]
+		cost += pairAlpha * (e.rho[v] + e.span[l])
+		miles += e.miles[l]
+	}
+	return PairResult{Path: path, BitRiskMiles: cost, Miles: miles}
+}
+
+// path returns the kernel's i→j path under weights m_e + alpha·r_e, or nil
+// when j is unreachable.
+func (e *Engine) path(i, j int, alpha float64) []int {
+	s := e.adj.Route(i, j, alpha)
+	defer s.Release()
+	return s.PathTo(j)
+}
+
+// describe prices an arbitrary path for the pair (i, j) through the
+// context's own PathCost and PathMiles.
 func (e *Engine) describe(path []int, i, j int) PairResult {
 	if path == nil {
 		return PairResult{BitRiskMiles: math.Inf(1), Miles: math.Inf(1)}
@@ -350,42 +422,27 @@ func (e *Engine) describe(path []int, i, j int) PairResult {
 	}
 }
 
-// treeMetrics accumulates, along a shortest-path tree, each node's
-// geographic path length and entered-node risk sum (Σ ρ(p_x), x ≥ 2), so a
-// pair's Equation 1 cost is miles[v] + α·entered[v].
-func (e *Engine) treeMetrics(t *graph.ShortestTree) (miles, entered []float64) {
+// sweep runs a full search from src under weights m_e + alpha·r_e and
+// accumulates, along its shortest-path tree, each node's geographic path
+// length and entered-node risk sum (Σ ρ(p_x) plus span risk, x ≥ 2), so a
+// pair's Equation 1 cost is miles[v] + α·entered[v]. Unreachable nodes
+// carry +Inf in both.
+func (e *Engine) sweep(src int, alpha float64) (miles, entered []float64) {
 	n := e.N()
 	miles = make([]float64, n)
 	entered = make([]float64, n)
-	done := make([]bool, n)
-	done[t.Source] = true
-
-	var fill func(v int)
-	fill = func(v int) {
-		if done[v] {
-			return
-		}
-		p := int(t.Prev[v])
-		if p == -1 {
-			// Unreachable; mark with infinities.
-			miles[v] = math.Inf(1)
-			entered[v] = math.Inf(1)
-			done[v] = true
-			return
-		}
-		fill(p)
-		miles[v] = miles[p] + e.Ctx.Net.LinkMiles(topology.Link{A: p, B: v})
-		entered[v] = entered[p] + e.Ctx.NodeRisk(v) + e.Ctx.LinkRisk(p, v)
-		done[v] = true
+	for v := range miles {
+		miles[v] = math.Inf(1)
+		entered[v] = math.Inf(1)
 	}
-	for v := 0; v < n; v++ {
-		if !math.IsInf(t.Dist[v], 1) {
-			fill(v)
-		} else {
-			miles[v] = math.Inf(1)
-			entered[v] = math.Inf(1)
-			done[v] = true
-		}
+	s := e.adj.Sweep(src, alpha)
+	defer s.Release()
+	miles[src], entered[src] = 0, 0
+	// Settle order visits every node after its predecessor.
+	for _, v := range s.Order[1:] {
+		p, l := s.Prev[v], s.Via[v]
+		miles[v] = miles[p] + e.miles[l]
+		entered[v] = entered[p] + e.rho[v] + e.span[l]
 	}
 	return miles, entered
 }
@@ -442,7 +499,6 @@ func (e *Engine) evaluateSubset(sources, dests []int) Ratios {
 	workers := parallel.Workers(len(sources), e.opts.Workers)
 	e.tel.workers.Set(float64(workers))
 	e.tel.evaluations.Inc()
-	e.prebuildBuckets()
 	partials := parallel.Map(len(sources), workers, func(si int) partial {
 		started := time.Now()
 		i := sources[si]
@@ -450,8 +506,7 @@ func (e *Engine) evaluateSubset(sources, dests []int) Ratios {
 		if e.skipSweep(i) {
 			return p
 		}
-		distTree := e.dist.Dijkstra(i)
-		sMiles, sEntered := e.treeMetrics(distTree)
+		sMiles, sEntered := e.sweep(i, 0)
 
 		// Group destinations by α bucket so each bucket's Dijkstra runs once.
 		byBucket := make(map[int][]int)
@@ -463,8 +518,7 @@ func (e *Engine) evaluateSubset(sources, dests []int) Ratios {
 		}
 		for _, b := range sortedInts(byBucket) {
 			js := byBucket[b]
-			tree := e.bucketGraph(b).Dijkstra(i)
-			rMiles, rEntered := e.treeMetrics(tree)
+			rMiles, rEntered := e.sweep(i, e.buckets[b])
 			for _, j := range js {
 				alpha := e.Ctx.Alpha(i, j)
 				rShortest := sMiles[j] + alpha*sEntered[j]
@@ -522,8 +576,7 @@ func (e *Engine) EvaluateExact() Ratios {
 	var riskSum, distSum float64
 	pairs := 0
 	for i := 0; i < n; i++ {
-		distTree := e.dist.Dijkstra(i)
-		sMiles, sEntered := e.treeMetrics(distTree)
+		sMiles, sEntered := e.sweep(i, 0)
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
@@ -558,13 +611,12 @@ func (e *Engine) TotalBitRisk() float64 {
 	defer span.End()
 	workers := parallel.Workers(n, e.opts.Workers)
 	e.tel.workers.Set(float64(workers))
-	e.prebuildBuckets()
 	partials := parallel.Map(n, workers, func(i int) float64 {
 		if e.skipSweep(i) {
 			return 0
 		}
 		sub := 0.0
-		sMiles, sEntered := e.treeMetrics(e.dist.Dijkstra(i))
+		sMiles, sEntered := e.sweep(i, 0)
 		byBucket := make(map[int][]int)
 		for j := i + 1; j < n; j++ {
 			b := e.bucketOf(e.Ctx.Alpha(i, j))
@@ -572,8 +624,7 @@ func (e *Engine) TotalBitRisk() float64 {
 		}
 		for _, b := range sortedInts(byBucket) {
 			js := byBucket[b]
-			tree := e.bucketGraph(b).Dijkstra(i)
-			miles, entered := e.treeMetrics(tree)
+			miles, entered := e.sweep(i, e.buckets[b])
 			for _, j := range js {
 				if math.IsInf(miles[j], 1) {
 					continue
@@ -612,7 +663,7 @@ func (e *Engine) TotalBitRiskSubset(sources, dests []int) float64 {
 		if e.skipSweep(i) {
 			continue
 		}
-		sMiles, sEntered := e.treeMetrics(e.dist.Dijkstra(i))
+		sMiles, sEntered := e.sweep(i, 0)
 		byBucket := make(map[int][]int)
 		for j := range inDest {
 			if j == i {
@@ -631,8 +682,7 @@ func (e *Engine) TotalBitRiskSubset(sources, dests []int) float64 {
 		for _, b := range sortedInts(byBucket) {
 			js := byBucket[b]
 			sort.Ints(js)
-			tree := e.bucketGraph(b).Dijkstra(i)
-			miles, entered := e.treeMetrics(tree)
+			miles, entered := e.sweep(i, e.buckets[b])
 			for _, j := range js {
 				if math.IsInf(miles[j], 1) {
 					continue

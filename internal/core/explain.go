@@ -49,10 +49,10 @@ type EdgeAttribution struct {
 // Cost and Miles carry a bitwise identity to the engine's own figures
 // (Miles replays PathMiles's order exactly).
 type Explanation struct {
-	From  int     `json:"from"`
-	To    int     `json:"to"`
-	Alpha float64 `json:"alpha"`
-	Path  []int   `json:"path"`
+	From  int               `json:"from"`
+	To    int               `json:"to"`
+	Alpha float64           `json:"alpha"`
+	Path  []int             `json:"path"`
 	Edges []EdgeAttribution `json:"edges"`
 
 	Miles        float64 `json:"miles"`
@@ -84,9 +84,7 @@ func (e *Engine) Explain(i, j int) Explanation {
 	span := e.opts.Trace.Child("explain")
 	defer span.End()
 	alpha := e.Ctx.Alpha(i, j)
-	g := e.Ctx.WeightedGraph(alpha)
-	path, _ := g.ShortestPath(i, j)
-	ex := e.ExplainPathAlpha(path, i, j, alpha)
+	ex := e.ExplainPathAlpha(e.path(i, j, alpha), i, j, alpha)
 	span.SetAttr("edges", len(ex.Edges))
 	return ex
 }
@@ -94,8 +92,7 @@ func (e *Engine) Explain(i, j int) Explanation {
 // ExplainShortest prices the pure geographic shortest path between i and j
 // (ShortestPair's route) with the same decomposition.
 func (e *Engine) ExplainShortest(i, j int) Explanation {
-	path, _ := e.dist.ShortestPath(i, j)
-	return e.ExplainPath(path, i, j)
+	return e.ExplainPath(e.path(i, j, 0), i, j)
 }
 
 // ExplainPath decomposes an arbitrary path priced for the endpoint pair
@@ -197,7 +194,7 @@ func (e *Engine) TopRiskEdges(k int) []EdgeReport {
 			BaseRisk:     (baseA + baseB) / 2,
 			ForecastRisk: (fcA + fcB) / 2,
 			SpanRisk:     span,
-			Risk:         (c.NodeRisk(a)+c.NodeRisk(b))/2 + span,
+			Risk:         c.EdgeRisk(a, b),
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

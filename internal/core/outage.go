@@ -63,12 +63,13 @@ func (e *Engine) SimulateOutage(failed []int) (OutageImpact, error) {
 
 	impact := OutageImpact{FailedPoPs: len(failed), SurvivingPoPs: n - len(failed)}
 	var detourSum float64
+	intact := e.adj.Graph(0)
 
 	for i := 0; i < n; i++ {
 		if down[i] {
 			continue
 		}
-		before := e.dist.Dijkstra(i)
+		before := intact.Dijkstra(i)
 		after := survivors.Dijkstra(i)
 		for j := i + 1; j < n; j++ {
 			if down[j] {

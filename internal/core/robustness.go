@@ -36,15 +36,15 @@ type Candidate struct {
 // half.
 func (e *Engine) CandidateLinks() []topology.Link {
 	n := e.N()
-	distAP := graph.NewAllPairsTable(e.dist)
+	dist := e.adj.AllPairs(0)
 	var out []topology.Link
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			if e.Ctx.Net.HasLink(a, b) {
+			if e.adj.HasEdge(a, b) {
 				continue
 			}
 			direct := e.Ctx.Net.LinkMiles(topology.Link{A: a, B: b})
-			if direct < (1-e.opts.CandidateReduction)*distAP.Dist[a][b] {
+			if direct < (1-e.opts.CandidateReduction)*dist[a][b] {
 				out = append(out, topology.Link{A: a, B: b})
 			}
 		}
@@ -57,7 +57,7 @@ func (e *Engine) CandidateLinks() []topology.Link {
 // endpoint indices for determinism.
 func (e *Engine) ScoreCandidates(candidates []topology.Link) []Candidate {
 	n := e.N()
-	distAP := graph.NewAllPairsTable(e.dist)
+	dist := e.adj.AllPairs(0)
 
 	// One all-pairs table per α bucket actually used by some pair.
 	used := make(map[int]bool)
@@ -66,19 +66,22 @@ func (e *Engine) ScoreCandidates(candidates []topology.Link) []Candidate {
 			used[e.bucketOf(e.Ctx.Alpha(i, j))] = true
 		}
 	}
-	tables := make(map[int]*graph.AllPairsTable, len(used))
+	tables := make([]*graph.AllPairsTable, len(e.buckets))
 	for b := range used {
-		tables[b] = graph.NewAllPairsTable(e.bucketGraph(b))
+		tables[b] = &graph.AllPairsTable{N: n, Dist: e.adj.AllPairs(e.buckets[b])}
 	}
 
 	out := make([]Candidate, 0, len(candidates))
+	w := make([]float64, len(e.buckets)) // the candidate's weight per bucket
 	for _, c := range candidates {
+		for b := range used {
+			w[b] = e.Ctx.EdgeWeight(c.A, c.B, e.buckets[b])
+		}
 		total := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				b := e.bucketOf(e.Ctx.Alpha(i, j))
-				w := e.Ctx.EdgeWeight(c.A, c.B, e.buckets[b])
-				d := tables[b].WithEdge(i, j, c.A, c.B, w)
+				d := tables[b].WithEdge(i, j, c.A, c.B, w[b])
 				if !math.IsInf(d, 1) {
 					total += d
 				}
@@ -88,7 +91,7 @@ func (e *Engine) ScoreCandidates(candidates []topology.Link) []Candidate {
 			Link:          c,
 			Total:         total,
 			DirectMiles:   e.Ctx.Net.LinkMiles(c),
-			ShortestMiles: distAP.Dist[c.A][c.B],
+			ShortestMiles: dist[c.A][c.B],
 		})
 	}
 	sort.Slice(out, func(x, y int) bool {

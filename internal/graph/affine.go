@@ -1,0 +1,272 @@
+package graph
+
+import (
+	"fmt"
+	"math"
+	"sync"
+)
+
+// Affine is an immutable compressed-sparse-row (CSR) adjacency of an
+// undirected graph whose edge weights are affine in one scalar α:
+//
+//	w_e(α) = Base_e + α·Slope_e
+//
+// One adjacency therefore serves searches at every α: the kernel computes
+// each weight inline as it relaxes the edge, instead of materializing a
+// weighted graph per α. Node u's half-edges sit in one contiguous run, in
+// the order the edges were given — the order AddEdge appends them to a
+// Graph — so a search breaks ties exactly as Dijkstra on the same edges in
+// a Graph does.
+//
+// An Affine is read-only once built and safe for concurrent searches; each
+// search runs on scratch space drawn from a pool.
+type Affine struct {
+	n     int
+	start []int32   // node u's half-edges are [start[u], start[u+1])
+	arcs  []arc     // the half-edges; WithSlopes shares them
+	slope []float64 // Slope_e of each half-edge's edge
+}
+
+// arc is one half-edge: its head node, the index of its undirected edge,
+// and that edge's base weight.
+type arc struct {
+	to, edge int32
+	base     float64
+}
+
+// NewAffine builds the adjacency of an undirected graph over nodes 0..n-1:
+// edge e joins edges[e].U and edges[e].V with base weight edges[e].Weight
+// and slope slopes[e]. It panics on what AddEdge rejects (out-of-range
+// nodes, self-loops, negative or NaN base weights) and on slopes that are
+// misaligned, negative or not finite.
+func NewAffine(n int, edges []Edge, slopes []float64) *Affine {
+	if n < 0 {
+		panic("graph: negative node count")
+	}
+	a := &Affine{
+		n:     n,
+		start: make([]int32, n+1),
+		arcs:  make([]arc, 2*len(edges)),
+	}
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n))
+		}
+		if e.U == e.V {
+			panic(fmt.Sprintf("graph: self-loop at %d", e.U))
+		}
+		if e.Weight < 0 || math.IsNaN(e.Weight) {
+			panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", e.Weight, e.U, e.V))
+		}
+		a.start[e.U+1]++
+		a.start[e.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		a.start[u+1] += a.start[u]
+	}
+	next := make([]int32, n)
+	copy(next, a.start[:n])
+	for i, e := range edges {
+		ku, kv := next[e.U], next[e.V]
+		next[e.U]++
+		next[e.V]++
+		a.arcs[ku] = arc{to: int32(e.V), edge: int32(i), base: e.Weight}
+		a.arcs[kv] = arc{to: int32(e.U), edge: int32(i), base: e.Weight}
+	}
+	a.slope = a.spread(slopes)
+	return a
+}
+
+// WithSlopes returns an adjacency that shares a's topology and base weights
+// and carries new per-edge slopes, index-aligned with the edges NewAffine
+// was given. The refresh is O(E); a is unchanged. It panics on slopes that
+// are misaligned, negative or not finite.
+func (a *Affine) WithSlopes(slopes []float64) *Affine {
+	c := *a
+	c.slope = a.spread(slopes)
+	return &c
+}
+
+// spread copies per-edge slopes onto the half-edges.
+func (a *Affine) spread(slopes []float64) []float64 {
+	if len(slopes) != a.M() {
+		panic(fmt.Sprintf("graph: %d slopes for %d edges", len(slopes), a.M()))
+	}
+	for e, s := range slopes {
+		if !(s >= 0) || math.IsInf(s, 1) {
+			panic(fmt.Sprintf("graph: invalid slope %v on edge %d", s, e))
+		}
+	}
+	out := make([]float64, len(a.arcs))
+	for k, e := range a.arcs {
+		out[k] = slopes[e.edge]
+	}
+	return out
+}
+
+// M returns the number of undirected edges.
+func (a *Affine) M() int { return len(a.arcs) / 2 }
+
+// HasEdge reports whether at least one edge connects u and v, in O(deg u).
+func (a *Affine) HasEdge(u, v int) bool {
+	for _, e := range a.arcs[a.start[u]:a.start[u+1]] {
+		if int(e.to) == v {
+			return true
+		}
+	}
+	return false
+}
+
+// Graph materializes the adjacency as a Graph with weights Base +
+// alpha·Slope for alpha >= 0: the graph that adding each edge in turn with
+// AddEdge builds, without recomputing any weight's inputs.
+func (a *Affine) Graph(alpha float64) *Graph {
+	half := make([]halfEdge, len(a.arcs))
+	for k, e := range a.arcs {
+		half[k] = halfEdge{to: e.to, weight: e.base + alpha*a.slope[k]}
+	}
+	g := &Graph{n: a.n, adj: make([][]halfEdge, a.n), m: a.M()}
+	for u := range g.adj {
+		if lo, hi := a.start[u], a.start[u+1]; lo < hi {
+			g.adj[u] = half[lo:hi:hi]
+		}
+	}
+	return g
+}
+
+// ComponentSizes returns the node count of each connected component, in
+// order of each component's lowest node.
+func (a *Affine) ComponentSizes() []int {
+	seen := make([]bool, a.n)
+	stack := make([]int32, 0, a.n)
+	var sizes []int
+	for s := 0; s < a.n; s++ {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		stack = append(stack[:0], int32(s))
+		size := 0
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			size++
+			for _, e := range a.arcs[a.start[u]:a.start[u+1]] {
+				if !seen[e.to] {
+					seen[e.to] = true
+					stack = append(stack, e.to)
+				}
+			}
+		}
+		sizes = append(sizes, size)
+	}
+	return sizes
+}
+
+// Search is the result of one search over an Affine, held in pooled
+// scratch space. Its slices stay valid until Release hands the space to the
+// next search.
+type Search struct {
+	ShortestTree
+	// Via holds, for each reached node other than the source, the index of
+	// the edge its shortest path arrives by; -1 elsewhere.
+	Via []int32
+	// Order lists the settled nodes in the order the search settled them,
+	// source first, so every node follows its predecessor.
+	Order []int32
+	h     heap
+}
+
+var searchPool = sync.Pool{New: func() any { return new(Search) }}
+
+// Release returns the search's scratch space to the pool. The search must
+// not be used afterwards.
+func (s *Search) Release() { searchPool.Put(s) }
+
+// Route searches from u under weights Base + alpha·Slope and stops as soon
+// as v is settled — the early exit of Graph.ShortestPath. Only v's entries
+// (and those of the nodes on its path) are final; PathTo(v) is nil when v
+// is unreachable.
+func (a *Affine) Route(u, v int, alpha float64) *Search {
+	if v < 0 || v >= a.n {
+		panic("graph: Route target out of range")
+	}
+	return a.search(u, v, alpha)
+}
+
+// Sweep computes single-source shortest paths from src under weights
+// Base + alpha·Slope — the full sweep of Graph.Dijkstra.
+func (a *Affine) Sweep(src int, alpha float64) *Search {
+	return a.search(src, -1, alpha)
+}
+
+// search is the kernel behind Route (dst >= 0) and Sweep (dst = -1). Its
+// heap discipline, strict-improvement test and early exit are exactly
+// Graph.ShortestPath's, and each weight keeps EdgeWeight's shape m + α·r,
+// so answers match the materialized-graph search bit for bit.
+func (a *Affine) search(src, dst int, alpha float64) *Search {
+	if src < 0 || src >= a.n {
+		panic("graph: search source out of range")
+	}
+	s := searchPool.Get().(*Search)
+	s.reset(a.n, src)
+	dist, prev, via := s.Dist, s.Prev, s.Via
+	dist[src] = 0
+	s.h.push(src, 0)
+	for s.h.len() > 0 {
+		u, d := s.h.pop()
+		if d > dist[u] {
+			continue // stale entry
+		}
+		s.Order = append(s.Order, int32(u))
+		if u == dst {
+			break // settled: final with non-negative weights
+		}
+		lo, hi := a.start[u], a.start[u+1]
+		arcs := a.arcs[lo:hi]
+		slope := a.slope[lo:hi]
+		slope = slope[:len(arcs)] // equal lengths let slope[k] skip its bounds check
+		for k, e := range arcs {
+			w := e.base + alpha*slope[k]
+			if nd := d + w; nd < dist[e.to] {
+				dist[e.to] = nd
+				prev[e.to] = int32(u)
+				via[e.to] = e.edge
+				s.h.push(int(e.to), nd)
+			}
+		}
+	}
+	return s
+}
+
+// AllPairs returns the N×N shortest-path distance matrix under weights
+// Base + alpha·Slope, one Sweep per source: Graph.AllPairs without
+// materializing the weighted graph. Row i holds distances from node i.
+func (a *Affine) AllPairs(alpha float64) [][]float64 {
+	out := make([][]float64, a.n)
+	for i := range out {
+		s := a.Sweep(i, alpha)
+		out[i] = append([]float64(nil), s.Dist...)
+		s.Release()
+	}
+	return out
+}
+
+// reset sizes the scratch space for an n-node search from src.
+func (s *Search) reset(n, src int) {
+	if cap(s.Dist) < n {
+		s.Dist = make([]float64, n)
+		s.Prev = make([]int32, n)
+		s.Via = make([]int32, n)
+		s.Order = make([]int32, 0, n)
+	}
+	s.Source = src
+	s.Dist, s.Prev, s.Via = s.Dist[:n], s.Prev[:n], s.Via[:n]
+	for i := range s.Dist {
+		s.Dist[i] = Inf
+		s.Prev[i] = -1
+		s.Via[i] = -1
+	}
+	s.Order = s.Order[:0]
+	s.h.reset()
+}

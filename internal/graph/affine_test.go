@@ -1,0 +1,208 @@
+package graph
+
+import (
+	"math"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"riskroute/internal/stats"
+)
+
+// randomAffineEdges draws a graph with few distinct base weights and
+// slopes, so equal-cost paths (exact ties) are common, plus parallel edges;
+// with split set, no edge joins the two halves of the node range.
+func randomAffineEdges(rng *stats.RNG, n int, split bool) ([]Edge, []float64) {
+	var edges []Edge
+	var slopes []float64
+	add := func(u, v int) {
+		if u == v || (split && (u < n/2) != (v < n/2)) {
+			return
+		}
+		edges = append(edges, Edge{U: u, V: v, Weight: float64(1 + rng.Intn(3))})
+		slopes = append(slopes, 0.25*float64(rng.Intn(4)))
+	}
+	for i := 1; i < n; i++ {
+		add(i, rng.Intn(i))
+	}
+	for k := rng.Intn(2 * n); k > 0; k-- {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	return edges, slopes
+}
+
+// materialize builds the Graph with the weights the kernel computes inline.
+func materialize(n int, edges []Edge, slopes []float64, alpha float64) *Graph {
+	g := New(n)
+	for e, ed := range edges {
+		g.AddEdge(ed.U, ed.V, ed.Weight+alpha*slopes[e])
+	}
+	return g
+}
+
+func TestAffineMatchesMaterializedGraph(t *testing.T) {
+	prop := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		n := 2 + rng.Intn(30)
+		edges, slopes := randomAffineEdges(rng, n, seed%3 == 0)
+		a := NewAffine(n, edges, slopes)
+		for _, alpha := range []float64{0, 0.5, 3, 1e3} {
+			g := materialize(n, edges, slopes, alpha)
+			if !reflect.DeepEqual(a.Graph(alpha), g) {
+				t.Logf("seed %d α %v: Graph differs", seed, alpha)
+				return false
+			}
+			if !reflect.DeepEqual(a.AllPairs(alpha), g.AllPairs()) {
+				t.Logf("seed %d α %v: AllPairs differs", seed, alpha)
+				return false
+			}
+			if u, v := rng.Intn(n), rng.Intn(n); a.HasEdge(u, v) != g.HasEdge(u, v) {
+				t.Logf("seed %d: HasEdge(%d, %d) differs", seed, u, v)
+				return false
+			}
+			for src := 0; src < n; src++ {
+				tree := g.Dijkstra(src)
+				s := a.Sweep(src, alpha)
+				ok := reflect.DeepEqual(s.ShortestTree, *tree) && validVia(s, edges) && validOrder(s)
+				s.Release()
+				if !ok {
+					t.Logf("seed %d α %v: sweep from %d differs", seed, alpha, src)
+					return false
+				}
+				dst := rng.Intn(n)
+				wantPath, wantDist := g.ShortestPath(src, dst)
+				r := a.Route(src, dst, alpha)
+				ok = reflect.DeepEqual(r.PathTo(dst), wantPath) &&
+					math.Float64bits(r.Dist[dst]) == math.Float64bits(wantDist)
+				r.Release()
+				if !ok {
+					t.Logf("seed %d α %v: route %d→%d differs", seed, alpha, src, dst)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// validVia checks every reached node's Via edge joins it to its predecessor.
+func validVia(s *Search, edges []Edge) bool {
+	for v, p := range s.Prev {
+		if p == -1 {
+			if s.Via[v] != -1 {
+				return false
+			}
+			continue
+		}
+		e := edges[s.Via[v]]
+		if !(e.U == v && e.V == int(p)) && !(e.V == v && e.U == int(p)) {
+			return false
+		}
+	}
+	return true
+}
+
+// validOrder checks Order lists exactly the reached nodes, source first,
+// each after its predecessor.
+func validOrder(s *Search) bool {
+	pos := make(map[int32]int, len(s.Order))
+	for k, v := range s.Order {
+		pos[v] = k
+	}
+	if len(s.Order) == 0 || int(s.Order[0]) != s.Source || len(pos) != len(s.Order) {
+		return false
+	}
+	for v, d := range s.Dist {
+		k, settled := pos[int32(v)]
+		if settled == math.IsInf(d, 1) {
+			return false
+		}
+		if settled && v != s.Source && pos[s.Prev[v]] >= k {
+			return false
+		}
+	}
+	return true
+}
+
+func TestAffineWithSlopesSharesTopology(t *testing.T) {
+	rng := stats.NewRNG(3)
+	edges, slopes := randomAffineEdges(rng, 12, false)
+	a := NewAffine(12, edges, slopes)
+	before := append([]float64(nil), a.slope...)
+	fresh := make([]float64, len(slopes))
+	for e := range fresh {
+		fresh[e] = float64(e % 5)
+	}
+	b := a.WithSlopes(fresh)
+	if !reflect.DeepEqual(b, NewAffine(12, edges, fresh)) {
+		t.Error("WithSlopes differs from a fresh NewAffine")
+	}
+	if !reflect.DeepEqual(a.slope, before) {
+		t.Error("WithSlopes modified its receiver")
+	}
+	if &a.arcs[0] != &b.arcs[0] {
+		t.Error("WithSlopes copied the topology instead of sharing it")
+	}
+}
+
+func TestAffineComponentSizes(t *testing.T) {
+	for seed := uint64(0); seed < 20; seed++ {
+		rng := stats.NewRNG(seed)
+		n := 2 + rng.Intn(25)
+		edges, slopes := randomAffineEdges(rng, n, seed%2 == 0)
+		var want []int
+		for _, c := range materialize(n, edges, slopes, 0).Components() {
+			want = append(want, len(c))
+		}
+		if got := NewAffine(n, edges, slopes).ComponentSizes(); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: ComponentSizes = %v, Components sizes %v", seed, got, want)
+		}
+	}
+}
+
+func TestAffinePanics(t *testing.T) {
+	one := []Edge{{U: 0, V: 1, Weight: 1}}
+	for name, fn := range map[string]func(){
+		"out of range":    func() { NewAffine(2, []Edge{{U: 0, V: 2, Weight: 1}}, []float64{0}) },
+		"self loop":       func() { NewAffine(2, []Edge{{U: 1, V: 1, Weight: 1}}, []float64{0}) },
+		"negative weight": func() { NewAffine(2, []Edge{{U: 0, V: 1, Weight: -1}}, []float64{0}) },
+		"nan weight":      func() { NewAffine(2, []Edge{{U: 0, V: 1, Weight: math.NaN()}}, []float64{0}) },
+		"slope count":     func() { NewAffine(2, one, nil) },
+		"negative slope":  func() { NewAffine(2, one, []float64{-1}) },
+		"nan slope":       func() { NewAffine(2, one, []float64{math.NaN()}) },
+		"inf slope":       func() { NewAffine(2, one, []float64{math.Inf(1)}) },
+		"reslope count":   func() { NewAffine(2, one, []float64{0}).WithSlopes([]float64{0, 1}) },
+		"route target":    func() { NewAffine(2, one, []float64{0}).Route(0, 2, 1) },
+		"sweep source":    func() { NewAffine(2, one, []float64{0}).Sweep(-1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+func BenchmarkAffineRoute233(b *testing.B) {
+	// BenchmarkShortestPathEarlyExit's graph and pairs, with the weights
+	// computed inline from base and slope.
+	rng := stats.NewRNG(29)
+	g := randomConnectedGraph(rng, 233, 300)
+	edges := g.Edges()
+	slopes := make([]float64, len(edges))
+	for e := range slopes {
+		slopes[e] = rng.Float64()
+	}
+	n := g.N()
+	a := NewAffine(n, edges, slopes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Route(i%n, (i+3)%n, 0.5).Release()
+	}
+}

@@ -22,14 +22,15 @@ func (t *ShortestTree) PathTo(target int) []int {
 	if target < 0 || target >= len(t.Dist) || math.IsInf(t.Dist[target], 1) {
 		return nil
 	}
-	var rev []int
-	for v := target; v != -1; v = int(t.Prev[v]) {
-		rev = append(rev, v)
+	hops := 0
+	for v := target; t.Prev[v] != -1; v = int(t.Prev[v]) {
+		hops++
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]int, hops+1)
+	for v, x := target, hops; x >= 0; v, x = int(t.Prev[v]), x-1 {
+		path[x] = v
 	}
-	return rev
+	return path
 }
 
 // Dijkstra computes single-source shortest paths from src using a binary
@@ -156,6 +157,12 @@ func newHeap(capacity int) *heap {
 }
 
 func (h *heap) len() int { return len(h.nodes) }
+
+// reset empties the heap, keeping its capacity for the next search.
+func (h *heap) reset() {
+	h.nodes = h.nodes[:0]
+	h.prio = h.prio[:0]
+}
 
 func (h *heap) push(node int, p float64) {
 	h.nodes = append(h.nodes, int32(node))

@@ -147,11 +147,19 @@ func (c *Context) Alpha(i, j int) float64 {
 	return c.Fractions[i] + c.Fractions[j]
 }
 
+// EdgeRisk returns r_e, the α-independent risk content of the edge (u, v)
+// under the symmetric formulation: (ρ(u)+ρ(v))/2 plus any span risk. It is
+// the one definition of the bracket every symmetric weight scales by α.
+func (c *Context) EdgeRisk(u, v int) float64 {
+	return (c.NodeRisk(u)+c.NodeRisk(v))/2 + c.LinkRisk(u, v)
+}
+
 // EdgeWeight returns the symmetric bit-risk weight of traversing the edge
-// (u, v) under endpoint impact alpha.
+// (u, v) under endpoint impact alpha: miles + α·EdgeRisk. The weight is
+// affine in α, which is what lets one adjacency serve every α.
 func (c *Context) EdgeWeight(u, v int, alpha float64) float64 {
 	d := c.Net.LinkMiles(topology.Link{A: u, B: v})
-	return d + alpha*((c.NodeRisk(u)+c.NodeRisk(v))/2+c.LinkRisk(u, v))
+	return d + alpha*c.EdgeRisk(u, v)
 }
 
 // WeightedGraph builds the risk-weighted routing graph for endpoint impact
@@ -184,7 +192,7 @@ func (c *Context) PathMiles(path []int) float64 {
 func (c *Context) PathRiskSum(path []int) float64 {
 	total := 0.0
 	for x := 1; x < len(path); x++ {
-		total += (c.NodeRisk(path[x-1])+c.NodeRisk(path[x]))/2 + c.LinkRisk(path[x-1], path[x])
+		total += c.EdgeRisk(path[x-1], path[x])
 	}
 	return total
 }

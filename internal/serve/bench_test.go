@@ -9,7 +9,7 @@ import (
 
 // BenchmarkServeRouteCold measures the full serving hot path on a cache
 // miss: mux dispatch, admission, snapshot load, a pair query on the shared
-// prebuilt engine, and JSON encoding. The cache is cleared every iteration.
+// snapshot engine, and JSON encoding. The cache is cleared every iteration.
 func BenchmarkServeRouteCold(b *testing.B) {
 	s := testServer(b)
 	net := s.bases[0].net

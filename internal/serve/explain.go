@@ -212,9 +212,9 @@ func (s *Server) explainGeoJSON(st *netState, resp *routeResponse, ex *routeExpl
 	return fc
 }
 
-// parseParams is lookupParams' non-writing form for statusHandler docs: it
-// resolves lambda_h/lambda_f against the defaults, returning an error
-// document and status on bad input.
+// parseParams resolves lambda_h/lambda_f against the defaults, returning an
+// error document and status on bad input — the form statusHandler docs use;
+// lookupParams writes the error instead.
 func (s *Server) parseParams(q url.Values) (risk.Params, any, int) {
 	p := s.cfg.Params
 	for _, f := range []struct {

@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
+	"net/url"
 	"time"
 
 	"riskroute/internal/forecast"
@@ -141,10 +140,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// lookupNet resolves the ?network= parameter against a snapshot, writing
-// the error response on failure.
-func (s *Server) lookupNet(w http.ResponseWriter, r *http.Request, snap *snapshot) *netState {
-	name := r.URL.Query().Get("network")
+// lookupNet resolves the ?network= parameter of the request's parsed query
+// against a snapshot, writing the error response on failure.
+func (s *Server) lookupNet(w http.ResponseWriter, q url.Values, snap *snapshot) *netState {
+	name := q.Get("network")
 	if name == "" {
 		s.writeError(w, http.StatusBadRequest, "missing network parameter")
 		return nil
@@ -158,23 +157,12 @@ func (s *Server) lookupNet(w http.ResponseWriter, r *http.Request, snap *snapsho
 }
 
 // lookupParams resolves the optional lambda_h / lambda_f query parameters
-// against the server defaults.
-func (s *Server) lookupParams(w http.ResponseWriter, r *http.Request) (risk.Params, bool) {
-	p := s.cfg.Params
-	for _, f := range []struct {
-		name string
-		dst  *float64
-	}{{"lambda_h", &p.LambdaH}, {"lambda_f", &p.LambdaF}} {
-		raw := r.URL.Query().Get(f.name)
-		if raw == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			s.writeError(w, http.StatusBadRequest, "bad %s %q (want a non-negative number)", f.name, raw)
-			return p, false
-		}
-		*f.dst = v
+// against the server defaults, writing the error response on failure.
+func (s *Server) lookupParams(w http.ResponseWriter, q url.Values) (risk.Params, bool) {
+	p, doc, status := s.parseParams(q)
+	if doc != nil {
+		s.writeJSON(w, status, doc)
+		return p, false
 	}
 	return p, true
 }
@@ -222,19 +210,19 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	}
 	snap := s.snap.Load()
 	scopeGeneration(r, snap.gen)
-	st := s.lookupNet(w, r, snap)
+	q := r.URL.Query()
+	st := s.lookupNet(w, q, snap)
 	if st == nil {
 		return
 	}
-	q := r.URL.Query()
 	from, to := q.Get("from"), q.Get("to")
-	src, dst := st.net.PoPIndex(from), st.net.PoPIndex(to)
+	src, dst := st.popIndex(from), st.popIndex(to)
 	if src < 0 || dst < 0 {
 		s.writeError(w, http.StatusNotFound, "PoP not found in %s (%q=%d, %q=%d)",
 			st.net.Name, from, src, to, dst)
 		return
 	}
-	params, ok := s.lookupParams(w, r)
+	params, ok := s.lookupParams(w, q)
 	if !ok {
 		return
 	}
@@ -333,11 +321,12 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.snap.Load()
 	scopeGeneration(r, snap.gen)
-	st := s.lookupNet(w, r, snap)
+	q := r.URL.Query()
+	st := s.lookupNet(w, q, snap)
 	if st == nil {
 		return
 	}
-	params, ok := s.lookupParams(w, r)
+	params, ok := s.lookupParams(w, q)
 	if !ok {
 		return
 	}
@@ -418,11 +407,12 @@ func (s *Server) handlePoPs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap.Load()
 	scopeGeneration(r, snap.gen)
-	st := s.lookupNet(w, r, snap)
+	q := r.URL.Query()
+	st := s.lookupNet(w, q, snap)
 	if st == nil {
 		return
 	}
-	params, ok := s.lookupParams(w, r)
+	params, ok := s.lookupParams(w, q)
 	if !ok {
 		return
 	}

@@ -208,11 +208,30 @@ type netBase struct {
 	net       *topology.Network
 	hist      []float64
 	fractions []float64
+	pops      map[string]int // PoP name → index
 }
 
-// netState is one network's routable state inside a snapshot. The engine is
-// prebuilt (core.Engine.Prebuild), so request goroutines share it without
-// locks.
+func newNetBase(net *topology.Network, hist, fractions []float64) *netBase {
+	pops := make(map[string]int, len(net.PoPs))
+	for i, p := range net.PoPs {
+		if _, dup := pops[p.Name]; !dup { // PoPIndex answers the first match
+			pops[p.Name] = i
+		}
+	}
+	return &netBase{net: net, hist: hist, fractions: fractions, pops: pops}
+}
+
+// popIndex returns the index of the PoP with the given name, or -1 — the
+// map form of topology.Network.PoPIndex.
+func (b *netBase) popIndex(name string) int {
+	if i, ok := b.pops[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// netState is one network's routable state inside a snapshot. Engines are
+// immutable once built, so request goroutines share it without locks.
 type netState struct {
 	*netBase
 	forecast []float64 // nil when the snapshot has no active advisory
@@ -307,7 +326,7 @@ type Server struct {
 // fits the hazard surfaces, generates the census, and assigns population to
 // every network (fanned over internal/parallel); with WorldSnapshotPath (or
 // World) set, all of that state comes from a baked snapshot and boot cost is
-// dominated by the engine prebuilds — a rejected snapshot degrades to the
+// dominated by the engine builds — a rejected snapshot degrades to the
 // full fit rather than failing the boot. The warmup is traced under
 // cfg.Trace as "serve-warmup" with one child span per stage.
 func New(cfg Config) (*Server, error) {
@@ -462,11 +481,7 @@ func fitWorld(cfg Config, warm *obs.Span) (*fittedWorld, error) {
 		if err != nil {
 			return baseOrErr{err: fmt.Errorf("serve: assigning %q: %w", net.Name, err)}
 		}
-		return baseOrErr{base: &netBase{
-			net:       net,
-			hist:      model.PoPRisks(net),
-			fractions: asg.Fractions,
-		}, asg: asg}
+		return baseOrErr{base: newNetBase(net, model.PoPRisks(net), asg.Fractions), asg: asg}
 	})
 	assign.End()
 	fw := &fittedWorld{
@@ -512,7 +527,7 @@ func worldBases(cfg Config, world *worldsnap.World) (*hazard.Model, []*netBase, 
 		if err != nil {
 			return nil, nil, err
 		}
-		bases[i] = &netBase{net: net, hist: ns.Hist, fractions: ns.Fractions}
+		bases[i] = newNetBase(net, ns.Hist, ns.Fractions)
 	}
 	return model, bases, nil
 }
@@ -587,9 +602,12 @@ func BakeWorld(cfg Config) (*worldsnap.World, error) {
 func (s *Server) Boot() BootInfo { return s.boot }
 
 // buildSnapshot constructs the immutable world for one generation: the
-// forecast layer for adv (nil for none) and a fresh prebuilt engine per
-// network, fanned over internal/parallel.
+// forecast layer for adv (nil for none) and one engine per network, fanned
+// over internal/parallel. Booting builds each engine from scratch; a swap
+// reprices the serving snapshot's engine for the network, which shares its
+// adjacency and refreshes only the O(N+E) risk side.
 func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Span) (*snapshot, error) {
+	cur := s.snap.Load() // nil while booting; states align with s.bases
 	type stateOrErr struct {
 		st  *netState
 		err error
@@ -611,16 +629,22 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		// snapshot engines take the configured worker bound. Build-time
 		// telemetry flows to the registry; per-engine spans/logs are left
 		// out so a swap stays one record, not twenty-three.
-		eng, err := core.New(ctx, core.Options{
+		opts := core.Options{
 			Workers: s.cfg.Workers,
 			Metrics: s.cfg.Metrics,
 			Health:  s.cfg.Health,
 			Trace:   span,
-		})
+		}
+		var eng *core.Engine
+		var err error
+		if cur != nil {
+			eng, err = cur.states[i].engine.Reprice(ctx, opts)
+		} else {
+			eng, err = core.New(ctx, opts)
+		}
 		if err != nil {
 			return stateOrErr{err: fmt.Errorf("serve: engine for %q: %w", base.net.Name, err)}
 		}
-		eng.Prebuild()
 		return stateOrErr{st: &netState{netBase: base, forecast: fc, engine: eng}}
 	})
 	snap := &snapshot{
@@ -751,7 +775,7 @@ func (s *Server) buildSnapshotRecover(gen uint64, adv *forecast.Advisory, span *
 }
 
 // verifySnapshot checks the structural invariants a publishable snapshot
-// must hold — every network present with a prebuilt engine, forecast
+// must hold — every network present with an engine, forecast
 // vectors sized to their PoP sets, and a generation exactly one past the
 // snapshot being replaced — so a torn build can never reach the atomic
 // pointer.
@@ -857,9 +881,10 @@ func (s *Server) SLOSnapshot() obs.SLOSnapshot { return s.slo.Snapshot() }
 func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }
 
 // engineAt returns the engine answering queries for st at the given
-// parameters: the snapshot's shared prebuilt engine when the parameters
-// match the server defaults, otherwise a request-scoped engine over the
-// same immutable risk layers (identical numerics, no shared mutation).
+// parameters: the snapshot's shared engine when the parameters match the
+// server defaults, otherwise a request-scoped reprice of it over the same
+// immutable risk layers (identical numerics, an O(N+E) refresh, no shared
+// mutation).
 func (s *Server) engineAt(st *netState, p risk.Params) (*core.Engine, error) {
 	if p == s.cfg.Params {
 		return st.engine, nil
@@ -871,5 +896,5 @@ func (s *Server) engineAt(st *netState, p risk.Params) (*core.Engine, error) {
 		Fractions: st.fractions,
 		Params:    p,
 	}
-	return core.New(ctx, core.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
+	return st.engine.Reprice(ctx, core.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
 }
