@@ -14,20 +14,22 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# tier2 adds static analysis, the race detector, and short fuzz smokes over
-# the input parsers (the corrupt-input seed corpora run even at -fuzztime=0,
-# so regressions in rejected-input handling surface here first).
+# tier2 adds the gofmt check, static analysis, the race detector, and short
+# fuzz smokes over the input parsers (the corrupt-input seed corpora run even
+# at -fuzztime=0, so regressions in rejected-input handling surface here
+# first).
 tier2: tier1
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 
 # bench runs every benchmark three times and distills the text output into
-# $(BENCH_NEW) (per-benchmark min/mean ns/op plus the tracing overhead
-# ratio from the RouteWithTracingOff/On pair — budget: <= 2% on the
-# full-compute route path, the PR 2 telemetry gate's shape; see DESIGN.md
-# §11). The focused -count=10 passes tighten the noise floor on both
-# overhead pairs (min ns/op converges to the true floor as count grows).
+# $(BENCH_NEW) (per-benchmark min/mean ns/op plus the gates below). The
+# tracing gate records the RouteWithTracingOff/On overhead ratio without a
+# bound (budget: <= 2% on the full-compute route path; see DESIGN.md §11).
+# The focused -count=10 passes tighten the noise floor on both overhead
+# pairs (min ns/op converges to the true floor as count grows).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -count=3 ./... | tee bench.out
 	$(GO) test -run='^$$' -bench='EvaluateTelemetry' -count=10 -benchtime=0.5s ./internal/core | tee -a bench.out
@@ -44,8 +46,7 @@ bench:
 	# baked world snapshot must be at least 20x faster than the full fit
 	# (measured ~55x; the margin absorbs slow CI hosts).
 	$(GO) run ./cmd/benchjson -o $(BENCH_NEW) \
-		-overhead-off RouteWithTracingOff -overhead-on RouteWithTracingOn \
-		-overhead-paired RouteTracingPaired \
+		-gate 'tracing=RouteWithTracingOff/RouteWithTracingOn/RouteTracingPaired' \
 		-gate 'explain=RouteExplainOff/RouteExplainOn/RouteExplainPaired@1' \
 		-gate 'coldstart=ColdStartFit/ColdStartSnapshot@x20' bench.out
 	@rm -f bench.out

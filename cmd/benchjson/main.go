@@ -1,19 +1,13 @@
 // benchjson converts `go test -bench` text output into a machine-readable
 // JSON summary, aggregating repeated -count runs per benchmark (min and mean
 // ns/op; the minimum is the noise-floor estimator used for comparisons).
-// Optionally it computes the telemetry overhead ratio between a paired
-// off/on benchmark:
+// Repeatable -gate arguments compute off/on ratios between benchmark pairs
+// and, when given a bound, enforce it:
 //
 //	go test -bench=. -benchmem -count=3 ./... | \
-//	    go run ./cmd/benchjson -o BENCH_PR2.json \
-//	        -overhead-off EvaluateTelemetryOff -overhead-on EvaluateTelemetryOn
-//
-// When the off/on delta is too small for separately-invoked minima to
-// resolve (sub-microsecond costs on a shared box), -overhead-paired names a
-// benchmark that interleaves both variants inside one timer window and
-// publishes the ratio itself via b.ReportMetric(..., "overhead-pct"); that
-// self-reported figure then becomes telemetry_overhead.overhead_pct, with
-// the off/on minima kept alongside for reference.
+//	    go run ./cmd/benchjson -o BENCH.json \
+//	        -gate 'tracing=RouteWithTracingOff/RouteWithTracingOn/RouteTracingPaired' \
+//	        -gate 'explain=RouteExplainOff/RouteExplainOn/RouteExplainPaired@1'
 //
 // Input may also be given as file arguments. Lines that are not benchmark
 // results (package headers, PASS/ok, cpu info) are ignored.
@@ -54,24 +48,15 @@ type result struct {
 	OverheadPct float64 `json:"overhead_pct,omitempty"`
 }
 
-type overhead struct {
-	Off         string  `json:"off"`
-	On          string  `json:"on"`
-	OffNsMin    float64 `json:"off_ns_per_op_min"`
-	OnNsMin     float64 `json:"on_ns_per_op_min"`
-	OverheadPct float64 `json:"overhead_pct"`
-	// PairedBench is set when -overhead-paired named a benchmark that
-	// measures the off/on delta in-loop; its self-reported ratio then
-	// overrides the min-of-separate-invocations quotient above, which
-	// cannot resolve sub-microsecond deltas on a noisy host.
-	PairedBench string `json:"paired_bench,omitempty"`
-}
-
 // gate is one named off/on budget evaluated while summarizing:
 // -gate NAME=OFF/ON[/PAIRED][@MAX] computes the overhead ratio between the
-// OFF and ON benchmarks (PAIRED's self-reported overhead-pct metric, when
-// named, overrides the min quotient exactly as -overhead-paired does) and,
-// when @MAX is given, fails the run if the ratio exceeds MAX percent.
+// OFF and ON benchmarks and, when @MAX is given, fails the run if the ratio
+// exceeds MAX percent; without a bound the ratio is recorded, not enforced.
+// When the off/on delta is too small for separately invoked minima to
+// resolve (sub-microsecond costs on a shared box), PAIRED names a benchmark
+// that interleaves both variants inside one timer window and publishes the
+// ratio itself via b.ReportMetric(..., "overhead-pct"); that figure then
+// overrides the min quotient, with the off/on minima kept for reference.
 // The @xMIN variant inverts the budget into a speedup floor: the gate
 // computes OFF÷ON as a speedup factor and fails when it drops below MIN
 // (e.g. coldstart=ColdStartFit/ColdStartSnapshot@x20 demands the snapshot
@@ -140,19 +125,15 @@ func (g *gateFlags) Set(v string) error {
 }
 
 type summary struct {
-	GoVersion  string    `json:"go_version"`
-	GOOS       string    `json:"goos"`
-	GOARCH     string    `json:"goarch"`
-	Benchmarks []result  `json:"benchmarks"`
-	Overhead   *overhead `json:"telemetry_overhead,omitempty"`
-	Gates      []gate    `json:"gates,omitempty"`
+	GoVersion  string   `json:"go_version"`
+	GOOS       string   `json:"goos"`
+	GOARCH     string   `json:"goarch"`
+	Benchmarks []result `json:"benchmarks"`
+	Gates      []gate   `json:"gates,omitempty"`
 }
 
 func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout")
-	offName := flag.String("overhead-off", "", "baseline benchmark for the overhead ratio (substring match)")
-	onName := flag.String("overhead-on", "", "instrumented benchmark for the overhead ratio (substring match)")
-	pairedName := flag.String("overhead-paired", "", "benchmark whose self-reported overhead-pct metric overrides the off/on min quotient (substring match)")
 	compare := flag.Bool("compare", false, "compare two JSON summaries: benchjson -compare OLD NEW")
 	threshold := flag.Float64("threshold", 10, "regression threshold in percent for -compare")
 	var gates gateFlags
@@ -236,27 +217,6 @@ func main() {
 		r.NsPerOpMean /= float64(r.Runs)
 		r.OverheadPct /= float64(r.Runs)
 		s.Benchmarks = append(s.Benchmarks, r)
-	}
-	if *offName != "" && *onName != "" {
-		off, on := find(s.Benchmarks, *offName), find(s.Benchmarks, *onName)
-		if off == nil || on == nil {
-			fatal(fmt.Errorf("overhead pair %q/%q not found in results", *offName, *onName))
-		}
-		s.Overhead = &overhead{
-			Off:         off.Name,
-			On:          on.Name,
-			OffNsMin:    off.NsPerOpMin,
-			OnNsMin:     on.NsPerOpMin,
-			OverheadPct: 100 * (on.NsPerOpMin - off.NsPerOpMin) / off.NsPerOpMin,
-		}
-		if *pairedName != "" {
-			p := find(s.Benchmarks, *pairedName)
-			if p == nil {
-				fatal(fmt.Errorf("overhead-paired benchmark %q not found in results", *pairedName))
-			}
-			s.Overhead.PairedBench = p.Name
-			s.Overhead.OverheadPct = p.OverheadPct
-		}
 	}
 	gateFailed := false
 	for _, spec := range gates {

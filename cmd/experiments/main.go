@@ -10,11 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 
 	"riskroute"
+	"riskroute/internal/runtel"
 )
 
 func main() {
@@ -58,58 +58,28 @@ func main() {
 
 	// Observability: any of -log/-trace-out/-runs arms the full stack so
 	// the run's logs, trace, and manifest describe the same execution.
-	obsArmed := *logMode != "off" || *traceOut != "" || *runsDir != ""
-	var (
-		trace  *riskroute.Span
-		flight *riskroute.FlightRecorder
-	)
-	if obsArmed {
-		cfg.Metrics = riskroute.NewMetrics()
-		trace = riskroute.NewTrace("experiments")
-		cfg.Trace = trace
-		flight = riskroute.NewFlightRecorder(0)
-		h, err := riskroute.NewLogHandler(*logMode, os.Stderr)
-		if err != nil {
+	tel := runtel.Run{Prog: "experiments", Name: "experiments", TraceOut: *traceOut}
+	if *logMode != "off" || *traceOut != "" || *runsDir != "" {
+		if err := tel.SetLog(*logMode, os.Stderr); err != nil {
 			fatal(err)
 		}
-		cfg.Logger = slog.New(flight.Wrap(h))
+		cfg.Metrics, cfg.Trace, cfg.Logger = tel.Metrics, tel.Trace, tel.Logger
 	}
 	if *runsDir != "" {
-		led, err := riskroute.NewRunLedger(*runsDir, "experiments", os.Args[1:])
-		if err != nil {
+		if err := tel.OpenLedger(*runsDir, os.Args[1:]); err != nil {
 			fatal(err)
 		}
-		led.AttachFlight(flight)
-		led.SetConfig("run", *run)
-		led.SetConfig("storm", *storm)
-		led.SetConfig("fast", *fast)
-		cfg.Ledger = led
+		// The config is recorded here and by the Lab (the effective world
+		// values after -fast defaults), not from the flag set.
+		tel.Ledger.SetConfig("run", *run)
+		tel.Ledger.SetConfig("storm", *storm)
+		tel.Ledger.SetConfig("fast", *fast)
+		cfg.Ledger = tel.Ledger
 	}
-	// finish drains the observability stack exactly once, on every exit
-	// path: Chrome trace export and the run manifest with exit status.
-	finish := func(runErr error) {
-		trace.End()
-		if *traceOut != "" {
-			if err := riskroute.ExportChromeTrace(*traceOut, trace); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: trace export:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "experiments: wrote trace to %s\n", *traceOut)
-			}
-		}
-		if cfg.Ledger != nil {
-			if err := cfg.Ledger.Finish(trace, cfg.Metrics, runErr); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: run ledger:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "experiments: wrote run manifest to %s/manifest.json\n",
-					cfg.Ledger.Dir())
-			}
-		}
-	}
-
 	fmt.Fprintln(os.Stderr, "building experiment world...")
 	lab, err := riskroute.NewLab(cfg)
 	if err != nil {
-		finish(err)
+		tel.Finish(nil, err)
 		fatal(err)
 	}
 
@@ -258,12 +228,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "running %s...\n", id)
 		fmt.Printf("==== %s ====\n", strings.ToUpper(id))
 		if err := runOne(id); err != nil {
-			finish(err)
+			tel.Finish(nil, err)
 			fatal(err)
 		}
 		fmt.Println()
 	}
-	finish(nil)
+	tel.Finish(nil, nil)
 }
 
 func fatal(err error) {

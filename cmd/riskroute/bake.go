@@ -65,17 +65,17 @@ func cmdBake(args []string) error {
 
 	// bake always collects, like stats: the world-bake span tree and fit
 	// metrics land in the telemetry report and the run manifest.
-	tel.ensure()
+	tel.Arm()
 	world, err := riskroute.BakeServeWorld(riskroute.ServeConfig{
 		Networks:   nets,
 		Blocks:     w.blocks,
 		EventScale: w.eventScale,
 		Seed:       seedFlag,
 		Workers:    workersFlag,
-		Metrics:    tel.reg,
-		Trace:      tel.trace,
-		Health:     tel.health,
-		Logger:     tel.logger,
+		Metrics:    tel.Metrics,
+		Trace:      tel.Trace,
+		Health:     tel.Health,
+		Logger:     tel.Logger,
 	})
 	if err != nil {
 		return err
@@ -84,8 +84,8 @@ func cmdBake(args []string) error {
 	if err != nil {
 		return err
 	}
-	if tel.ledger != nil {
-		tel.ledger.SetConfig("world-snapshot-digest", digest)
+	if tel.Ledger != nil {
+		tel.Ledger.SetConfig("world-snapshot-digest", digest)
 	}
 	info, err := os.Stat(*out)
 	if err != nil {

@@ -90,8 +90,8 @@ func checkPipeline(w *worldFlags, network string, dropLayer int, seed uint64) er
 	// The shared health funnel: degraded events surface as
 	// pipeline.<stage>.<severity>_total counters in the exit report, leveled
 	// log records under -log, and the -runs manifest's degraded summary.
-	tel.ensure()
-	health := tel.health
+	tel.Arm()
+	health := tel.Health
 	var inj *riskroute.Injector
 	if dropLayer >= 0 {
 		inj = riskroute.NewInjector(seed).
@@ -103,7 +103,7 @@ func checkPipeline(w *worldFlags, network string, dropLayer int, seed uint64) er
 	}
 	model, err := riskroute.FitHazard(riskroute.SyntheticHazardSources(w.eventScale, seedFlag),
 		riskroute.HazardFitConfig{Lenient: true, Injector: inj, Health: health,
-			Metrics: tel.reg, Trace: tel.trace, Logger: tel.logger})
+			Metrics: tel.Metrics, Trace: tel.Trace, Logger: tel.Logger})
 	if err != nil {
 		return err
 	}

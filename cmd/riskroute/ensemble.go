@@ -73,8 +73,8 @@ func cmdEnsemble(args []string) error {
 			RadiusFrac:    *radiusJitter,
 		},
 		Workers: workersFlag,
-		Metrics: tel.reg,
-		Trace:   tel.trace,
+		Metrics: tel.Metrics,
+		Trace:   tel.Trace,
 	})
 	if err != nil {
 		return err
@@ -85,18 +85,18 @@ func cmdEnsemble(args []string) error {
 		Params:  riskroute.Params{LambdaH: *lambdaH, LambdaF: *lambdaF},
 		Pairs:   *routePairs,
 		Workers: workersFlag,
-		Metrics: tel.reg,
-		Trace:   tel.trace,
-		Logger:  tel.logger,
+		Metrics: tel.Metrics,
+		Trace:   tel.Trace,
+		Logger:  tel.Logger,
 	})
 	if err != nil {
 		return err
 	}
 
-	if tel.ledger != nil {
-		tel.ledger.SetConfig("ensemble-seed", seedFlag)
-		tel.ledger.SetConfig("ensemble-scenarios", riskroute.FormatScenarioSpec(specs))
-		tel.ledger.SetConfig("ensemble-count", rep.Scenarios)
+	if tel.Ledger != nil {
+		tel.Ledger.SetConfig("ensemble-seed", seedFlag)
+		tel.Ledger.SetConfig("ensemble-scenarios", riskroute.FormatScenarioSpec(specs))
+		tel.Ledger.SetConfig("ensemble-count", rep.Scenarios)
 	}
 
 	enc := json.NewEncoder(os.Stdout)

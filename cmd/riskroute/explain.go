@@ -65,7 +65,7 @@ func cmdExplain(args []string) error {
 	// The daemon's world, in process: default paper parameters (per-request
 	// λ go in the query string, exactly as a daemon client would send them),
 	// no result cache (explanations bypass it anyway), no tracing middleware
-	// (the body is identical either way; telemetry flows via tel.reg).
+	// (the body is identical either way; telemetry flows via tel.Metrics).
 	srv, err := riskroute.NewServer(riskroute.ServeConfig{
 		Networks:       []*riskroute.Network{net},
 		Blocks:         w.blocks,
@@ -74,16 +74,16 @@ func cmdExplain(args []string) error {
 		Workers:        workersFlag,
 		CacheSize:      -1,
 		DisableTracing: true,
-		Metrics:        tel.reg,
-		Trace:          tel.trace,
-		Logger:         tel.logger,
-		Health:         tel.health,
+		Metrics:        tel.Metrics,
+		Trace:          tel.Trace,
+		Logger:         tel.Logger,
+		Health:         tel.Health,
 	})
 	if err != nil {
 		return err
 	}
 	if adv != nil {
-		if _, err := srv.ApplyParsed(adv); err != nil {
+		if _, err := srv.ApplyParsed(adv, 0); err != nil {
 			return err
 		}
 	}

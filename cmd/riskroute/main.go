@@ -29,7 +29,7 @@ func main() {
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], os.Args[2:]
-	tel.cmd = cmd
+	tel.Name = cmd
 	var err error
 	switch cmd {
 	case "route":
@@ -79,7 +79,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	telemetryFinish(err)
+	finishTelemetry(err)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "riskroute:", err)
 		os.Exit(1)
@@ -154,8 +154,8 @@ func addWorldFlags(fs *flag.FlagSet) *worldFlags {
 
 func (w *worldFlags) build() (*riskroute.HazardModel, *riskroute.Census, error) {
 	model, err := riskroute.FitHazard(riskroute.SyntheticHazardSources(w.eventScale, seedFlag),
-		riskroute.HazardFitConfig{Workers: workersFlag, Metrics: tel.reg,
-			Trace: tel.trace, Health: tel.health, Logger: tel.logger})
+		riskroute.HazardFitConfig{Workers: workersFlag, Metrics: tel.Metrics,
+			Trace: tel.Trace, Health: tel.Health, Logger: tel.Logger})
 	if err != nil {
 		return nil, nil, err
 	}

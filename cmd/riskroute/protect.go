@@ -156,7 +156,7 @@ func cmdSeason(args []string) error {
 
 	seasonal, err := riskroute.FitSeasonalHazard(
 		riskroute.SyntheticSeasonalSources(w.eventScale, seedFlag),
-		riskroute.HazardFitConfig{Metrics: tel.reg, Trace: tel.trace})
+		riskroute.HazardFitConfig{Metrics: tel.Metrics, Trace: tel.Trace})
 	if err != nil {
 		return err
 	}

@@ -40,8 +40,8 @@ func cmdStats(args []string) error {
 	// stats always collects, with or without -telemetry. The health funnel
 	// is the shared one, so degraded events flow into metrics, logs, and the
 	// run manifest through a single path.
-	tel.ensure()
-	reg, trace, health := tel.reg, tel.trace, tel.health
+	tel.Arm()
+	reg, trace, health := tel.Metrics, tel.Trace, tel.Health
 
 	var net *riskroute.Network
 	var model *riskroute.HazardModel
@@ -51,7 +51,7 @@ func cmdStats(args []string) error {
 		// fails hard on any mismatch; fallback-to-fit is the daemon's job.
 		world, lstats, err := riskroute.LoadWorldSnapshot(*worldSnap, riskroute.WorldSnapshotLoadOptions{
 			Workers: workersFlag, Metrics: reg, Trace: trace,
-			Logger: tel.logger, Health: health,
+			Logger: tel.Logger, Health: health,
 		})
 		if err != nil {
 			return err
@@ -115,7 +115,7 @@ func cmdStats(args []string) error {
 
 		model, err = riskroute.FitHazard(riskroute.SyntheticHazardSources(w.eventScale, seedFlag),
 			riskroute.HazardFitConfig{Metrics: reg, Trace: trace, Health: health,
-				Logger: tel.logger})
+				Logger: tel.Logger})
 		if err != nil {
 			return err
 		}
@@ -147,5 +147,5 @@ func cmdStats(args []string) error {
 	trace.End()
 
 	// Same report-building path as the -telemetry exit report.
-	return writeTelemetryReport(os.Stdout, *format)
+	return tel.WriteReport(os.Stdout, *format)
 }

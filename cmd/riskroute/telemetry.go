@@ -4,36 +4,21 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
-	"strings"
 
 	"riskroute"
+	"riskroute/internal/runtel"
 )
 
-// telemetryState is the process-wide observability wiring every subcommand
-// shares. The CLI runs exactly one command per process, so a single global —
-// armed by flags at parse time, drained by telemetryFinish on the way out —
-// keeps the seventeen subcommands free of plumbing. When no observability
-// flag is given, everything stays nil and the whole pipeline runs with
-// nil-handle no-ops.
-type telemetryState struct {
-	cmd      string        // subcommand name, becomes the root span's name
-	mode     string        // "", "off", "text", or "json": exit-report format
-	fs       *flag.FlagSet // the command's flag set, for manifest config capture
-	reg      *riskroute.Metrics
-	trace    *riskroute.Span
-	health   *riskroute.PipelineHealth
-	logger   *slog.Logger
-	flight   *riskroute.FlightRecorder
-	ledger   *riskroute.RunLedger
-	traceOut string
-	cpuStop  func() error
-	memPath  string
-	debug    *riskroute.DebugServer
-}
+// tel is the process-wide run lifecycle every subcommand shares. The CLI
+// runs exactly one command per process, so a single global — armed by flags
+// at parse time, finished by main on the way out — keeps the seventeen
+// subcommands free of plumbing. When no observability flag is given it
+// stays disarmed and the whole pipeline runs with nil-handle no-ops.
+var tel = runtel.Run{Prog: "riskroute"}
 
-var tel telemetryState
+// telFS is the command's flag set, whose flags the run manifest records.
+var telFS *flag.FlagSet
 
 // workersFlag is the global -workers bound shared by every subcommand: it
 // caps the goroutines of hazard fitting, population assignment, and the
@@ -48,37 +33,15 @@ var workersFlag int
 // IS part of the computation and is recorded in the run manifest.
 var seedFlag uint64
 
-// ensure lazily creates the registry, root trace, health funnel, flight
-// recorder, and ring-only logger (idempotent). Any observability flag arms
-// collection; `riskroute stats` and `riskroute check` arm it unconditionally.
-func (t *telemetryState) ensure() {
-	if t.reg != nil {
-		return
-	}
-	t.reg = riskroute.NewMetrics()
-	name := t.cmd
-	if name == "" {
-		name = "riskroute"
-	}
-	t.trace = riskroute.NewTrace(name)
-	t.flight = riskroute.NewFlightRecorder(0)
-	// Ring-only until -log arms a sink: the flight recorder captures the
-	// tail regardless of log mode, so an error dump works with -log off.
-	t.logger = slog.New(t.flight.Wrap(nil))
-	t.health = riskroute.NewPipelineHealth()
-	t.health.AttachMetrics(t.reg)
-	t.health.AttachLogger(t.logger)
-}
-
-// options returns engine options pre-wired with the session's telemetry
-// (zero options when telemetry is off — every field is nil-safe).
+// telOptions returns engine options pre-wired with the session's telemetry
+// (nil handles when telemetry is off — every field is nil-safe).
 func telOptions() riskroute.Options {
 	return riskroute.Options{
 		Workers: workersFlag,
-		Metrics: tel.reg,
-		Trace:   tel.trace,
-		Health:  tel.health,
-		Logger:  tel.logger,
+		Metrics: tel.Metrics,
+		Trace:   tel.Trace,
+		Health:  tel.Health,
+		Logger:  tel.Logger,
 	}
 }
 
@@ -87,7 +50,7 @@ func telOptions() riskroute.Options {
 // profiling, the ledger, and the debug listener start before the command
 // body does any work.
 func addTelemetryFlags(fs *flag.FlagSet) {
-	tel.fs = fs
+	telFS = fs
 	fs.IntVar(&workersFlag, "workers", 0,
 		"max goroutines for parallel stages (0 = all cores, 1 = sequential); results are identical at any setting")
 	fs.Uint64Var(&seedFlag, "seed", 1,
@@ -95,185 +58,69 @@ func addTelemetryFlags(fs *flag.FlagSet) {
 	fs.Func("telemetry", "emit a telemetry report to stderr on exit: text, json, or off", func(v string) error {
 		switch v {
 		case "off":
-			tel.mode = "off"
-			return nil
 		case "text", "json":
-			tel.mode = v
-			tel.ensure()
-			return nil
+			tel.Arm()
 		default:
 			return fmt.Errorf("unknown telemetry format %q (want text, json, or off)", v)
 		}
+		tel.Report = v
+		return nil
 	})
 	fs.Func("log", "structured log stream to stderr: text, json, or off", func(v string) error {
-		switch v {
-		case "off":
-			tel.ensure() // ring-only logger stays armed for the flight dump
-			return nil
-		case "text", "json":
-			tel.ensure()
-			h, err := riskroute.NewLogHandler(v, os.Stderr)
-			if err != nil {
-				return err
-			}
-			tel.logger = slog.New(tel.flight.Wrap(h))
-			tel.health.AttachLogger(tel.logger)
-			return nil
-		default:
-			return fmt.Errorf("unknown log format %q (want text, json, or off)", v)
-		}
+		return tel.SetLog(v, os.Stderr)
 	})
 	fs.Func("trace-out", "write the run's span tree as Chrome trace-event JSON to `file` on exit", func(path string) error {
-		tel.ensure()
-		tel.traceOut = path
+		tel.Arm()
+		tel.TraceOut = path
 		return nil
 	})
 	fs.Func("runs", "write a run manifest (config, input checksums, timings) under `dir`/<runID>/", func(dir string) error {
-		tel.ensure()
-		led, err := riskroute.NewRunLedger(dir, tel.cmd, os.Args[2:])
-		if err != nil {
-			return err
-		}
-		led.AttachFlight(tel.flight)
-		tel.ledger = led
-		return nil
+		return tel.OpenLedger(dir, os.Args[2:])
 	})
-	fs.Func("cpuprofile", "write a CPU profile of the run to `file`", func(path string) error {
-		tel.ensure()
-		stop, err := riskroute.StartCPUProfile(path)
-		if err != nil {
-			return err
-		}
-		tel.cpuStop = stop
-		return nil
-	})
+	fs.Func("cpuprofile", "write a CPU profile of the run to `file`", tel.StartCPUProfile)
 	fs.Func("memprofile", "write a heap profile at exit to `file`", func(path string) error {
-		tel.ensure()
-		tel.memPath = path
+		tel.Arm()
+		tel.HeapProfile = path
 		return nil
 	})
 	fs.Func("debug-addr", "serve expvar, net/http/pprof, and /telemetry on `addr` (e.g. localhost:6060)", func(addr string) error {
-		tel.ensure()
-		srv, err := riskroute.ServeDebug(addr, tel.reg)
+		bound, err := tel.ServeDebug(addr)
 		if err != nil {
 			return err
 		}
-		tel.debug = srv
-		fmt.Fprintf(os.Stderr, "riskroute: debug listener on http://%s/debug/pprof/\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "riskroute: debug listener on http://%s/debug/pprof/\n", bound)
 		return nil
 	})
 }
 
-// writeTelemetryReport assembles the report — runtime capture, metrics
-// snapshot, trace tree — and renders it. This is the single report-building
-// path shared by the -telemetry exit report and `riskroute stats`.
-func writeTelemetryReport(w io.Writer, format string) error {
-	riskroute.CaptureRuntime(tel.reg)
-	rep := riskroute.BuildTelemetryReport(tel.reg, tel.trace)
-	if format == "json" {
-		return rep.WriteJSON(w)
-	}
-	return rep.WriteText(w)
-}
-
-// obsFlags names the flags excluded from the manifest's config section:
-// they steer observability or scheduling, not the computation (every
-// parallel stage is bit-deterministic in the worker count), so two runs
-// that differ only in telemetry sinks or -workers stay config-byte-equal.
-var obsFlags = map[string]bool{
-	"telemetry": true, "log": true, "trace-out": true, "runs": true,
-	"cpuprofile": true, "memprofile": true, "debug-addr": true,
-	"workers": true,
-}
-
-// ledgerFinish freezes the run manifest: config from the parsed flag set
-// (defaults included, observability flags excluded), input checksums (the
-// -topology file, or the embedded corpus serialized), the health report's
-// degraded events, and the trace/metrics/exit status.
-func ledgerFinish(cmdErr error) error {
-	if tel.fs != nil {
-		tel.fs.VisitAll(func(f *flag.Flag) {
-			if !obsFlags[f.Name] {
-				tel.ledger.SetConfig(f.Name, f.Value.String())
-			}
-		})
-	}
-	topoFile := ""
-	if tel.fs != nil {
-		if f := tel.fs.Lookup("topology"); f != nil {
-			topoFile = f.Value.String()
-		}
-	}
-	if topoFile != "" {
-		f, err := os.Open(topoFile)
-		if err != nil {
-			return err
-		}
-		err = tel.ledger.AddInput("topology:"+topoFile, f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		pr, pw := io.Pipe()
-		go func() {
-			pw.CloseWithError(riskroute.WriteTopology(pw, riskroute.BuiltinNetworks()))
-		}()
-		if err := tel.ledger.AddInput("topology:embedded-corpus", pr); err != nil {
-			return err
-		}
-	}
-	for _, e := range tel.health.Events() {
-		if sev := e.Severity.String(); sev != "ok" {
-			detail := e.Detail
-			if e.Err != nil {
-				detail += " (" + e.Err.Error() + ")"
-			}
-			tel.ledger.AddDegraded(riskroute.RunEvent{
-				Stage: e.Stage, Severity: sev, Detail: detail,
-			})
-		}
-	}
-	return tel.ledger.Finish(tel.trace, tel.reg, cmdErr)
-}
-
-// telemetryFinish stops profilers, closes the debug listener, and emits the
-// exit artifacts: the -telemetry report, the -trace-out Chrome trace, and
-// the -runs manifest. Called once from main after the command returns;
-// errors here must not mask the command's own outcome, so they go to stderr.
-func telemetryFinish(cmdErr error) {
-	if tel.cpuStop != nil {
-		if err := tel.cpuStop(); err != nil {
-			fmt.Fprintln(os.Stderr, "riskroute: cpu profile:", err)
-		}
-	}
-	if tel.memPath != "" {
-		if err := riskroute.WriteHeapProfile(tel.memPath); err != nil {
-			fmt.Fprintln(os.Stderr, "riskroute: heap profile:", err)
-		}
-	}
-	if tel.debug != nil {
-		tel.debug.Close()
-	}
-	tel.trace.End()
-	if tel.mode == "text" || tel.mode == "json" {
-		if err := writeTelemetryReport(os.Stderr, tel.mode); err != nil {
-			fmt.Fprintln(os.Stderr, "riskroute: telemetry report:", err)
-		}
-	}
-	if tel.traceOut != "" {
-		if err := riskroute.ExportChromeTrace(tel.traceOut, tel.trace); err != nil {
-			fmt.Fprintln(os.Stderr, "riskroute: trace export:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "riskroute: wrote trace to %s\n", tel.traceOut)
-		}
-	}
-	if tel.ledger != nil {
-		if err := ledgerFinish(cmdErr); err != nil {
+// finishTelemetry checksums the run's topology input into the manifest,
+// then finishes the run. An input that cannot be checksummed leaves no
+// manifest: a record that cannot name its inputs reconstructs nothing.
+func finishTelemetry(cmdErr error) {
+	if tel.Ledger != nil {
+		if err := recordTopology(); err != nil {
 			fmt.Fprintln(os.Stderr, "riskroute: run ledger:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "riskroute: wrote run manifest to %s\n",
-				strings.TrimSuffix(tel.ledger.Dir(), "/")+"/manifest.json")
+			tel.Ledger = nil
 		}
 	}
+	tel.Finish(telFS, cmdErr)
+}
+
+// recordTopology adds the topology input: the -topology file when given,
+// else the embedded corpus serialized.
+func recordTopology() error {
+	if f := telFS.Lookup("topology"); f != nil && f.Value.String() != "" {
+		path := f.Value.String()
+		file, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer file.Close()
+		return tel.Ledger.AddInput("topology:"+path, file)
+	}
+	pr, pw := io.Pipe()
+	go func() {
+		pw.CloseWithError(riskroute.WriteTopology(pw, riskroute.BuiltinNetworks()))
+	}()
+	return tel.Ledger.AddInput("topology:embedded-corpus", pr)
 }

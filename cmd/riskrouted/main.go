@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -36,6 +35,7 @@ import (
 	"time"
 
 	"riskroute"
+	"riskroute/internal/runtel"
 )
 
 func main() {
@@ -172,36 +172,18 @@ func emitAdvisory(w io.Writer, spec string) error {
 }
 
 // serveDaemon warms the world, serves until SIGTERM/SIGINT, then drains.
-func serveDaemon(o *options, fs *flag.FlagSet) error {
-	reg := riskroute.NewMetrics()
-	trace := riskroute.NewTrace("riskrouted")
-	flight := riskroute.NewFlightRecorder(0)
-	health := riskroute.NewPipelineHealth()
-	health.AttachMetrics(reg)
-
-	var logger *slog.Logger
-	switch o.logMode {
-	case "off":
-		logger = slog.New(flight.Wrap(nil))
-	case "text", "json":
-		h, err := riskroute.NewLogHandler(o.logMode, os.Stderr)
-		if err != nil {
-			return err
-		}
-		logger = slog.New(flight.Wrap(h))
-	default:
-		return fmt.Errorf("unknown log format %q (want text, json, or off)", o.logMode)
+// The run lifecycle is always armed (SetLog arms it) and is finished on
+// every exit path.
+func serveDaemon(o *options, fs *flag.FlagSet) (runErr error) {
+	run := &runtel.Run{Prog: "riskrouted", Name: "riskrouted", Report: o.telemetry}
+	defer func() { run.Finish(fs, runErr) }()
+	if err := run.SetLog(o.logMode, os.Stderr); err != nil {
+		return err
 	}
-	health.AttachLogger(logger)
-
-	var ledger *riskroute.RunLedger
 	if o.runsDir != "" {
-		var err error
-		ledger, err = riskroute.NewRunLedger(o.runsDir, "riskrouted", os.Args[1:])
-		if err != nil {
+		if err := run.OpenLedger(o.runsDir, os.Args[1:]); err != nil {
 			return err
 		}
-		ledger.AttachFlight(flight)
 	}
 
 	var nets []*riskroute.Network
@@ -234,10 +216,10 @@ func serveDaemon(o *options, fs *flag.FlagSet) error {
 			LatencyTarget:    o.sloLatencyTgt,
 			ErrorTarget:      o.sloErrorTgt,
 		},
-		Metrics: reg,
-		Trace:   trace,
-		Logger:  logger,
-		Health:  health,
+		Metrics: run.Metrics,
+		Trace:   run.Trace,
+		Logger:  run.Logger,
+		Health:  run.Health,
 	})
 	if err != nil {
 		return err
@@ -250,17 +232,17 @@ func serveDaemon(o *options, fs *flag.FlagSet) error {
 	if boot := srv.Boot(); boot.Path == "snapshot" {
 		fmt.Printf("riskrouted: world booted from snapshot %s (digest %.12s) in %.1f ms\n",
 			boot.SnapshotFile, boot.SnapshotDigest, boot.LoadSeconds*1e3)
-		if ledger != nil {
+		if run.Ledger != nil {
 			f, err := os.Open(o.worldSnap)
 			if err != nil {
 				return err
 			}
-			err = ledger.AddInput("world-snapshot:"+o.worldSnap, f)
+			err = run.Ledger.AddInput("world-snapshot:"+o.worldSnap, f)
 			f.Close()
 			if err != nil {
 				return err
 			}
-			ledger.SetConfig("world-snapshot-digest", boot.SnapshotDigest)
+			run.Ledger.SetConfig("world-snapshot-digest", boot.SnapshotDigest)
 		}
 	} else if boot.Fallback {
 		fmt.Printf("riskrouted: world snapshot rejected (%s); booted by full fit in %.1f s\n",
@@ -268,12 +250,11 @@ func serveDaemon(o *options, fs *flag.FlagSet) error {
 	}
 
 	if o.debugAddr != "" {
-		dbg, err := riskroute.ServeDebug(o.debugAddr, reg)
+		addr, err := run.ServeDebug(o.debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		defer dbg.Close()
-		fmt.Printf("riskrouted: debug listener on http://%s (pprof, expvar, /metrics)\n", dbg.Addr())
+		fmt.Printf("riskrouted: debug listener on http://%s (pprof, expvar, /metrics)\n", addr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -302,10 +283,10 @@ func serveDaemon(o *options, fs *flag.FlagSet) error {
 			BreakerThreshold: o.breakerThreshold,
 			BreakerCooldown:  o.breakerCooldown,
 			Seed:             o.seed,
-			Metrics:          reg,
-			Trace:            trace,
-			Logger:           logger,
-			Health:           health,
+			Metrics:          run.Metrics,
+			Trace:            run.Trace,
+			Logger:           run.Logger,
+			Health:           run.Health,
 		}, srv)
 		if err != nil {
 			return err
@@ -333,7 +314,6 @@ func serveDaemon(o *options, fs *flag.FlagSet) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	var runErr error
 	select {
 	case err := <-serveErr:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -350,49 +330,10 @@ func serveDaemon(o *options, fs *flag.FlagSet) error {
 		cancel()
 		if err != nil {
 			if abandoned := srv.InFlight(); abandoned > 0 {
-				logger.Warn("drain timeout expired; abandoning in-flight requests",
+				run.Logger.Warn("drain timeout expired; abandoning in-flight requests",
 					"abandoned", abandoned, "drain_timeout", o.drainTO.String())
 			}
 			runErr = fmt.Errorf("drain: %w", err)
-		}
-	}
-	trace.End()
-
-	if o.telemetry == "text" || o.telemetry == "json" {
-		riskroute.CaptureRuntime(reg)
-		rep := riskroute.BuildTelemetryReport(reg, trace)
-		var werr error
-		if o.telemetry == "json" {
-			werr = rep.WriteJSON(os.Stderr)
-		} else {
-			werr = rep.WriteText(os.Stderr)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "riskrouted: telemetry report:", werr)
-		}
-	}
-	if ledger != nil {
-		fs.VisitAll(func(f *flag.Flag) {
-			switch f.Name {
-			case "log", "telemetry", "runs":
-			default:
-				ledger.SetConfig(f.Name, f.Value.String())
-			}
-		})
-		for _, e := range health.Events() {
-			if sev := e.Severity.String(); sev != "ok" {
-				detail := e.Detail
-				if e.Err != nil {
-					detail += " (" + e.Err.Error() + ")"
-				}
-				ledger.AddDegraded(riskroute.RunEvent{Stage: e.Stage, Severity: sev, Detail: detail})
-			}
-		}
-		if err := ledger.Finish(trace, reg, runErr); err != nil {
-			fmt.Fprintln(os.Stderr, "riskrouted: run ledger:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "riskrouted: wrote run manifest to %s/manifest.json\n",
-				strings.TrimSuffix(ledger.Dir(), "/"))
 		}
 	}
 	return runErr

@@ -12,9 +12,9 @@ import (
 // The seed corpus covers the envelope's worst corners (high latitude at the
 // full radius, pure east-west and north-south separations).
 func FuzzEquirectGuard(f *testing.F) {
-	f.Add(52.0, -95.0, 51.9, -89.1)  // near max lat, near max radius, mostly E-W
-	f.Add(-52.0, 10.0, -48.3, 10.0)  // southern hemisphere, pure N-S
-	f.Add(0.0, 179.0, 0.5, 179.9)    // near (but not across) the antimeridian
+	f.Add(52.0, -95.0, 51.9, -89.1)   // near max lat, near max radius, mostly E-W
+	f.Add(-52.0, 10.0, -48.3, 10.0)   // southern hemisphere, pure N-S
+	f.Add(0.0, 179.0, 0.5, 179.9)     // near (but not across) the antimeridian
 	f.Add(40.0, -100.0, 40.0, -100.0) // identical points
 	f.Fuzz(func(t *testing.T, lat1, lon1, lat2, lon2 float64) {
 		a := Point{Lat: lat1, Lon: lon1}

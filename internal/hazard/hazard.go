@@ -22,6 +22,7 @@ import (
 	"math"
 	"time"
 
+	"riskroute/internal/datasets"
 	"riskroute/internal/geo"
 	"riskroute/internal/kde"
 	"riskroute/internal/obs"
@@ -46,6 +47,29 @@ type Source struct {
 	// annual catalog, or catalogs covering different time spans — requires
 	// scaling each surface by its relative rate.
 	Scale float64
+}
+
+// SyntheticSources builds all five synthetic disaster catalogs at the given
+// scale (1.0 = the paper's sizes; <= 0 means 1.0; at least 50 events each)
+// with the paper's Table 1 bandwidths preassigned. The batch CLI and the
+// serving daemon both fit from it, so their risk surfaces match exactly.
+func SyntheticSources(scale float64, seed uint64) []Source {
+	if scale <= 0 {
+		scale = 1
+	}
+	var out []Source
+	for _, et := range datasets.EventTypes {
+		count := int(float64(et.PaperCount()) * scale)
+		if count < 50 {
+			count = 50
+		}
+		out = append(out, Source{
+			Name:      et.String(),
+			Events:    datasets.GenerateEvents(et, count, seed),
+			Bandwidth: et.PaperBandwidth(),
+		})
+	}
+	return out
 }
 
 // FittedSource is a catalog with its bandwidth resolved and its density

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"riskroute/internal/stats"
 )
 
 // BreakerState is the circuit breaker's position.
@@ -147,19 +149,10 @@ func (bo *backoff) Next() time.Duration {
 		exp = capped
 	}
 	// Full jitter in [exp/2, exp], deterministic in (seed, attempt).
-	u := float64(mix64(bo.seed^uint64(bo.attempt))) / math.MaxUint64
+	u := float64(stats.SplitMix64(bo.seed^uint64(bo.attempt))) / math.MaxUint64
 	return time.Duration(exp/2 + exp/2*u)
 }
 
 // Fail advances the failure streak; OK resets it.
 func (bo *backoff) Fail() { bo.attempt++ }
 func (bo *backoff) OK()   { bo.attempt = 0 }
-
-// mix64 is the SplitMix64 finalizer (same mixer the resilience injector
-// uses) — enough to decorrelate jitter across attempts.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -136,3 +136,14 @@ func TestBackoffGrowthCapAndJitter(t *testing.T) {
 		t.Fatalf("post-recovery delay %v", d)
 	}
 }
+
+// TestBackoffJitterPinned pins the jittered delays for seed 42 to values
+// captured before the jitter moved onto the shared stats.SplitMix64.
+func TestBackoffJitterPinned(t *testing.T) {
+	for i, want := range []time.Duration{86408938, 121335876, 213716178, 692079709, 1186569421} {
+		bo := &backoff{base: 100 * time.Millisecond, max: 2 * time.Second, seed: 42, attempt: i + 1}
+		if got := bo.Next(); got != want {
+			t.Fatalf("attempt %d: delay %d, want %d", i+1, got, want)
+		}
+	}
+}

@@ -46,22 +46,16 @@ import (
 // implements it; tests substitute fakes.
 type Swapper interface {
 	// ApplyParsed swaps a validated advisory into the serving world and
-	// returns the generation now serving.
-	ApplyParsed(adv *forecast.Advisory) (uint64, error)
+	// returns the generation now serving. parseDur is how long validation
+	// took, so the swap timeline (/v1/generations) can report the full
+	// parse/rebuild/swap breakdown.
+	ApplyParsed(adv *forecast.Advisory, parseDur time.Duration) (uint64, error)
 	// RevertAdvisory republishes the snapshot that preceded generation
 	// fromGen under a fresh generation — the rollback half of a swap whose
 	// published world failed verification.
 	RevertAdvisory(fromGen uint64) (uint64, error)
 	// Generation returns the currently served generation.
 	Generation() uint64
-}
-
-// timedSwapper is the optional Swapper extension the serving layer
-// implements: the poller hands over how long validation took so the swap
-// timeline (/v1/generations) can report the full parse/rebuild/swap
-// breakdown. Swappers without it (test fakes) get plain ApplyParsed.
-type timedSwapper interface {
-	ApplyParsedTimed(adv *forecast.Advisory, parseDur time.Duration) (uint64, error)
 }
 
 // Config tunes a Poller.
@@ -442,11 +436,7 @@ func (p *Poller) applySwap(adv *forecast.Advisory, seq uint64, parseDur time.Dur
 	if ierr := p.cfg.Injector.ForcedError(resilience.PointIngestSwap, seq); ierr != nil {
 		return before, ierr
 	}
-	if ts, ok := p.swapper.(timedSwapper); ok {
-		gen, err = ts.ApplyParsedTimed(adv, parseDur)
-	} else {
-		gen, err = p.swapper.ApplyParsed(adv)
-	}
+	gen, err = p.swapper.ApplyParsed(adv, parseDur)
 	if err != nil {
 		return gen, err
 	}

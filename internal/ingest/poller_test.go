@@ -31,7 +31,7 @@ type fakeSwapper struct {
 	reverts  int
 }
 
-func (f *fakeSwapper) ApplyParsed(adv *forecast.Advisory) (uint64, error) {
+func (f *fakeSwapper) ApplyParsed(adv *forecast.Advisory, _ time.Duration) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls++

@@ -6,14 +6,14 @@ import (
 	"io"
 	"log/slog"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Structured logging rides log/slog, the same stdlib-only stance as the rest
 // of the package. Three pieces:
 //
-//   - NewLogger builds a leveled text/JSON logger for the CLI's -log flag.
+//   - NewLogHandler builds the leveled text/JSON handler behind the
+//     binaries' -log flag; NewLogger wraps one in a logger.
 //   - NopLogger / LoggerOrNop give pipeline code an always-usable logger, so
 //     instrumented stages log unconditionally and a disabled logger costs one
 //     Enabled check (the handler reports false and slog discards the record
@@ -61,7 +61,7 @@ func NewLogHandler(format string, w io.Writer) (slog.Handler, error) {
 	case "off", "":
 		return discardHandler{}, nil
 	default:
-		return nil, fmt.Errorf("obs: unknown log format %q (want text, json, or off)", format)
+		return nil, fmt.Errorf("unknown log format %q (want text, json, or off)", format)
 	}
 }
 
@@ -84,10 +84,7 @@ func NewLogger(format string, w io.Writer) (*slog.Logger, error) {
 // (regardless of the inner handler's level) and then forwards to the inner
 // handler when that handler wants it. A nil *FlightRecorder is inert.
 type FlightRecorder struct {
-	mu   sync.Mutex
-	recs []string
-	next int
-	full bool
+	ring Ring[string]
 }
 
 // DefaultFlightRecords is the ring size NewFlightRecorder uses for n <= 0.
@@ -99,7 +96,7 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = DefaultFlightRecords
 	}
-	return &FlightRecorder{recs: make([]string, n)}
+	return &FlightRecorder{ring: Ring[string]{buf: make([]string, n)}}
 }
 
 // Wrap returns a handler that records into the ring and forwards to inner
@@ -115,17 +112,7 @@ func (f *FlightRecorder) Wrap(inner slog.Handler) slog.Handler {
 	if inner == nil {
 		inner = discardHandler{}
 	}
-	return &flightHandler{ring: f, inner: inner}
-}
-
-func (f *FlightRecorder) add(line string) {
-	f.mu.Lock()
-	f.recs[f.next] = line
-	f.next = (f.next + 1) % len(f.recs)
-	if f.next == 0 {
-		f.full = true
-	}
-	f.mu.Unlock()
+	return &flightHandler{flight: f, inner: inner}
 }
 
 // Records returns the retained records, oldest first (empty on nil).
@@ -133,13 +120,7 @@ func (f *FlightRecorder) Records() []string {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []string
-	if f.full {
-		out = append(out, f.recs[f.next:]...)
-	}
-	return append(out, f.recs[:f.next]...)
+	return f.ring.Records()
 }
 
 // WriteTo dumps the retained records one per line.
@@ -158,7 +139,7 @@ func (f *FlightRecorder) WriteTo(w io.Writer) (int64, error) {
 // flightHandler is the slog.Handler the ring hands out. WithAttrs/WithGroup
 // derive handlers that share the same ring, so the tail is process-global.
 type flightHandler struct {
-	ring   *FlightRecorder
+	flight *FlightRecorder
 	inner  slog.Handler
 	prefix string // formatted attrs accumulated via WithAttrs/WithGroup
 	groups []string
@@ -180,7 +161,7 @@ func (h *flightHandler) Handle(ctx context.Context, r slog.Record) error {
 		b.WriteString(formatAttr(h.groups, a))
 		return true
 	})
-	h.ring.add(b.String())
+	h.flight.ring.Add(b.String())
 	if h.inner.Enabled(ctx, r.Level) {
 		return h.inner.Handle(ctx, r)
 	}

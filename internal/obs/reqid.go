@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 	"time"
+
+	"riskroute/internal/stats"
 )
 
 // RequestIDs generates request identifiers. The zero value starts from
@@ -47,12 +49,9 @@ func (g *RequestIDs) Next() string {
 	if g == nil {
 		return ""
 	}
-	x := g.state.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	// The atomic add claims one step; SplitMix64 mixes from the state
+	// before it.
+	x := stats.SplitMix64(g.state.Add(stats.Gamma) - stats.Gamma)
 	const digits = "0123456789abcdef"
 	var buf [16]byte
 	for i := 15; i >= 0; i-- {

@@ -81,3 +81,14 @@ func TestReqScopeContext(t *testing.T) {
 		t.Fatal("scope mutation lost")
 	}
 }
+
+// TestRequestIDsPinned pins the seeded ID stream to values captured before
+// the generator moved onto the shared stats.SplitMix64.
+func TestRequestIDsPinned(t *testing.T) {
+	g := NewRequestIDs(42)
+	for i, want := range []string{"bdd732262feb6e95", "28efe333b266f103", "47526757130f9f52", "581ce1ff0e4ae394"} {
+		if got := g.Next(); got != want {
+			t.Fatalf("id %d = %q, want %q", i, got, want)
+		}
+	}
+}

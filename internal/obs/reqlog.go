@@ -4,12 +4,11 @@ package obs
 // looking at (slow ones, errored ones), in the spirit of net/trace's
 // /debug/requests page. The serving layer decides what to sample; the ring
 // just retains the most recent N records and renders them newest-first for
-// the debug endpoint. A nil *ReqRing ignores all operations.
+// the debug endpoint.
 
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -27,54 +26,12 @@ type ReqRecord struct {
 }
 
 // ReqRing retains the last N sampled requests.
-type ReqRing struct {
-	mu   sync.Mutex
-	recs []ReqRecord
-	next int
-	full bool
-}
+type ReqRing struct{ Ring[ReqRecord] }
 
-// DefaultReqRecords is the ring size NewReqRing uses for n == 0.
-const DefaultReqRecords = 128
-
-// NewReqRing returns a ring holding the last n records (n == 0 uses
-// DefaultReqRecords; n < 0 returns nil, disabling sampling).
+// NewReqRing returns a ring holding the last n records (n must be
+// positive).
 func NewReqRing(n int) *ReqRing {
-	if n < 0 {
-		return nil
-	}
-	if n == 0 {
-		n = DefaultReqRecords
-	}
-	return &ReqRing{recs: make([]ReqRecord, n)}
-}
-
-// Add records one request (no-op on nil).
-func (r *ReqRing) Add(rec ReqRecord) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.recs[r.next] = rec
-	r.next = (r.next + 1) % len(r.recs)
-	if r.next == 0 {
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Records returns the retained records, oldest first (nil on a nil ring).
-func (r *ReqRing) Records() []ReqRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []ReqRecord
-	if r.full {
-		out = append(out, r.recs[r.next:]...)
-	}
-	return append(out, r.recs[:r.next]...)
+	return &ReqRing{Ring[ReqRecord]{buf: make([]ReqRecord, n)}}
 }
 
 // WriteText renders the retained records newest first, one per line —

@@ -32,20 +32,33 @@ func TestReqRingPartialFill(t *testing.T) {
 	}
 }
 
+// TestReqRingNilAndSizes pins the ring's fixed size and its empty state: an
+// empty ring returns nil records and still renders its header, and a ring of
+// n retains exactly the newest n once overfilled.
 func TestReqRingNilAndSizes(t *testing.T) {
-	if NewReqRing(-1) != nil {
-		t.Fatal("NewReqRing(-1) should disable sampling")
-	}
-	var r *ReqRing
-	r.Add(ReqRecord{}) // must not panic
+	r := NewReqRing(4)
 	if r.Records() != nil {
-		t.Fatal("nil ring returned records")
+		t.Fatal("empty ring returned records")
 	}
-	if err := r.WriteText(&strings.Builder{}); err != nil {
-		t.Fatalf("nil ring WriteText: %v", err)
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatalf("empty ring WriteText: %v", err)
 	}
-	if got := len(NewReqRing(0).recs); got != DefaultReqRecords {
-		t.Fatalf("default size = %d, want %d", got, DefaultReqRecords)
+	if got := b.String(); got != "0 sampled requests (newest first)\n" {
+		t.Fatalf("empty ring WriteText = %q", got)
+	}
+	for _, n := range []int{1, 4, 16} {
+		r := NewReqRing(n)
+		for i := 0; i < n+3; i++ {
+			r.Add(ReqRecord{Status: i})
+		}
+		recs := r.Records()
+		if len(recs) != n {
+			t.Fatalf("NewReqRing(%d) retained %d records", n, len(recs))
+		}
+		if recs[0].Status != 3 || recs[n-1].Status != n+2 {
+			t.Fatalf("NewReqRing(%d) kept %d..%d, want 3..%d", n, recs[0].Status, recs[n-1].Status, n+2)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package resilience
 import (
 	"math"
 	"sync"
+
+	"riskroute/internal/stats"
 )
 
 // Point names one fault-injection site in the pipeline. Stages consult the
@@ -158,21 +160,13 @@ func (in *Injector) Fired(p Point) int {
 	return in.fired[p]
 }
 
-// splitmix64 is the SplitMix64 finalizer — a high-quality 64-bit mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // hash folds seed, point, and key into a deterministic 64-bit value.
 func (in *Injector) hash(p Point, key uint64) uint64 {
 	h := in.seed
 	for _, c := range []byte(p) {
-		h = splitmix64(h ^ uint64(c))
+		h = stats.SplitMix64(h ^ uint64(c))
 	}
-	return splitmix64(h ^ key)
+	return stats.SplitMix64(h ^ key)
 }
 
 // firing returns the armed fault that fires for (p, key) among rules whose
@@ -199,7 +193,7 @@ func (in *Injector) firing(p Point, key uint64, want func(Mode) bool) (fault, bo
 			continue
 		}
 		// Salt by rule index so stacked rules draw independent coins.
-		u := float64(in.hash(p, splitmix64(key^uint64(ri)))) / math.MaxUint64
+		u := float64(in.hash(p, stats.SplitMix64(key^uint64(ri)))) / math.MaxUint64
 		if u < f.rate {
 			in.markFired(p)
 			return f, true
@@ -251,7 +245,7 @@ func (in *Injector) Transform(p Point, key uint64, text string) (out string, dro
 		return "", true
 	case Truncate:
 		// Keep a deterministic 10–60% prefix.
-		frac := 0.1 + 0.5*float64(in.hash(p, splitmix64(key)))/math.MaxUint64
+		frac := 0.1 + 0.5*float64(in.hash(p, stats.SplitMix64(key)))/math.MaxUint64
 		return text[:int(float64(len(text))*frac)], false
 	case Corrupt:
 		return in.corrupt(p, key, text), false
@@ -266,7 +260,7 @@ func (in *Injector) corrupt(p Point, key uint64, text string) string {
 	if len(text) == 0 {
 		return text
 	}
-	h := in.hash(p, splitmix64(key)+1)
+	h := in.hash(p, stats.SplitMix64(key)+1)
 	width := len(text)/3 + 1
 	start := int(h % uint64(len(text)))
 	b := []byte(text)

@@ -282,3 +282,11 @@ func TestHealthLoggerAccessor(t *testing.T) {
 		t.Fatal("attached logger should be returned as-is")
 	}
 }
+
+// TestInjectorHashPinned pins one fault-injection hash to its value before
+// the injector moved onto the shared stats.SplitMix64.
+func TestInjectorHashPinned(t *testing.T) {
+	if got := NewInjector(7).hash(PointTopologyParse, 3); got != 0xde311a0fb824d7f0 {
+		t.Fatalf("hash = %#x, want 0xde311a0fb824d7f0", got)
+	}
+}

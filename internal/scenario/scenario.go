@@ -102,7 +102,7 @@ func Families() []Family {
 // Scenario is one generated disaster. Track families carry a full advisory
 // sequence; geometric families carry their shape parameters.
 type Scenario struct {
-	ID     int    // position in the generated ensemble
+	ID     int // position in the generated ensemble
 	Family Family
 	Seed   uint64 // the scenario's private RNG seed (diagnostic)
 
@@ -377,7 +377,7 @@ var genesisBase = time.Date(2020, time.September, 10, 5, 0, 0, 0, time.UTC)
 // wind-proportional radii.
 func genesisTrack(s *Scenario, sampler *kde.FieldSampler, rng *stats.RNG) {
 	genesis := sampler.PointAt(rng.Float64(), rng.Float64(), rng.Float64())
-	heading := 25 + rng.Norm()*20   // recurvature band, degrees from north
+	heading := 25 + rng.Norm()*20 // recurvature band, degrees from north
 	speedMPH := 10 + 8*rng.Float64()
 	peakWind := 75 + 80*rng.Float64() // category 1..5 at peak
 

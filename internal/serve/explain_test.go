@@ -228,7 +228,7 @@ func TestExplainHotSwapRegion(t *testing.T) {
 	}
 	exPre := st.engine.ExplainPath(path, src, dst)
 
-	if _, err := s.ApplyParsed(adv); err != nil {
+	if _, err := s.ApplyParsed(adv, 0); err != nil {
 		t.Fatalf("ApplyParsed: %v", err)
 	}
 	stPost := s.snap.Load().byName["Sprint"]

@@ -17,10 +17,10 @@ func FuzzAdvisoryIngest(f *testing.F) {
 	replay := sandyReplay(f)
 	valid := replay.Advisories[0].Text()
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                                      // truncated
-	f.Add(strings.Replace(valid, "LATITUDE", "LATITUDE JUNK", 1))    // corrupted field
-	f.Add("")                                                        // empty
-	f.Add("BULLETIN\nHURRICANE X ADVISORY NUMBER ONE\n")             // non-numeric
+	f.Add(valid[:len(valid)/2])                                   // truncated
+	f.Add(strings.Replace(valid, "LATITUDE", "LATITUDE JUNK", 1)) // corrupted field
+	f.Add("")                                                     // empty
+	f.Add("BULLETIN\nHURRICANE X ADVISORY NUMBER ONE\n")          // non-numeric
 
 	f.Fuzz(func(t *testing.T, body string) {
 		before := s.Generation()

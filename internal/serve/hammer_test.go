@@ -45,9 +45,9 @@ func TestRouteSwapHammer(t *testing.T) {
 	const readers = 8
 	const swaps = 6
 	type observation struct {
-		gen      uint64
-		pair     int
-		resp     routeResponse
+		gen  uint64
+		pair int
+		resp routeResponse
 	}
 	var (
 		mu  sync.Mutex

@@ -510,7 +510,7 @@ func (s *Server) ingestDoc(r *http.Request) (any, int) {
 func (s *Server) generationsDoc(r *http.Request) (any, int) {
 	return map[string]any{
 		"generation": s.Generation(),
-		"events":     s.timeline.events(),
+		"events":     s.timeline.Records(),
 	}, http.StatusOK
 }
 

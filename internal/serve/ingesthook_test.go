@@ -56,7 +56,7 @@ func TestRevertAdvisory(t *testing.T) {
 	}
 
 	adv := sandyReplay(t).Advisories[7]
-	g1, err := s.ApplyParsed(adv)
+	g1, err := s.ApplyParsed(adv, 0)
 	if err != nil {
 		t.Fatalf("ApplyParsed: %v", err)
 	}

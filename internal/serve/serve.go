@@ -100,12 +100,6 @@ type Config struct {
 	// slow land in the /debug/requests ring even when they succeed
 	// (default 250ms). Errored requests are always sampled.
 	SlowRequest time.Duration
-	// RequestLogSize caps the /debug/requests ring (0 = 128 records,
-	// negative disables sampling).
-	RequestLogSize int
-	// TimelineSize caps the /v1/generations event log (0 = 256 events,
-	// negative disables it).
-	TimelineSize int
 	// SLO tunes the burn-rate engine behind /v1/slo; the zero value uses
 	// the obs package defaults (100ms @ 99%, 99.9% availability, 5m/1h
 	// windows), with SLO.Metrics defaulting to Config.Metrics.
@@ -155,29 +149,6 @@ func (c Config) withDefaults() Config {
 		c.SlowRequest = 250 * time.Millisecond
 	}
 	return c
-}
-
-// syntheticSources builds the five synthetic disaster catalogs with the
-// paper's Table 1 bandwidths preassigned — the same construction as the
-// facade's SyntheticHazardSources (which the serve package cannot import
-// without a cycle), so daemon risk surfaces match the batch CLI's exactly.
-func syntheticSources(scale float64, seed uint64) []hazard.Source {
-	if scale <= 0 {
-		scale = 1
-	}
-	var out []hazard.Source
-	for _, et := range datasets.EventTypes {
-		count := int(float64(et.PaperCount()) * scale)
-		if count < 50 {
-			count = 50
-		}
-		out = append(out, hazard.Source{
-			Name:      et.String(),
-			Events:    datasets.GenerateEvents(et, count, seed),
-			Bandwidth: et.PaperBandwidth(),
-		})
-	}
-	return out
 }
 
 // BootInfo reports which path built the serving world — the document behind
@@ -285,6 +256,13 @@ func newServeObs(r *obs.Registry) serveObs {
 	}
 }
 
+// Retained-record caps of the /debug/requests sample and the
+// /v1/generations timeline.
+const (
+	requestLogSize = 128
+	timelineSize   = 256
+)
+
 // Server is the online RiskRoute daemon: a warm hazard/population world,
 // the current engine snapshot, and the HTTP surface over both.
 type Server struct {
@@ -316,7 +294,7 @@ type Server struct {
 	ids      *obs.RequestIDs
 	slo      *obs.SLO
 	reqs     *obs.ReqRing
-	timeline *timeline
+	timeline *obs.Ring[SwapEvent]
 
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in tracing middleware (or bare mux)
@@ -419,9 +397,9 @@ func New(cfg Config) (*Server, error) {
 		sloCfg.LatencyHistogram = s.tel.reqSeconds
 	}
 	s.slo = obs.NewSLO(sloCfg)
-	s.reqs = obs.NewReqRing(cfg.RequestLogSize)
-	s.timeline = newTimeline(cfg.TimelineSize)
-	s.timeline.add(SwapEvent{
+	s.reqs = obs.NewReqRing(requestLogSize)
+	s.timeline = obs.NewRing[SwapEvent](timelineSize)
+	s.timeline.Add(SwapEvent{
 		Generation:     1,
 		Time:           time.Now(),
 		RebuildSeconds: buildSeconds,
@@ -456,7 +434,7 @@ type fittedWorld struct {
 // construction.
 func fitWorld(cfg Config, warm *obs.Span) (*fittedWorld, error) {
 	fit := warm.Child("hazard-fit")
-	model, err := hazard.Fit(syntheticSources(cfg.EventScale, cfg.Seed),
+	model, err := hazard.Fit(hazard.SyntheticSources(cfg.EventScale, cfg.Seed),
 		hazard.FitConfig{Workers: cfg.Workers, Metrics: cfg.Metrics,
 			Trace: fit, Health: cfg.Health, Logger: cfg.Logger})
 	fit.End()
@@ -679,32 +657,21 @@ func (s *Server) ApplyAdvisory(text string) (*forecast.Advisory, uint64, error) 
 		s.cfg.Health.Degrade("serve", err, "advisory ingest %d rejected", seq)
 		return nil, s.Generation(), err
 	}
-	gen, err := s.applyParsed(adv, parseDur)
+	gen, err := s.ApplyParsed(adv, parseDur)
 	return adv, gen, err
 }
 
 // ApplyParsed swaps an already-parsed advisory into the serving world and
-// returns the generation now serving — the ingestion subsystem's swap hook
-// (ingest.Swapper).
-func (s *Server) ApplyParsed(adv *forecast.Advisory) (uint64, error) {
-	return s.applyParsed(adv, 0)
-}
-
-// ApplyParsedTimed is ApplyParsed for callers that parsed the advisory
-// themselves and timed it (the ingestion poller): parseDur flows into the
-// generation's timeline event so /v1/generations reports the full
-// parse/rebuild/swap breakdown.
-func (s *Server) ApplyParsedTimed(adv *forecast.Advisory, parseDur time.Duration) (uint64, error) {
-	return s.applyParsed(adv, parseDur)
-}
-
-// applyParsed is the single swap path behind ApplyAdvisory, ApplyParsed, and
-// ApplyParsedTimed. The rebuild runs inside a panic-recovery guard (a
-// panicking engine build becomes a typed DegradedError, never a dead
-// daemon), and the new snapshot is verified before the pointer moves; on
-// any failure the current snapshot keeps serving. Concurrent calls
-// serialize; readers are never blocked.
-func (s *Server) applyParsed(adv *forecast.Advisory, parseDur time.Duration) (uint64, error) {
+// returns the generation now serving — the single swap path behind
+// ApplyAdvisory and the ingestion subsystem's swap hook (ingest.Swapper).
+// parseDur is how long the caller spent parsing (0 when it did not time
+// it); it flows into the generation's timeline event so /v1/generations
+// reports the full parse/rebuild/swap breakdown. The rebuild runs inside a
+// panic-recovery guard (a panicking engine build becomes a typed
+// DegradedError, never a dead daemon), and the new snapshot is verified
+// before the pointer moves; on any failure the current snapshot keeps
+// serving. Concurrent calls serialize; readers are never blocked.
+func (s *Server) ApplyParsed(adv *forecast.Advisory, parseDur time.Duration) (uint64, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	cur := s.snap.Load()
@@ -743,7 +710,7 @@ func (s *Server) applyParsed(adv *forecast.Advisory, parseDur time.Duration) (ui
 	// swap-latency histogram stay populated when tracing is off.
 	swapSeconds := time.Since(swapStart).Seconds()
 	s.tel.swapSeconds.Observe(swapSeconds)
-	s.timeline.add(SwapEvent{
+	s.timeline.Add(SwapEvent{
 		Generation:       gen,
 		Time:             time.Now(),
 		Storm:            adv.Storm,
@@ -833,7 +800,7 @@ func (s *Server) RevertAdvisory(fromGen uint64) (uint64, error) {
 	s.cache.Reset()
 	s.tel.generation.Set(float64(gen))
 	ev.SwapSeconds = time.Since(revertStart).Seconds()
-	s.timeline.add(ev)
+	s.timeline.Add(ev)
 	s.cfg.Health.Record("serve", "generation %d: reverted generation %d to the prior world", gen, fromGen)
 	s.lg.Warn("advisory swap reverted", "bad_generation", fromGen, "generation", gen)
 	return gen, nil
@@ -871,7 +838,7 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // Timeline returns the retained swap-timeline events, oldest first — the
 // document behind /v1/generations.
-func (s *Server) Timeline() []SwapEvent { return s.timeline.events() }
+func (s *Server) Timeline() []SwapEvent { return s.timeline.Records() }
 
 // SLOSnapshot reports the burn-rate engine's current state — the document
 // behind /v1/slo.

@@ -6,10 +6,7 @@ package serve
 // durations of its parse/rebuild/swap stages and how many cached results the
 // swap invalidated. Served at /v1/generations.
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // SwapEvent is one generation's lifecycle record.
 type SwapEvent struct {
@@ -31,54 +28,4 @@ type SwapEvent struct {
 	// Rollback marks a generation published by RevertAdvisory rather than a
 	// forward swap.
 	Rollback bool `json:"rollback"`
-}
-
-// defaultTimelineEvents is the retained-event cap when Config.TimelineSize
-// is 0.
-const defaultTimelineEvents = 256
-
-// timeline retains the last N swap events. A nil *timeline ignores all
-// operations (TimelineSize < 0 disables the log).
-type timeline struct {
-	mu   sync.Mutex
-	evs  []SwapEvent
-	next int
-	full bool
-}
-
-func newTimeline(n int) *timeline {
-	if n < 0 {
-		return nil
-	}
-	if n == 0 {
-		n = defaultTimelineEvents
-	}
-	return &timeline{evs: make([]SwapEvent, n)}
-}
-
-func (t *timeline) add(ev SwapEvent) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.evs[t.next] = ev
-	t.next = (t.next + 1) % len(t.evs)
-	if t.next == 0 {
-		t.full = true
-	}
-	t.mu.Unlock()
-}
-
-// events returns the retained events oldest first (nil on a nil timeline).
-func (t *timeline) events() []SwapEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []SwapEvent
-	if t.full {
-		out = append(out, t.evs[t.next:]...)
-	}
-	return append(out, t.evs[:t.next]...)
 }

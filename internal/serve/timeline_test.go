@@ -5,27 +5,38 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"riskroute/internal/datasets"
+	"riskroute/internal/topology"
 )
 
+// TestTimelineRingBasics pins the server's swap timeline bound: it keeps
+// the newest timelineSize events, oldest first, so the startup event ages
+// out once enough generations are published. It fills its own server's
+// timeline, leaving the shared test server untouched.
 func TestTimelineRingBasics(t *testing.T) {
-	tl := newTimeline(2)
-	for g := uint64(1); g <= 4; g++ {
-		tl.add(SwapEvent{Generation: g})
+	s, err := New(Config{
+		Networks:   []*topology.Network{datasets.NetworkByName("Sprint")},
+		Blocks:     4000,
+		EventScale: 0.03,
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
 	}
-	evs := tl.events()
-	if len(evs) != 2 || evs[0].Generation != 3 || evs[1].Generation != 4 {
-		t.Fatalf("events = %+v, want generations 3,4 oldest first", evs)
+	if evs := s.Timeline(); len(evs) != 1 || evs[0].Generation != 1 {
+		t.Fatalf("fresh server timeline = %+v, want the startup event alone", evs)
 	}
-	var nilTL *timeline
-	nilTL.add(SwapEvent{})
-	if nilTL.events() != nil {
-		t.Fatal("nil timeline returned events")
+	for g := uint64(2); g <= timelineSize+2; g++ {
+		s.timeline.Add(SwapEvent{Generation: g})
 	}
-	if got := len(newTimeline(0).evs); got != defaultTimelineEvents {
-		t.Fatalf("default size %d, want %d", got, defaultTimelineEvents)
+	evs := s.Timeline()
+	if len(evs) != timelineSize {
+		t.Fatalf("timeline holds %d events, want %d", len(evs), timelineSize)
 	}
-	if newTimeline(-1) != nil {
-		t.Fatal("negative size should disable the timeline")
+	if evs[0].Generation != 3 || evs[len(evs)-1].Generation != timelineSize+2 {
+		t.Fatalf("timeline spans generations %d..%d, want 3..%d oldest first",
+			evs[0].Generation, evs[len(evs)-1].Generation, timelineSize+2)
 	}
 }
 

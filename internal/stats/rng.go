@@ -16,13 +16,25 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
+// Gamma is SplitMix64's state increment, the odd integer nearest 2^64/φ.
+const Gamma = 0x9E3779B97F4A7C15
+
+// SplitMix64 returns the output of the SplitMix64 step taken from state x:
+// advance by Gamma, then mix. As a stateless function of x it is also the
+// repository's one 64-bit hash (request IDs, fault-injection coins, retry
+// jitter), so every stream built on it stays bit-identical to RNG's.
+func SplitMix64(x uint64) uint64 {
+	x += Gamma
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
 // Uint64 returns the next 64 uniformly random bits (SplitMix64 step).
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	z := SplitMix64(r.state)
+	r.state += Gamma
+	return z
 }
 
 // Float64 returns a uniform float64 in [0, 1).

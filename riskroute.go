@@ -33,7 +33,6 @@ package riskroute
 
 import (
 	"io"
-	"log/slog"
 
 	"riskroute/internal/core"
 	"riskroute/internal/datasets"
@@ -190,22 +189,7 @@ func SyntheticEvents(t EventType, count int, seed uint64) []Point {
 // SyntheticHazardSources builds all five catalogs at the given scale (1.0 =
 // the paper's sizes) with the paper's Table 1 bandwidths preassigned.
 func SyntheticHazardSources(scale float64, seed uint64) []HazardSource {
-	if scale <= 0 {
-		scale = 1
-	}
-	var out []HazardSource
-	for _, et := range datasets.EventTypes {
-		count := int(float64(et.PaperCount()) * scale)
-		if count < 50 {
-			count = 50
-		}
-		out = append(out, HazardSource{
-			Name:      et.String(),
-			Events:    datasets.GenerateEvents(et, count, seed),
-			Bandwidth: et.PaperBandwidth(),
-		})
-	}
-	return out
+	return hazard.SyntheticSources(scale, seed)
 }
 
 // FitHazard fits the historical risk model (cross-validating bandwidths for
@@ -546,24 +530,6 @@ type (
 	SpanSnapshot = obs.SpanSnapshot
 	// MetricsSnapshot is a point-in-time copy of a registry.
 	MetricsSnapshot = obs.Snapshot
-	// TelemetryReport bundles a trace tree with a metrics snapshot.
-	TelemetryReport = obs.Report
-	// DebugServer is a running opt-in debug HTTP listener.
-	DebugServer = obs.DebugServer
-	// FlightRecorder is a bounded ring of the most recent log records,
-	// dumped by the run ledger when a run fails.
-	FlightRecorder = obs.FlightRecorder
-	// RunLedger accumulates one run's manifest (config, input checksums,
-	// stage timings, metrics, degraded events) and writes it at Finish.
-	RunLedger = obs.Ledger
-	// RunManifest is the durable record a RunLedger writes.
-	RunManifest = obs.Manifest
-	// RunInputChecksum records one input dataset's SHA-256 identity.
-	RunInputChecksum = obs.InputChecksum
-	// RunEvent is one degraded-mode event carried into a manifest.
-	RunEvent = obs.LedgerEvent
-	// ChromeTrace is a span tree serialized as Chrome trace-event JSON.
-	ChromeTrace = obs.ChromeTrace
 	// Histogram is a concurrency-safe fixed-bucket distribution; Quantile
 	// estimates percentiles by linear interpolation within a bucket.
 	Histogram = obs.Histogram
@@ -599,67 +565,6 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // NewTrace starts a root span for one pipeline run.
 func NewTrace(name string) *Span { return obs.NewTrace(name) }
-
-// CaptureRuntime records the Go runtime's vital signs into the registry.
-func CaptureRuntime(r *Metrics) { obs.CaptureRuntime(r) }
-
-// BuildTelemetryReport snapshots a registry and a trace (either may be nil).
-func BuildTelemetryReport(r *Metrics, trace *Span) TelemetryReport {
-	return obs.BuildReport(r, trace)
-}
-
-// StartCPUProfile begins a CPU profile written to path; call the returned
-// stop function to finish it.
-func StartCPUProfile(path string) (stop func() error, err error) {
-	return obs.StartCPUProfile(path)
-}
-
-// WriteHeapProfile dumps a heap profile to path (after a GC).
-func WriteHeapProfile(path string) error { return obs.WriteHeapProfile(path) }
-
-// ServeDebug starts the opt-in debug HTTP listener (expvar, net/http/pprof,
-// /telemetry) on addr.
-func ServeDebug(addr string, r *Metrics) (*DebugServer, error) {
-	return obs.ServeDebug(addr, r)
-}
-
-// NewLogger builds a structured logger for the given format ("text",
-// "json", or "off"); "off" returns the shared no-op logger.
-func NewLogger(format string, w io.Writer) (*slog.Logger, error) {
-	return obs.NewLogger(format, w)
-}
-
-// NewLogHandler builds the slog.Handler behind NewLogger, for callers that
-// compose handlers (e.g. FlightRecorder.Wrap).
-func NewLogHandler(format string, w io.Writer) (slog.Handler, error) {
-	return obs.NewLogHandler(format, w)
-}
-
-// NopLogger returns the shared disabled logger: always safe to call, every
-// record discarded before formatting.
-func NopLogger() *slog.Logger { return obs.NopLogger() }
-
-// NewFlightRecorder returns a ring retaining the last n log records
-// (n <= 0 uses the obs default of 256).
-func NewFlightRecorder(n int) *FlightRecorder { return obs.NewFlightRecorder(n) }
-
-// NewRunLedger creates runs/<runID>/ under root and returns the run's
-// ledger.
-func NewRunLedger(root, command string, args []string) (*RunLedger, error) {
-	return obs.NewLedger(root, command, args)
-}
-
-// ReadRunManifest loads a run directory's manifest.json back.
-func ReadRunManifest(dir string) (*RunManifest, error) { return obs.ReadManifest(dir) }
-
-// WriteChromeTrace serializes a span snapshot as Chrome trace-event JSON
-// (loadable in Perfetto and chrome://tracing).
-func WriteChromeTrace(w io.Writer, ss SpanSnapshot) error {
-	return obs.WriteChromeTrace(w, ss)
-}
-
-// ExportChromeTrace writes a span tree's Chrome trace JSON to path.
-func ExportChromeTrace(path string, s *Span) error { return obs.ExportChromeTrace(path, s) }
 
 // LatencyBuckets returns the default duration histogram bounds in seconds.
 func LatencyBuckets() []float64 { return obs.LatencyBuckets() }
