@@ -53,7 +53,8 @@ func checkTopologyFile(path string, strict bool) error {
 		fmt.Printf("%s: %d networks, no defects (strict)\n", path, len(nets))
 		return nil
 	}
-	nets, health, err := riskroute.CheckTopology(f)
+	health := riskroute.NewPipelineHealth()
+	nets, err := riskroute.ParseTopologyLenient(f, nil, health)
 	if err != nil {
 		return err
 	}

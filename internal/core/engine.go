@@ -464,7 +464,7 @@ type Ratios struct {
 // pair's exact α). Pairs i = j are excluded from the average, matching the
 // ratio's intent.
 func (e *Engine) Evaluate() Ratios {
-	return e.evaluateSubset(nil, nil)
+	return e.EvaluateSubset(nil, nil)
 }
 
 // EvaluateSubset restricts the aggregation to the given source and
@@ -472,10 +472,6 @@ func (e *Engine) Evaluate() Ratios {
 // experiments, where sources are one regional network's PoPs and
 // destinations are every regional PoP.
 func (e *Engine) EvaluateSubset(sources, dests []int) Ratios {
-	return e.evaluateSubset(sources, dests)
-}
-
-func (e *Engine) evaluateSubset(sources, dests []int) Ratios {
 	n := e.N()
 	if sources == nil {
 		sources = make([]int, n)

@@ -72,7 +72,7 @@ type oracleSweeps struct {
 }
 
 func newOracleSweeps(e *Engine) *oracleSweeps {
-	return &oracleSweeps{e: e, dist: e.Ctx.DistanceGraph(), bucket: map[int]*graph.Graph{}}
+	return &oracleSweeps{e: e, dist: e.Ctx.Net.Graph(), bucket: map[int]*graph.Graph{}}
 }
 
 func (o *oracleSweeps) shortest(i int) ([]float64, []float64) {
@@ -229,7 +229,7 @@ func sameRatios(got, want Ratios) bool {
 func checkPairs(t *testing.T, label string, e *Engine, pairs [][2]int) {
 	t.Helper()
 	ctx := e.Ctx
-	dist := ctx.DistanceGraph()
+	dist := ctx.Net.Graph()
 	for k, p := range pairs {
 		i, j := p[0], p[1]
 		alpha := ctx.Alpha(i, j)
@@ -283,7 +283,7 @@ func checkAggregates(t *testing.T, label string, e *Engine) {
 func checkPlanning(t *testing.T, label string, e *Engine) {
 	t.Helper()
 	ctx, n := e.Ctx, e.N()
-	dist := graph.NewAllPairsTable(ctx.DistanceGraph())
+	dist := graph.NewAllPairsTable(ctx.Net.Graph())
 	var wantLinks []topology.Link
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -294,8 +294,8 @@ func checkPlanning(t *testing.T, label string, e *Engine) {
 		}
 	}
 	// SLAConstrainedPair and SimulateOutage search this materialization.
-	if !reflect.DeepEqual(e.adj.Graph(0), ctx.DistanceGraph()) {
-		t.Fatalf("%s: adjacency's distance graph differs from DistanceGraph", label)
+	if !reflect.DeepEqual(e.adj.Graph(0), ctx.Net.Graph()) {
+		t.Fatalf("%s: adjacency's distance graph differs from Net.Graph", label)
 	}
 	cands := e.CandidateLinks()
 	if !reflect.DeepEqual(cands, wantLinks) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"riskroute/internal/graph"
 	"riskroute/internal/topology"
@@ -121,23 +120,5 @@ func giantComponent(g *graph.Graph, down []bool) []bool {
 	for _, v := range best {
 		out[v] = true
 	}
-	return out
-}
-
-// FailedByScope returns the PoP indices a storm scope would take down at
-// the given severity: HurricaneForce fails only PoPs that saw
-// hurricane-force winds; TropicalForce also fails tropical-storm exposure.
-// classify is typically forecast.Scope.Classify wrapped by the caller; it
-// receives each PoP index and returns 0 (up), 1 (tropical), or 2
-// (hurricane).
-func FailedByScope(n *topology.Network, classify func(popIndex int) int, includeTropical bool) []int {
-	var out []int
-	for i := range n.PoPs {
-		c := classify(i)
-		if c >= 2 || (includeTropical && c == 1) {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
 	return out
 }

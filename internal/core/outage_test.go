@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"riskroute/internal/topology"
 )
 
 func TestSimulateOutageNoFailures(t *testing.T) {
@@ -78,23 +76,6 @@ func TestSimulateOutageValidation(t *testing.T) {
 	}
 	if _, err := e.SimulateOutage([]int{1, 1}); err == nil {
 		t.Error("duplicate failure accepted")
-	}
-}
-
-func TestFailedByScope(t *testing.T) {
-	net := &topology.Network{
-		Name: "S", Tier: topology.Tier1,
-		PoPs: make([]topology.PoP, 5),
-	}
-	classes := []int{0, 1, 2, 1, 2}
-	classify := func(i int) int { return classes[i] }
-	hOnly := FailedByScope(net, classify, false)
-	if len(hOnly) != 2 || hOnly[0] != 2 || hOnly[1] != 4 {
-		t.Errorf("hurricane-only failures = %v", hOnly)
-	}
-	all := FailedByScope(net, classify, true)
-	if len(all) != 4 {
-		t.Errorf("tropical-inclusive failures = %v", all)
 	}
 }
 

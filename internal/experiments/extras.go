@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"riskroute/internal/datasets"
 	"riskroute/internal/hazard"
 	"riskroute/internal/interdomain"
 	"riskroute/internal/report"
@@ -45,18 +44,7 @@ func (l *Lab) Extras() (*ExtrasResult, error) {
 	out.TopSharedRisk = matrix
 
 	// Seasonal sweep: per-season catalogs scaled by seasonal event rates.
-	var bySeason [4][]hazard.Source
-	for si, season := range datasets.Seasons {
-		for _, et := range datasets.EventTypes {
-			annual := len(l.EventsFor(et))
-			bySeason[si] = append(bySeason[si], hazard.Source{
-				Name:      et.String(),
-				Events:    datasets.GenerateSeasonalEvents(et, season, annual, l.Cfg.Seed),
-				Bandwidth: et.PaperBandwidth(),
-				Scale:     4 * datasets.SeasonalShare(et, season),
-			})
-		}
-	}
+	bySeason := hazard.SyntheticSeasonalSources(l.eventCount, l.Cfg.Seed)
 	seasonal, err := hazard.FitSeasonal(bySeason, hazard.FitConfig{CellMiles: l.Cfg.CellMiles})
 	if err != nil {
 		return nil, err

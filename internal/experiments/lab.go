@@ -211,14 +211,13 @@ func (l *Lab) recordProvenance(sources []hazard.Source) error {
 // EventsFor generates the (scaled, capped) synthetic catalog for one event
 // type, deterministically for the lab's seed.
 func (l *Lab) EventsFor(et datasets.EventType) []geo.Point {
-	count := int(float64(et.PaperCount()) * l.Cfg.EventScale)
-	if count < 50 {
-		count = 50
-	}
-	if count > l.Cfg.MaxEventsPerCatalog {
-		count = l.Cfg.MaxEventsPerCatalog
-	}
-	return datasets.GenerateEvents(et, count, l.Cfg.Seed)
+	return datasets.GenerateEvents(et, l.eventCount(et), l.Cfg.Seed)
+}
+
+// eventCount is one catalog's size at the lab's scale: the paper's count
+// times EventScale, at least 50 and at most MaxEventsPerCatalog.
+func (l *Lab) eventCount(et datasets.EventType) int {
+	return min(max(int(float64(et.PaperCount())*l.Cfg.EventScale), 50), l.Cfg.MaxEventsPerCatalog)
 }
 
 // Assignment returns (and caches) the network's population assignment.

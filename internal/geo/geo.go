@@ -208,11 +208,6 @@ func (b Bounds) Contains(p Point) bool {
 		p.Lon >= b.MinLon && p.Lon <= b.MaxLon
 }
 
-// Center returns the geometric center of the box in coordinate space.
-func (b Bounds) Center() Point {
-	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
-}
-
 // Expand grows the box by pad degrees on every side.
 func (b Bounds) Expand(pad float64) Bounds {
 	return Bounds{

@@ -26,26 +26,6 @@ func InitialBearing(a, b Point) float64 {
 	return brg
 }
 
-// CrossTrackDistance returns the unsigned distance in statute miles from p
-// to the full great circle through a and b (not clipped to the segment).
-// When a and b coincide the circle degenerates and the distance to a is
-// returned.
-func CrossTrackDistance(a, b, p Point) float64 {
-	if a == b {
-		return Distance(a, p)
-	}
-	d13 := Distance(a, p) / EarthRadiusMiles
-	t13 := DegToRad(InitialBearing(a, p))
-	t12 := DegToRad(InitialBearing(a, b))
-	s := math.Sin(d13) * math.Sin(t13-t12)
-	if s > 1 {
-		s = 1
-	} else if s < -1 {
-		s = -1
-	}
-	return math.Abs(math.Asin(s)) * EarthRadiusMiles
-}
-
 // SegmentDistance returns the distance in statute miles from p to the
 // nearest point of the great-circle segment from a to b: the cross-track
 // distance when p's along-track projection falls inside the segment, and

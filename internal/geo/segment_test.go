@@ -93,19 +93,3 @@ func TestSegmentDistanceEndpointsAndDegenerate(t *testing.T) {
 		t.Errorf("point beyond b: got %v, want %v", got, want)
 	}
 }
-
-func TestCrossTrackDistance(t *testing.T) {
-	a := Point{Lat: 0, Lon: -10}
-	b := Point{Lat: 0, Lon: 10}
-	p := Point{Lat: 2, Lon: 0}
-	want := Distance(Point{Lat: 0, Lon: 0}, p)
-	if got := CrossTrackDistance(a, b, p); math.Abs(got-want) > 0.5 {
-		t.Errorf("cross-track over equator: got %v, want %v", got, want)
-	}
-	// The full great circle ignores segment bounds: a point "behind" a is
-	// still measured perpendicular to the circle.
-	behind := Point{Lat: 0, Lon: -50}
-	if got := CrossTrackDistance(a, b, behind); got > 1e-6 {
-		t.Errorf("on-circle point has cross-track %v, want 0", got)
-	}
-}

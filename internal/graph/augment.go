@@ -1,7 +1,5 @@
 package graph
 
-import "math"
-
 // AllPairsTable is a precomputed N×N shortest-path distance matrix together
 // with the node count, supporting O(1) evaluation of how a single added edge
 // would change any pair's distance. This is the workhorse of the paper's
@@ -33,37 +31,4 @@ func (t *AllPairsTable) WithEdge(i, j, a, b int, w float64) float64 {
 		d = via
 	}
 	return d
-}
-
-// Total returns the sum of distances over all unordered pairs i < j,
-// skipping unreachable pairs. The second return reports how many pairs were
-// reachable.
-func (t *AllPairsTable) Total() (float64, int) {
-	total := 0.0
-	reachable := 0
-	for i := 0; i < t.N; i++ {
-		row := t.Dist[i]
-		for j := i + 1; j < t.N; j++ {
-			if !math.IsInf(row[j], 1) {
-				total += row[j]
-				reachable++
-			}
-		}
-	}
-	return total, reachable
-}
-
-// TotalWithEdge returns the all-pairs distance sum (unordered pairs,
-// reachable only) if edge (a, b) of weight w were added.
-func (t *AllPairsTable) TotalWithEdge(a, b int, w float64) float64 {
-	total := 0.0
-	for i := 0; i < t.N; i++ {
-		for j := i + 1; j < t.N; j++ {
-			d := t.WithEdge(i, j, a, b, w)
-			if !math.IsInf(d, 1) {
-				total += d
-			}
-		}
-	}
-	return total
 }

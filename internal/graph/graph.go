@@ -85,9 +85,6 @@ func (g *Graph) Neighbors(u int, fn func(v int, weight float64)) {
 	}
 }
 
-// Degree returns the number of half-edges at u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // Edges returns every undirected edge exactly once (u < v for each).
 func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.m)
@@ -99,34 +96,6 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return edges
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, adj: make([][]halfEdge, g.n), m: g.m}
-	for u, list := range g.adj {
-		c.adj[u] = append([]halfEdge(nil), list...)
-	}
-	return c
-}
-
-// Reweight returns a graph with identical structure whose edge weights are
-// fn(u, v, w) of the original. fn must be symmetric in (u, v) to keep the
-// graph undirected; weights it returns must be non-negative.
-func (g *Graph) Reweight(fn func(u, v int, w float64) float64) *Graph {
-	c := &Graph{n: g.n, adj: make([][]halfEdge, g.n), m: g.m}
-	for u, list := range g.adj {
-		newList := make([]halfEdge, len(list))
-		for i, e := range list {
-			w := fn(u, int(e.to), e.weight)
-			if w < 0 || math.IsNaN(w) {
-				panic(fmt.Sprintf("graph: Reweight produced invalid weight %v on (%d,%d)", w, u, e.to))
-			}
-			newList[i] = halfEdge{to: e.to, weight: w}
-		}
-		c.adj[u] = newList
-	}
-	return c
 }
 
 // Connected reports whether the graph is connected (true for empty and

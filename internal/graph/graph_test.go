@@ -30,9 +30,6 @@ func TestBasicAccessors(t *testing.T) {
 	if g.HasEdge(0, 2) || g.HasEdge(0, 3) || g.HasEdge(-1, 0) {
 		t.Error("HasEdge false positives")
 	}
-	if g.Degree(1) != 2 || g.Degree(3) != 0 {
-		t.Errorf("degrees wrong: %d, %d", g.Degree(1), g.Degree(3))
-	}
 	edges := g.Edges()
 	if len(edges) != 2 {
 		t.Fatalf("Edges() = %v", edges)
@@ -263,37 +260,6 @@ func TestConnectivity(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := lineGraph(3)
-	c := g.Clone()
-	c.AddEdge(0, 2, 1)
-	if g.HasEdge(0, 2) {
-		t.Error("mutating clone affected original")
-	}
-	if g.M() != 2 || c.M() != 3 {
-		t.Errorf("edge counts: original %d clone %d", g.M(), c.M())
-	}
-}
-
-func TestReweight(t *testing.T) {
-	g := lineGraph(4)
-	doubled := g.Reweight(func(u, v int, w float64) float64 { return 2 * w })
-	_, d := doubled.ShortestPath(0, 3)
-	if d != 6 {
-		t.Errorf("reweighted dist = %v, want 6", d)
-	}
-	// Original untouched.
-	if _, d := g.ShortestPath(0, 3); d != 3 {
-		t.Errorf("original dist = %v, want 3", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Reweight producing negative weight should panic")
-		}
-	}()
-	g.Reweight(func(u, v int, w float64) float64 { return -1 })
-}
-
 func TestAllPairsSymmetric(t *testing.T) {
 	rng := stats.NewRNG(13)
 	g := randomConnectedGraph(rng, 20, 15)
@@ -324,8 +290,10 @@ func TestWithEdgeMatchesRecompute(t *testing.T) {
 		}
 		w := 0.1 + rng.Float64()*5
 
-		aug := g.Clone()
-		aug.AddEdge(a, b, w)
+		aug := New(n)
+		for _, e := range append(g.Edges(), Edge{U: a, V: b, Weight: w}) {
+			aug.AddEdge(e.U, e.V, e.Weight)
+		}
 		want := aug.AllPairs()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -334,28 +302,10 @@ func TestWithEdgeMatchesRecompute(t *testing.T) {
 				}
 			}
 		}
-		// Totals agree too.
-		wantTotal := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				wantTotal += want[i][j]
-			}
-		}
-		return math.Abs(table.TotalWithEdge(a, b, w)-wantTotal) < 1e-6
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Errorf("WithEdge exactness failed: %v", err)
-	}
-}
-
-func TestTotalSkipsUnreachable(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(2, 3, 5)
-	table := NewAllPairsTable(g)
-	total, reachable := table.Total()
-	if total != 7 || reachable != 2 {
-		t.Errorf("Total = (%v, %d), want (7, 2)", total, reachable)
 	}
 }
 
@@ -375,16 +325,6 @@ func BenchmarkAllPairs100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.AllPairs()
-	}
-}
-
-func BenchmarkTotalWithEdge(b *testing.B) {
-	rng := stats.NewRNG(23)
-	g := randomConnectedGraph(rng, 100, 150)
-	table := NewAllPairsTable(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table.TotalWithEdge(i%100, (i+37)%100, 1.5)
 	}
 }
 

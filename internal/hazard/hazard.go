@@ -72,6 +72,25 @@ func SyntheticSources(scale float64, seed uint64) []Source {
 	return out
 }
 
+// SyntheticSeasonalSources builds per-season catalogs for all five event
+// types, ready for FitSeasonal. Each catalog's annual event count comes
+// from count; each source's Scale is 4× the season's share of annual
+// events, so the fitted surfaces carry seasonal intensity.
+func SyntheticSeasonalSources(count func(datasets.EventType) int, seed uint64) [4][]Source {
+	var out [4][]Source
+	for si, season := range datasets.Seasons {
+		for _, et := range datasets.EventTypes {
+			out[si] = append(out[si], Source{
+				Name:      et.String(),
+				Events:    datasets.GenerateSeasonalEvents(et, season, count(et), seed),
+				Bandwidth: et.PaperBandwidth(),
+				Scale:     4 * datasets.SeasonalShare(et, season),
+			})
+		}
+	}
+	return out
+}
+
 // FittedSource is a catalog with its bandwidth resolved and its density
 // surface rasterized.
 type FittedSource struct {

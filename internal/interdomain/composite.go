@@ -114,15 +114,6 @@ func (c *Composite) NodesOf(name string) []int {
 	return c.nodesByNet[name]
 }
 
-// NetworkNames returns the member names in merge order.
-func (c *Composite) NetworkNames() []string {
-	out := make([]string, len(c.Networks))
-	for i, n := range c.Networks {
-		out[i] = n.Name
-	}
-	return out
-}
-
 // SharedCities returns the city names present in both named networks,
 // sorted. These are the potential peering points of Section 6.3's candidate
 // peer analysis.

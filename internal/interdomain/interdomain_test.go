@@ -185,13 +185,13 @@ func TestNewAnalysisFractionsPerNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fractions of each member network must sum to 1 over its flat nodes.
-	for _, name := range comp.NetworkNames() {
+	for _, n := range comp.Networks {
 		sum := 0.0
-		for _, flat := range comp.NodesOf(name) {
+		for _, flat := range comp.NodesOf(n.Name) {
 			sum += an.Engine.Ctx.Fractions[flat]
 		}
 		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("network %s fractions sum to %v", name, sum)
+			t.Errorf("network %s fractions sum to %v", n.Name, sum)
 		}
 	}
 }

@@ -198,77 +198,3 @@ func SelectBandwidth(events []geo.Point, cfg CVConfig) CVResult {
 	}
 	return CVResult{Bandwidth: cfg.Candidates[best], Scores: scores, Used: len(events)}
 }
-
-// SelectBandwidthRefined runs SelectBandwidth and then refines the winner by
-// golden-section search on the mean-KL objective within the bracket formed
-// by the winner's grid neighbors. The refinement evaluates the same k-fold
-// objective, so it needs a handful of extra CV sweeps; iterations bounds
-// them (default 8, giving a bracket reduction of ~47×).
-func SelectBandwidthRefined(events []geo.Point, cfg CVConfig, iterations int) CVResult {
-	if iterations <= 0 {
-		iterations = 8
-	}
-	coarse := SelectBandwidth(events, cfg)
-	cfg = cfg.withDefaults()
-
-	// Bracket around the winning candidate.
-	idx := 0
-	for i, c := range cfg.Candidates {
-		if c == coarse.Bandwidth {
-			idx = i
-			break
-		}
-	}
-	lo := coarse.Bandwidth / 2
-	hi := coarse.Bandwidth * 2
-	if idx > 0 {
-		lo = cfg.Candidates[idx-1]
-	}
-	if idx < len(cfg.Candidates)-1 {
-		hi = cfg.Candidates[idx+1]
-	}
-
-	objective := func(bw float64) float64 {
-		r := SelectBandwidth(events, CVConfig{
-			Folds:      cfg.Folds,
-			Candidates: []float64{bw},
-			MaxEvents:  cfg.MaxEvents,
-			Grid:       cfg.Grid,
-			Seed:       cfg.Seed,
-			Workers:    cfg.Workers,
-			Metrics:    cfg.Metrics,
-		})
-		return r.Scores[0]
-	}
-
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := objective(x1), objective(x2)
-	for it := 0; it < iterations; it++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = objective(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = objective(x2)
-		}
-	}
-	mid := (a + b) / 2
-	score := objective(mid)
-	// Keep the coarse winner if refinement didn't actually help (can happen
-	// on noisy objectives with small folds).
-	bestIdx := 0
-	for i, s := range coarse.Scores {
-		if s < coarse.Scores[bestIdx] {
-			bestIdx = i
-		}
-	}
-	if score > coarse.Scores[bestIdx] {
-		return coarse
-	}
-	return CVResult{Bandwidth: mid, Scores: []float64{score}, Used: coarse.Used}
-}

@@ -49,22 +49,3 @@ func (e *Estimator) DensityAt(p geo.Point) float64 {
 	}
 	return sum / (2 * math.Pi * sigma * sigma * float64(len(e.Events)))
 }
-
-// LogLikelihood returns the mean log density of the estimator over the given
-// evaluation points, flooring the density at a tiny epsilon so isolated
-// points do not produce −Inf.
-func (e *Estimator) LogLikelihood(points []geo.Point) float64 {
-	if len(points) == 0 {
-		panic("kde: LogLikelihood of empty point set")
-	}
-	const eps = 1e-300
-	sum := 0.0
-	for _, p := range points {
-		d := e.DensityAt(p)
-		if d < eps {
-			d = eps
-		}
-		sum += math.Log(d)
-	}
-	return sum / float64(len(points))
-}

@@ -290,33 +290,3 @@ func BenchmarkFieldAt(b *testing.B) {
 		f.At(q)
 	}
 }
-
-func TestSelectBandwidthRefined(t *testing.T) {
-	rng := stats.NewRNG(51)
-	events := clusterEvents(rng, geo.Point{Lat: 33, Lon: -95}, 1.0, 400)
-	cfg := CVConfig{
-		Folds:      4,
-		Candidates: []float64{15, 60, 240},
-		Grid:       geo.NewGrid(geo.ContinentalUS, 24, 48),
-		Seed:       9,
-	}
-	coarse := SelectBandwidth(events, cfg)
-	refined := SelectBandwidthRefined(events, cfg, 6)
-	if refined.Bandwidth <= 0 {
-		t.Fatalf("refined bandwidth %v", refined.Bandwidth)
-	}
-	// The refined score can't be worse than the coarse winner's.
-	bestCoarse := coarse.Scores[0]
-	for _, s := range coarse.Scores {
-		if s < bestCoarse {
-			bestCoarse = s
-		}
-	}
-	if len(refined.Scores) > 0 && refined.Scores[len(refined.Scores)-1] > bestCoarse+1e-9 {
-		t.Errorf("refined score %v worse than coarse %v", refined.Scores, bestCoarse)
-	}
-	// And the refined bandwidth stays within (or at) the coarse bracket.
-	if refined.Bandwidth < 15/2 || refined.Bandwidth > 240*2 {
-		t.Errorf("refined bandwidth %v escaped the bracket", refined.Bandwidth)
-	}
-}

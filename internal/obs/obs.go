@@ -176,11 +176,6 @@ func LatencyBuckets() []float64 {
 	}
 }
 
-// SizeBuckets returns the default size/count bounds: decades from 1 to 10M.
-func SizeBuckets() []float64 {
-	return []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7}
-}
-
 // Registry is a concurrency-safe collection of named metrics. A nil
 // *Registry hands out nil handles, so instrumentation threads it
 // unconditionally and disabled telemetry costs nothing but nil checks.

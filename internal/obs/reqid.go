@@ -81,11 +81,6 @@ type ReqScope struct {
 // reqScopeKey is the context key for the request scope.
 type reqScopeKey struct{}
 
-// WithReqScope returns a context carrying the request scope.
-func WithReqScope(ctx context.Context, rs *ReqScope) context.Context {
-	return context.WithValue(ctx, reqScopeKey{}, rs)
-}
-
 // ScopeCtx binds a ReqScope to a parent context without the allocation of
 // context.WithValue: hot paths embed one in pooled per-request state and
 // pass its address as the request context. Value answers the scope key in a
@@ -118,14 +113,4 @@ func (c *ScopeCtx) Value(key any) any {
 func ReqScopeFrom(ctx context.Context) *ReqScope {
 	rs, _ := ctx.Value(reqScopeKey{}).(*ReqScope)
 	return rs
-}
-
-// RequestIDFrom returns the context's request ID ("" outside a traced
-// request) — the handle log and span consumers use without needing the
-// whole scope.
-func RequestIDFrom(ctx context.Context) string {
-	if rs := ReqScopeFrom(ctx); rs != nil {
-		return rs.ID
-	}
-	return ""
 }

@@ -61,24 +61,30 @@ func TestRequestIDsNil(t *testing.T) {
 }
 
 func TestReqScopeContext(t *testing.T) {
-	if got := RequestIDFrom(context.Background()); got != "" {
-		t.Fatalf("empty context yielded id %q", got)
-	}
 	if ReqScopeFrom(context.Background()) != nil {
 		t.Fatal("empty context yielded a scope")
 	}
+	type key struct{}
+	parent := context.WithValue(context.Background(), key{}, "parent")
 	rs := &ReqScope{ID: "deadbeefcafef00d"}
-	ctx := WithReqScope(context.Background(), rs)
-	if got := ReqScopeFrom(ctx); got != rs {
+	var ctx ScopeCtx
+	ctx.Bind(parent, rs)
+	if got := ReqScopeFrom(&ctx); got != rs {
 		t.Fatalf("scope round-trip: got %p want %p", got, rs)
 	}
-	if got := RequestIDFrom(ctx); got != rs.ID {
-		t.Fatalf("id round-trip: got %q", got)
+	if got := ctx.Value(key{}); got != "parent" {
+		t.Fatalf("parent value = %v, want deferred to the parent", got)
 	}
 	// Downstream mutation is visible upstream: one record per request.
-	ReqScopeFrom(ctx).CacheHit = true
+	ReqScopeFrom(&ctx).CacheHit = true
 	if !rs.CacheHit {
 		t.Fatal("scope mutation lost")
+	}
+	// Rebinding (the pooled-reuse reset) replaces the scope.
+	next := &ReqScope{ID: "0123456789abcdef"}
+	ctx.Bind(context.Background(), next)
+	if got := ReqScopeFrom(&ctx); got != next {
+		t.Fatalf("rebound scope: got %p want %p", got, next)
 	}
 }
 

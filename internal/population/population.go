@@ -128,25 +128,6 @@ func AssignWorkers(c *Census, n *topology.Network, workers int) (*Assignment, er
 	return &Assignment{Network: n, Served: served, Fractions: fractions}, nil
 }
 
-// Impact returns the outage impact α_ij = c_i + c_j for a PoP pair.
-func (a *Assignment) Impact(i, j int) float64 {
-	return a.Fractions[i] + a.Fractions[j]
-}
-
-// MaxImpact returns the largest possible pairwise impact, i.e. the sum of
-// the two largest fractions. Useful for bounding α when quantizing.
-func (a *Assignment) MaxImpact() float64 {
-	first, second := 0.0, 0.0
-	for _, f := range a.Fractions {
-		if f > first {
-			first, second = f, first
-		} else if f > second {
-			second = f
-		}
-	}
-	return first + second
-}
-
 // DensityField rasterizes the census population onto a grid (population per
 // cell), backing the paper's Figure 3 heat map.
 func (c *Census) DensityField(grid geo.Grid) []float64 {

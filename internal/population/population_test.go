@@ -58,9 +58,6 @@ func TestAssignSplitsByProximity(t *testing.T) {
 	if math.Abs(a.Fractions[0]-0.4) > 1e-12 || math.Abs(a.Fractions[1]-0.6) > 1e-12 {
 		t.Errorf("Fractions = %v", a.Fractions)
 	}
-	if math.Abs(a.Impact(0, 1)-1.0) > 1e-12 {
-		t.Errorf("Impact(0,1) = %v, want 1.0 with two PoPs", a.Impact(0, 1))
-	}
 }
 
 func TestFractionsSumToOne(t *testing.T) {
@@ -130,17 +127,6 @@ func TestAssignNoPopulationInScope(t *testing.T) {
 	c := NewCensus([]Block{{Location: geo.Point{Lat: 40, Lon: -90}, Population: 10, State: "IL"}})
 	if _, err := Assign(c, twoPopNet(topology.Regional)); err == nil {
 		t.Error("expected error when no blocks are in the regional network's states")
-	}
-}
-
-func TestMaxImpact(t *testing.T) {
-	a := &Assignment{Fractions: []float64{0.1, 0.5, 0.3, 0.1}}
-	if got := a.MaxImpact(); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("MaxImpact = %v, want 0.8", got)
-	}
-	single := &Assignment{Fractions: []float64{1}}
-	if got := single.MaxImpact(); got != 1 {
-		t.Errorf("single-PoP MaxImpact = %v, want 1", got)
 	}
 }
 

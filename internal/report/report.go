@@ -1,7 +1,7 @@
 // Package report renders experiment results for terminals and files: fixed-
 // width text tables (the paper's Tables 1-3), ASCII heat maps (the KDE and
 // population surfaces of Figures 3-6), scatter plots (Figure 8), line/series
-// summaries (Figures 10, 12, 13), and CSV export for external plotting.
+// summaries (Figures 10, 12, 13), and standalone SVG maps.
 package report
 
 import (
@@ -61,33 +61,6 @@ func (t *Table) Render(w io.Writer) error {
 		total += w
 	}
 	b.WriteString(strings.Repeat("-", total+2*(len(widths)-1)) + "\n")
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteCSV writes the table as CSV (header row then data), quoting cells
-// that contain commas or quotes.
-func (t *Table) WriteCSV(w io.Writer) error {
-	quote := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(quote(c))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
 	for _, row := range t.Rows {
 		writeRow(row)
 	}

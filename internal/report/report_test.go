@@ -40,26 +40,6 @@ func TestTableAddRowPanics(t *testing.T) {
 	tbl.AddRow("only-one")
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := &Table{Columns: []string{"Name", "Note"}}
-	tbl.AddRow("a", `has,comma`)
-	tbl.AddRow("b", `has"quote`)
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"has,comma"`) {
-		t.Errorf("comma cell not quoted: %s", out)
-	}
-	if !strings.Contains(out, `"has""quote"`) {
-		t.Errorf("quote cell not escaped: %s", out)
-	}
-	if !strings.HasPrefix(out, "Name,Note\n") {
-		t.Errorf("missing header: %s", out)
-	}
-}
-
 func TestHeatMap(t *testing.T) {
 	grid := geo.NewGrid(geo.ContinentalUS, 10, 20)
 	f := kde.NewField(grid)

@@ -172,11 +172,6 @@ func (c *Context) WeightedGraph(alpha float64) *graph.Graph {
 	return g
 }
 
-// DistanceGraph builds the pure bit-mile (geographic shortest-path) graph.
-func (c *Context) DistanceGraph() *graph.Graph {
-	return c.Net.Graph()
-}
-
 // PathMiles returns the geographic length of a path in miles.
 func (c *Context) PathMiles(path []int) float64 {
 	total := 0.0

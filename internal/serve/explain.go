@@ -214,13 +214,15 @@ func (s *Server) explainGeoJSON(st *netState, resp *routeResponse, ex *routeExpl
 
 // parseParams resolves lambda_h/lambda_f against the defaults, returning an
 // error document and status on bad input — the form statusHandler docs use;
-// lookupParams writes the error instead.
-func (s *Server) parseParams(q url.Values) (risk.Params, any, int) {
+// lookupParams writes the error instead. A λ above its limit (lambdaLimits)
+// is bad input too: its costs would overflow.
+func (s *Server) parseParams(q url.Values, limits risk.Params) (risk.Params, any, int) {
 	p := s.cfg.Params
 	for _, f := range []struct {
-		name string
-		dst  *float64
-	}{{"lambda_h", &p.LambdaH}, {"lambda_f", &p.LambdaF}} {
+		name  string
+		dst   *float64
+		limit float64
+	}{{"lambda_h", &p.LambdaH, limits.LambdaH}, {"lambda_f", &p.LambdaF, limits.LambdaF}} {
 		raw := q.Get(f.name)
 		if raw == "" {
 			continue
@@ -228,6 +230,9 @@ func (s *Server) parseParams(q url.Values) (risk.Params, any, int) {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			return p, errorDoc("bad %s %q (want a non-negative number)", f.name, raw), http.StatusBadRequest
+		}
+		if v > f.limit {
+			return p, errorDoc("%s %q too large (costs overflow above %g)", f.name, raw, f.limit), http.StatusBadRequest
 		}
 		*f.dst = v
 	}
@@ -301,7 +306,7 @@ func (s *Server) edgesTopDoc(r *http.Request) (any, int) {
 	if !ok {
 		return errorDoc("unknown network %q (GET /v1/pops lists the corpus)", name), http.StatusNotFound
 	}
-	params, doc, status := s.parseParams(q)
+	params, doc, status := s.parseParams(q, st.limit)
 	if doc != nil {
 		return doc, status
 	}
@@ -439,12 +444,16 @@ func (s *Server) hazardProbeDoc(r *http.Request) (any, int) {
 	if coords[0] < -90 || coords[0] > 90 {
 		return errorDoc("lat %v out of range [-90, 90]", coords[0]), http.StatusBadRequest
 	}
-	params, doc, status := s.parseParams(q)
+	p := geo.Point{Lat: coords[0], Lon: coords[1]}
+	probe := s.model.Probe(p)
+	var of float64
+	if snap.advisory != nil {
+		of = s.rm.RiskAt(snap.advisory, p)
+	}
+	params, doc, status := s.parseParams(q, lambdaLimits(1, []float64{probe.Risk}, []float64{of}))
 	if doc != nil {
 		return doc, status
 	}
-	p := geo.Point{Lat: coords[0], Lon: coords[1]}
-	probe := s.model.Probe(p)
 	s.tel.probes.Inc()
 
 	resp := hazardProbeResponse{
@@ -465,7 +474,6 @@ func (s *Server) hazardProbeDoc(r *http.Request) (any, int) {
 		}
 	}
 	if adv := snap.advisory; adv != nil {
-		of := s.rm.RiskAt(adv, p)
 		d := geo.Distance(adv.Center, p)
 		field := "outside"
 		switch {

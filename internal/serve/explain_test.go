@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -340,6 +341,7 @@ func TestEdgesTop(t *testing.T) {
 		{"/v1/edges/top?network=Sprint&k=0", http.StatusBadRequest},
 		{"/v1/edges/top?network=Sprint&k=x", http.StatusBadRequest},
 		{"/v1/edges/top?network=Sprint&lambda_h=-1", http.StatusBadRequest},
+		{"/v1/edges/top?network=Sprint&lambda_h=1e308", http.StatusBadRequest},
 	} {
 		if code := get(t, s, tc.path, nil); code != tc.want {
 			t.Errorf("GET %s: %d, want %d", tc.path, code, tc.want)
@@ -381,6 +383,16 @@ func TestHazardProbeEndpoint(t *testing.T) {
 		t.Fatalf("geojson probe: %+v", fc)
 	}
 
+	// At the riskiest PoP, lambda_h=1e308 overflows node_risk.
+	st := s.snap.Load().states[0]
+	hot := 0
+	for i, h := range st.hist {
+		if h > st.hist[hot] {
+			hot = i
+		}
+	}
+	loc := st.net.PoPs[hot].Location
+	overflow := url.Values{"lat": {fmt.Sprint(loc.Lat)}, "lon": {fmt.Sprint(loc.Lon)}, "lambda_h": {"1e308"}}
 	for _, tc := range []struct {
 		path string
 		want int
@@ -390,6 +402,7 @@ func TestHazardProbeEndpoint(t *testing.T) {
 		{"/debug/hazard?lat=abc&lon=0", http.StatusBadRequest},
 		{"/debug/hazard?lat=95&lon=0", http.StatusBadRequest},
 		{"/debug/hazard?lat=1&lon=2&lambda_f=NaN", http.StatusBadRequest},
+		{"/debug/hazard?" + overflow.Encode(), http.StatusBadRequest},
 	} {
 		if code := get(t, s, tc.path, nil); code != tc.want {
 			t.Errorf("GET %s: %d, want %d", tc.path, code, tc.want)

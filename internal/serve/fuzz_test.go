@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -41,6 +44,66 @@ func FuzzAdvisoryIngest(f *testing.F) {
 		default:
 			t.Fatalf("status %d for fuzzed advisory (want 200, 400, or 413): %s",
 				rec.Code, rec.Body.Bytes())
+		}
+	})
+}
+
+// FuzzRouteQuery throws arbitrary query values at GET /v1/route — the
+// untrusted surface of parseParams and the PoP lookup. Invariants: the
+// handler never panics, answers only 200, 400, 404, or 422 with a valid JSON
+// body, and a plain 200 route obeys Equations 3, 5, and 6: both legs' costs
+// are finite and non-negative, RiskRoute's bit-risk miles never exceed the
+// shortest path's (rr ≥ 0), and its miles are never fewer (dr ≥ 0).
+func FuzzRouteQuery(f *testing.F) {
+	s := testServer(f)
+	net := s.bases[0].net
+	a, b := net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name
+	for _, seed := range [][7]string{
+		// network, from, to, lambda_h, lambda_f, explain, format
+		{"Sprint", a, b, "", "", "", ""},
+		{"Sprint", a, b, "1e308", "", "", ""},
+		{"Sprint", a, b, "", "NaN", "", ""},
+		{"Sprint", a, b, "Inf", "", "", ""},
+		{"Sprint", a, b, "-1", "", "", ""},
+		{"Sprint", "Atlantis", b, "", "", "", ""},
+		{"Sprint", a, b, "", "", "1", "geojson"},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3], seed[4], seed[5], seed[6])
+	}
+
+	f.Fuzz(func(t *testing.T, network, from, to, lambdaH, lambdaF, explain, format string) {
+		q := url.Values{"network": {network}, "from": {from}, "to": {to},
+			"lambda_h": {lambdaH}, "lambda_f": {lambdaF}, "explain": {explain}, "format": {format}}
+		req := httptest.NewRequest(http.MethodGet, "/v1/route?"+q.Encode(), nil)
+		rec := httptest.NewRecorder()
+		s.mux.ServeHTTP(rec, req)
+
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("status %d for %s (want 200, 400, 404, or 422): %s", rec.Code, q.Encode(), rec.Body.Bytes())
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("status %d for %s: body is not JSON: %q", rec.Code, q.Encode(), rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusOK || wantExplain(q) {
+			return
+		}
+		var resp routeResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("route body for %s: %v", q.Encode(), err)
+		}
+		rr, sp := resp.RiskRoute, resp.Shortest
+		for _, v := range []float64{rr.BitRiskMiles, rr.Miles, sp.BitRiskMiles, sp.Miles} {
+			if math.IsInf(v, 0) || math.IsNaN(v) || v < 0 {
+				t.Fatalf("route for %s: cost %v not finite and non-negative: %+v", q.Encode(), v, resp)
+			}
+		}
+		if rr.BitRiskMiles > sp.BitRiskMiles*(1+1e-12) {
+			t.Fatalf("route for %s: riskroute costs %v bit-risk miles, shortest %v", q.Encode(), rr.BitRiskMiles, sp.BitRiskMiles)
+		}
+		if rr.Miles < sp.Miles*(1-1e-12) {
+			t.Fatalf("route for %s: riskroute is %v miles, shortest %v", q.Encode(), rr.Miles, sp.Miles)
 		}
 	})
 }

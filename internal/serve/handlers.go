@@ -157,9 +157,10 @@ func (s *Server) lookupNet(w http.ResponseWriter, q url.Values, snap *snapshot) 
 }
 
 // lookupParams resolves the optional lambda_h / lambda_f query parameters
-// against the server defaults, writing the error response on failure.
-func (s *Server) lookupParams(w http.ResponseWriter, q url.Values) (risk.Params, bool) {
-	p, doc, status := s.parseParams(q)
+// against the server defaults and st's limits, writing the error response
+// on failure.
+func (s *Server) lookupParams(w http.ResponseWriter, q url.Values, st *netState) (risk.Params, bool) {
+	p, doc, status := s.parseParams(q, st.limit)
 	if doc != nil {
 		s.writeJSON(w, status, doc)
 		return p, false
@@ -222,7 +223,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 			st.net.Name, from, src, to, dst)
 		return
 	}
-	params, ok := s.lookupParams(w, q)
+	params, ok := s.lookupParams(w, q, st)
 	if !ok {
 		return
 	}
@@ -326,7 +327,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	params, ok := s.lookupParams(w, q)
+	params, ok := s.lookupParams(w, q, st)
 	if !ok {
 		return
 	}
@@ -412,7 +413,7 @@ func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	params, ok := s.lookupParams(w, q)
+	params, ok := s.lookupParams(w, q, st)
 	if !ok {
 		return
 	}

@@ -33,6 +33,7 @@ package serve
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -207,6 +208,27 @@ type netState struct {
 	*netBase
 	forecast []float64 // nil when the snapshot has no active advisory
 	engine   *core.Engine
+	limit    risk.Params // largest λ_h, λ_f a request may ask (lambdaLimits)
+}
+
+// lambdaLimits bounds each λ so that every cost served over an n-PoP network
+// stays finite. A route sums at most n−1 edge weights and a ratio sums fewer
+// than n² routes; each edge charges its miles plus α·ρ with α ≤ 1, and ρ is
+// at most λ_h·max(hist) + λ_f·max(forecast). Capping each λ term at
+// MaxFloat64/(4n³) therefore leaves every sum below MaxFloat64. A layer
+// that is all zeros admits any finite λ.
+func lambdaLimits(n int, hist, forecast []float64) risk.Params {
+	limit := func(layer []float64) float64 {
+		peak := 0.0
+		for _, v := range layer {
+			peak = max(peak, v)
+		}
+		if peak == 0 {
+			return math.MaxFloat64
+		}
+		return math.MaxFloat64 / (4 * float64(n) * float64(n) * float64(n)) / peak
+	}
+	return risk.Params{LambdaH: limit(hist), LambdaF: limit(forecast)}
 }
 
 // snapshot is one immutable published world. Readers load it once per
@@ -486,16 +508,7 @@ func worldBases(cfg Config, world *worldsnap.World) (*hazard.Model, []*netBase, 
 	if err := world.VerifyConfig(cfg.Blocks, cfg.EventScale, cfg.Seed); err != nil {
 		return nil, nil, err
 	}
-	sources := make([]hazard.FittedSource, len(world.Catalogs))
-	for i, c := range world.Catalogs {
-		sources[i] = hazard.FittedSource{
-			Name:      c.Name,
-			Bandwidth: c.Bandwidth,
-			Events:    c.Events,
-			Field:     c.Field,
-		}
-	}
-	model, err := hazard.Restore(sources, world.Lost, world.Renorm)
+	model, err := RestoreModel(world)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", worldsnap.ErrDrift, err)
 	}
@@ -508,6 +521,21 @@ func worldBases(cfg Config, world *worldsnap.World) (*hazard.Model, []*netBase, 
 		bases[i] = newNetBase(net, ns.Hist, ns.Fractions)
 	}
 	return model, bases, nil
+}
+
+// RestoreModel reconstructs the fitted hazard model a baked world persists,
+// bit-identical to the model it was baked from.
+func RestoreModel(world *worldsnap.World) (*hazard.Model, error) {
+	sources := make([]hazard.FittedSource, len(world.Catalogs))
+	for i, c := range world.Catalogs {
+		sources[i] = hazard.FittedSource{
+			Name:      c.Name,
+			Bandwidth: c.Bandwidth,
+			Events:    c.Events,
+			Field:     c.Field,
+		}
+	}
+	return hazard.Restore(sources, world.Lost, world.Renorm)
 }
 
 // BakeWorld runs the full fit pipeline for cfg and captures its output as a
@@ -623,7 +651,8 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		if err != nil {
 			return stateOrErr{err: fmt.Errorf("serve: engine for %q: %w", base.net.Name, err)}
 		}
-		return stateOrErr{st: &netState{netBase: base, forecast: fc, engine: eng}}
+		return stateOrErr{st: &netState{netBase: base, forecast: fc, engine: eng,
+			limit: lambdaLimits(len(base.net.PoPs), base.hist, fc)}}
 	})
 	snap := &snapshot{
 		gen:      gen,

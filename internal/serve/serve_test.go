@@ -162,8 +162,11 @@ func TestRouteErrors(t *testing.T) {
 		{routeURL("Nowhere", b), http.StatusNotFound}, // unknown PoP
 		{routeURL(a, b, "lambda_h", "-1"), http.StatusBadRequest},
 		{routeURL(a, b, "lambda_f", "NaN"), http.StatusBadRequest},
+		{routeURL(a, b, "lambda_h", "1e308"), http.StatusBadRequest}, // costs overflow
 		{"/v1/ratio?network=Nope", http.StatusNotFound},
+		{"/v1/ratio?network=Sprint&lambda_h=1e308", http.StatusBadRequest},
 		{"/v1/risk?network=Nope", http.StatusNotFound},
+		{"/v1/risk?network=Sprint&lambda_h=1e308", http.StatusBadRequest},
 	} {
 		if code := get(t, s, tc.path, nil); code != tc.want {
 			t.Errorf("GET %s: got %d, want %d", tc.path, code, tc.want)

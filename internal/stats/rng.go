@@ -76,12 +76,6 @@ func (r *RNG) Norm() float64 {
 	return u * m
 }
 
-// NormScaled returns a normal deviate with the given mean and standard
-// deviation.
-func (r *RNG) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Norm()
-}
-
 // Perm returns a uniformly random permutation of 0..n-1 (Fisher-Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -50,23 +50,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// MinMax returns the minimum and maximum of xs. It panics on an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs by linear
 // interpolation between order statistics. It panics on an empty slice or a
 // quantile outside [0, 1].

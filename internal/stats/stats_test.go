@@ -240,7 +240,6 @@ func TestRNGChoice(t *testing.T) {
 func TestPanics(t *testing.T) {
 	rng := NewRNG(5)
 	for name, fn := range map[string]func(){
-		"MinMax empty":      func() { MinMax(nil) },
 		"Quantile empty":    func() { Quantile(nil, 0.5) },
 		"Quantile range":    func() { Quantile([]float64{1}, 2) },
 		"Linregress len":    func() { Linregress([]float64{1}, []float64{1, 2}) },

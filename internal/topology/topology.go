@@ -128,15 +128,6 @@ func (n *Network) LinkMiles(l Link) float64 {
 	return geo.Distance(n.PoPs[l.A].Location, n.PoPs[l.B].Location)
 }
 
-// TotalLinkMiles sums the line-of-sight lengths of every link.
-func (n *Network) TotalLinkMiles() float64 {
-	total := 0.0
-	for _, l := range n.Links {
-		total += n.LinkMiles(l)
-	}
-	return total
-}
-
 // Graph converts the network to a distance-weighted graph whose node i is
 // PoP i and whose edge weights are line-of-sight miles.
 func (n *Network) Graph() *graph.Graph {

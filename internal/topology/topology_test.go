@@ -97,13 +97,6 @@ func TestLinkMilesAndGraph(t *testing.T) {
 	if got := n.LinkMiles(n.Links[0]); math.Abs(got-want) > 1e-9 {
 		t.Errorf("LinkMiles = %v, want %v", got, want)
 	}
-	total := 0.0
-	for _, l := range n.Links {
-		total += n.LinkMiles(l)
-	}
-	if got := n.TotalLinkMiles(); math.Abs(got-total) > 1e-9 {
-		t.Errorf("TotalLinkMiles = %v, want %v", got, total)
-	}
 	g := n.Graph()
 	if g.N() != 4 || g.M() != 4 {
 		t.Errorf("graph N=%d M=%d", g.N(), g.M())

@@ -29,6 +29,12 @@
 //
 // The experiments subsystem (Lab) regenerates every table and figure of the
 // paper's evaluation; see EXPERIMENTS.md.
+//
+// The facade exports only what is used. A name is exported while Go code in
+// cmd/, examples/, perfbench/ or a root test names it, README documents it,
+// the signature of another export names it, or it builds the value of an
+// exported config field (Metrics and Span for the Metrics and Trace fields).
+// Anything else stays in internal/.
 package riskroute
 
 import (
@@ -42,7 +48,6 @@ import (
 	"riskroute/internal/hazard"
 	"riskroute/internal/ingest"
 	"riskroute/internal/interdomain"
-	"riskroute/internal/kde"
 	"riskroute/internal/obs"
 	"riskroute/internal/population"
 	"riskroute/internal/resilience"
@@ -53,13 +58,8 @@ import (
 	"riskroute/internal/topology"
 )
 
-// Geographic primitives.
-type (
-	// Point is a latitude/longitude coordinate in decimal degrees.
-	Point = geo.Point
-	// Bounds is an axis-aligned geographic bounding box.
-	Bounds = geo.Bounds
-)
+// Point is a latitude/longitude coordinate in decimal degrees.
+type Point = geo.Point
 
 // Distance returns the great-circle distance between two points in statute
 // miles.
@@ -167,24 +167,7 @@ type (
 	HazardSource = hazard.Source
 	// HazardFitConfig controls risk-model fitting.
 	HazardFitConfig = hazard.FitConfig
-	// EventType identifies one synthetic disaster catalog.
-	EventType = datasets.EventType
 )
-
-// The five disaster catalogs of the paper's Section 4.3.
-const (
-	FEMAHurricane  = datasets.FEMAHurricane
-	FEMATornado    = datasets.FEMATornado
-	FEMAStorm      = datasets.FEMAStorm
-	NOAAEarthquake = datasets.NOAAEarthquake
-	NOAAWind       = datasets.NOAAWind
-)
-
-// SyntheticEvents generates a synthetic disaster catalog (count <= 0 uses
-// the paper's catalog size).
-func SyntheticEvents(t EventType, count int, seed uint64) []Point {
-	return datasets.GenerateEvents(t, count, seed)
-}
 
 // SyntheticHazardSources builds all five catalogs at the given scale (1.0 =
 // the paper's sizes) with the paper's Table 1 bandwidths preassigned.
@@ -201,45 +184,23 @@ func FitHazard(sources []HazardSource, cfg HazardFitConfig) (*HazardModel, error
 // Seasonal risk modeling (the seasonal-correlation extension the paper
 // defers to future work).
 type (
-	// Season partitions the year (Winter..Fall).
-	Season = datasets.Season
 	// SeasonalHazard holds one fitted risk model per season.
 	SeasonalHazard = hazard.Seasonal
 	// HazardWeights emphasizes individual catalogs in the aggregate risk.
 	HazardWeights = hazard.Weights
 )
 
-// The four meteorological seasons.
-const (
-	Winter = datasets.Winter
-	Spring = datasets.Spring
-	Summer = datasets.Summer
-	Fall   = datasets.Fall
-)
-
 // SyntheticSeasonalSources builds per-season catalogs for all five event
 // types at the given annual scale, with density scales set to each season's
-// relative event rate so the fitted surfaces carry seasonal intensity.
+// relative event rate so the fitted surfaces carry seasonal intensity. Each
+// catalog's annual count is its paper size times scale, at least 200.
 func SyntheticSeasonalSources(scale float64, seed uint64) [4][]HazardSource {
 	if scale <= 0 {
 		scale = 1
 	}
-	var out [4][]HazardSource
-	for si, season := range datasets.Seasons {
-		for _, et := range datasets.EventTypes {
-			annual := int(float64(et.PaperCount()) * scale)
-			if annual < 200 {
-				annual = 200
-			}
-			out[si] = append(out[si], HazardSource{
-				Name:      et.String(),
-				Events:    datasets.GenerateSeasonalEvents(et, season, annual, seed),
-				Bandwidth: et.PaperBandwidth(),
-				Scale:     4 * datasets.SeasonalShare(et, season),
-			})
-		}
-	}
-	return out
+	return hazard.SyntheticSeasonalSources(func(et datasets.EventType) int {
+		return max(200, int(float64(et.PaperCount())*scale))
+	}, seed)
 }
 
 // FitSeasonalHazard fits one risk model per season.
@@ -247,35 +208,15 @@ func FitSeasonalHazard(sourcesBySeason [4][]HazardSource, cfg HazardFitConfig) (
 	return hazard.FitSeasonal(sourcesBySeason, cfg)
 }
 
-// SharedRiskResult scores the co-located outage exposure of two networks.
+// SharedRiskResult scores the co-located outage exposure of two networks
+// (the paper's future-work "shared risk between multiple ISPs").
 type SharedRiskResult = interdomain.SharedRiskResult
-
-// SharedRisk quantifies how much of two networks' disaster exposure is
-// co-located (the paper's future-work "shared risk between multiple ISPs").
-func SharedRisk(a, b *Network, model *HazardModel, radiusMiles float64) SharedRiskResult {
-	return interdomain.SharedRisk(a, b, model, radiusMiles)
-}
 
 // SharedRiskMatrix scores every unordered network pair, sorted by
 // descending normalized overlap.
 func SharedRiskMatrix(nets []*Network, model *HazardModel, radiusMiles float64) ([]SharedRiskResult, error) {
 	return interdomain.SharedRiskMatrix(nets, model, radiusMiles)
 }
-
-// Protection and weight-export types (the paper's Section 3 integrations).
-type (
-	// BackupRoute is one failure case's protection path.
-	BackupRoute = core.BackupRoute
-	// OSPFExport is a composite link-weight configuration.
-	OSPFExport = core.OSPFExport
-	// OSPFWeight is one exported link weight.
-	OSPFWeight = core.OSPFWeight
-	// OutageImpact summarizes a simulated multi-PoP failure.
-	OutageImpact = core.OutageImpact
-	// ForwardingEntry is one destination's next hop + loop-free alternate
-	// (RFC 5714 IP Fast Reroute state priced by RiskRoute).
-	ForwardingEntry = core.ForwardingEntry
-)
 
 // Routing types.
 type (
@@ -287,36 +228,8 @@ type (
 	Engine = core.Engine
 	// Options tune the engine.
 	Options = core.Options
-	// Ratios aggregates the risk-reduction and distance-increase ratios.
-	Ratios = core.Ratios
 	// PairResult describes one routed pair.
 	PairResult = core.PairResult
-	// Candidate is a scored candidate link of the robustness analysis.
-	Candidate = core.Candidate
-	// Addition is one step of the greedy link-addition sweep.
-	Addition = core.Addition
-)
-
-// Attribution types: per-edge, per-layer route explanations whose parts
-// re-sum bit-identically to the engine's route costs (see DESIGN.md §12).
-type (
-	// Explanation decomposes one priced path edge-by-edge; its Cost equals
-	// RiskRoutePair's BitRiskMiles bit for bit.
-	Explanation = core.Explanation
-	// EdgeAttribution is one traversed edge's share of a route cost,
-	// decomposed into miles, base-hazard, forecast, and span layers.
-	EdgeAttribution = core.EdgeAttribution
-	// EdgeReport is one link of the network-wide top-k riskiest-edges report.
-	EdgeReport = core.EdgeReport
-	// HazardProbe explains the fitted hazard field at a point: the aggregate
-	// risk (bit-identical to HazardModel.RiskAt) plus per-catalog
-	// contributions and interpolation stencils.
-	HazardProbe = hazard.Probe
-	// HazardSourceProbe is one catalog's contribution at a probed point.
-	HazardSourceProbe = hazard.SourceProbe
-	// FieldSample is a rasterized field's bilinear interpolation stencil at
-	// a point (kde.Field.Sample).
-	FieldSample = kde.PointSample
 )
 
 // PaperParams returns the paper's tuning parameters (λ_h = 10⁵, λ_f = 10³).
@@ -339,12 +252,8 @@ type (
 	BestTrack = datasets.BestTrack
 )
 
-// ScopeMembership classifies a point against a storm's cumulative scope.
-type ScopeMembership = forecast.Membership
-
-// Scope membership values.
+// Scope memberships a StormScope's Classify reports for exposed points.
 const (
-	OutsideScope        = forecast.Outside
 	TropicalForceScope  = forecast.TropicalForce
 	HurricaneForceScope = forecast.HurricaneForce
 )
@@ -414,12 +323,6 @@ type (
 	// PipelineHealth collects per-stage checkpoints and degradations across
 	// a pipeline run.
 	PipelineHealth = resilience.Health
-	// HealthEvent is one recorded pipeline checkpoint or degradation.
-	HealthEvent = resilience.Event
-	// InjectionPoint names a pipeline stage faults can target.
-	InjectionPoint = resilience.Point
-	// FaultMode selects how an injected fault manifests.
-	FaultMode = resilience.Mode
 	// ValidationError is a positional input-validation failure
 	// (source, line, field).
 	ValidationError = resilience.ValidationError
@@ -434,34 +337,17 @@ var (
 	ErrValidation = resilience.ErrValidation
 	// ErrDegraded matches every DegradedError.
 	ErrDegraded = resilience.ErrDegraded
-	// ErrInjected matches errors forced by an Injector.
-	ErrInjected = resilience.ErrInjected
 )
 
-// The pipeline's named injection points.
+// Injection points: advisory parsing and one hazard catalog's KDE fit.
 const (
-	InjectTopologyParse = resilience.PointTopologyParse
 	InjectAdvisoryParse = resilience.PointAdvisoryParse
 	InjectKDEFit        = resilience.PointKDEFit
-	InjectEngineBuild   = resilience.PointEngineBuild
-	InjectDijkstraSweep = resilience.PointDijkstraSweep
-	InjectServeParse    = resilience.PointServeParse
-	InjectServeSwap     = resilience.PointServeSwap
-	InjectServeRoute    = resilience.PointServeRoute
-	InjectIngestPoll    = resilience.PointIngestPoll
-	InjectIngestJournal = resilience.PointIngestJournal
-	InjectIngestSwap    = resilience.PointIngestSwap
 )
-
-// PostSwapKeyOffset shifts an InjectIngestSwap key into the post-publish
-// verification key space (see resilience.PostSwapKeyOffset).
-const PostSwapKeyOffset = resilience.PostSwapKeyOffset
 
 // Fault modes.
 const (
 	FaultCorrupt    = resilience.Corrupt
-	FaultTruncate   = resilience.Truncate
-	FaultDrop       = resilience.Drop
 	FaultForceError = resilience.ForceError
 )
 
@@ -500,14 +386,6 @@ func LoadHurricaneReplayLenient(track *BestTrack, inj *Injector, health *Pipelin
 	return forecast.LoadReplayLenient(track, inj, health)
 }
 
-// CheckTopology lenient-parses a topology stream purely for diagnosis and
-// returns the surviving networks with the health report of the parse.
-func CheckTopology(r io.Reader) ([]*Network, *PipelineHealth, error) {
-	h := NewPipelineHealth()
-	nets, err := topology.ParseLenient(r, nil, h)
-	return nets, h, err
-}
-
 // CheckAdvisoryCorpus lenient-parses a storm's advisory corpus — optionally
 // under injected faults — and returns the replay with the health report.
 func CheckAdvisoryCorpus(storm string, texts []string, inj *Injector) (*Replay, *PipelineHealth, error) {
@@ -526,39 +404,17 @@ type (
 	Metrics = obs.Registry
 	// Span is one timed stage of a pipeline run; spans form a per-run tree.
 	Span = obs.Span
-	// SpanSnapshot is a span tree frozen for export.
-	SpanSnapshot = obs.SpanSnapshot
-	// MetricsSnapshot is a point-in-time copy of a registry.
-	MetricsSnapshot = obs.Snapshot
 	// Histogram is a concurrency-safe fixed-bucket distribution; Quantile
 	// estimates percentiles by linear interpolation within a bucket.
 	Histogram = obs.Histogram
 	// SLOConfig tunes a burn-rate SLO engine (latency and error-ratio
 	// objectives over rolling windows).
 	SLOConfig = obs.SLOConfig
-	// SLOEngine tracks rolling multi-window burn rates.
-	SLOEngine = obs.SLO
-	// SLOSnapshot is one SLO engine report (the /v1/slo document).
-	SLOSnapshot = obs.SLOSnapshot
-	// RequestIDs generates request identifiers, deterministic when seeded.
-	RequestIDs = obs.RequestIDs
 )
 
 // NewHistogram returns a standalone histogram with the given bucket bounds
 // (sorted ascending) — no registry required.
 func NewHistogram(bounds []float64) *Histogram { return obs.NewHistogram(bounds) }
-
-// NewSLO builds a burn-rate SLO engine (zero config = 100ms @ 99%, 99.9%
-// availability, 5m/1h windows).
-func NewSLO(cfg SLOConfig) *SLOEngine { return obs.NewSLO(cfg) }
-
-// NewRequestIDs returns a request-ID generator; a non-zero seed pins the
-// exact ID sequence.
-func NewRequestIDs(seed uint64) *RequestIDs { return obs.NewRequestIDs(seed) }
-
-// WriteProm renders a metrics snapshot in Prometheus text exposition format
-// 0.0.4 (byte-deterministic for a fixed snapshot).
-func WriteProm(w io.Writer, s MetricsSnapshot) error { return s.WriteProm(w) }
 
 // NewMetrics returns an empty telemetry registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
@@ -568,9 +424,6 @@ func NewTrace(name string) *Span { return obs.NewTrace(name) }
 
 // LatencyBuckets returns the default duration histogram bounds in seconds.
 func LatencyBuckets() []float64 { return obs.LatencyBuckets() }
-
-// SizeBuckets returns the default size/count histogram bounds.
-func SizeBuckets() []float64 { return obs.SizeBuckets() }
 
 // Online serving: the long-lived daemon behind cmd/riskrouted (see
 // DESIGN.md, "Serving architecture"). A Server warms the hazard and
@@ -583,9 +436,6 @@ type (
 	ServeConfig = serve.Config
 	// Server is the online RiskRoute daemon.
 	Server = serve.Server
-	// SwapEvent is one generation's lifecycle record on the swap timeline
-	// (the /v1/generations document).
-	SwapEvent = serve.SwapEvent
 )
 
 // NewServer warms the serving world and publishes generation 1. The
@@ -600,28 +450,10 @@ func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 type (
 	// WorldSnapshot is a baked serving world (internal/snapshot.World).
 	WorldSnapshot = snapshot.World
-	// WorldSnapshotCatalog is one persisted fitted hazard catalog.
-	WorldSnapshotCatalog = snapshot.Catalog
-	// WorldSnapshotNetwork is one network's baked serving vectors.
-	WorldSnapshotNetwork = snapshot.NetworkState
 	// WorldSnapshotLoadOptions tunes snapshot loading (fan-out + telemetry).
 	WorldSnapshotLoadOptions = snapshot.LoadOptions
 	// WorldSnapshotLoadStats reports what a successful load did.
 	WorldSnapshotLoadStats = snapshot.LoadStats
-	// ServeBootInfo reports which path booted a serving world (the /v1/readyz
-	// "boot" object): snapshot digest + load time, or full-fit time.
-	ServeBootInfo = serve.BootInfo
-)
-
-// Typed world-snapshot load failures, for callers that distinguish "wrong
-// file" from "right file, wrong bytes" from "right bytes, wrong world".
-var (
-	ErrSnapshotNotSnapshot = snapshot.ErrNotSnapshot
-	ErrSnapshotVersion     = snapshot.ErrVersion
-	ErrSnapshotTruncated   = snapshot.ErrTruncated
-	ErrSnapshotChecksum    = snapshot.ErrChecksum
-	ErrSnapshotFormat      = snapshot.ErrFormat
-	ErrSnapshotDrift       = snapshot.ErrDrift
 )
 
 // BakeServeWorld runs the full fit pipeline for cfg and captures its output
@@ -629,12 +461,6 @@ var (
 // a daemon booting from the baked file serves generation 1 bit-identical to
 // one that fitted from scratch with the same configuration.
 func BakeServeWorld(cfg ServeConfig) (*WorldSnapshot, error) { return serve.BakeWorld(cfg) }
-
-// WriteWorldSnapshot encodes a baked world to w (byte-deterministic) and
-// returns its digest.
-func WriteWorldSnapshot(w io.Writer, world *WorldSnapshot) (string, error) {
-	return snapshot.Write(w, world)
-}
 
 // WriteWorldSnapshotFile bakes a world to path atomically (temp file +
 // rename) and returns the snapshot digest.
@@ -651,21 +477,8 @@ func LoadWorldSnapshot(path string, opt WorldSnapshotLoadOptions) (*WorldSnapsho
 // RestoreHazardModel reconstructs the fitted hazard model a snapshot
 // persists — bit-identical to the model it was baked from.
 func RestoreHazardModel(world *WorldSnapshot) (*HazardModel, error) {
-	sources := make([]hazard.FittedSource, len(world.Catalogs))
-	for i, c := range world.Catalogs {
-		sources[i] = hazard.FittedSource{
-			Name:      c.Name,
-			Bandwidth: c.Bandwidth,
-			Events:    c.Events,
-			Field:     c.Field,
-		}
-	}
-	return hazard.Restore(sources, world.Lost, world.Renorm)
+	return serve.RestoreModel(world)
 }
-
-// HashNetworkTopology computes a network's topology identity hash — the
-// exact-bit fingerprint world snapshots verify against at load time.
-func HashNetworkTopology(n *Network) [32]byte { return snapshot.HashNetwork(n) }
 
 // Continuous advisory ingestion: the crash-safe feed poller behind
 // riskrouted's -advisory-feed / -journal-dir flags (see DESIGN.md,
@@ -677,8 +490,6 @@ type (
 	IngestConfig = ingest.Config
 	// IngestPoller is the continuous ingestion engine.
 	IngestPoller = ingest.Poller
-	// IngestStatus is the lifecycle document served at /v1/ingest.
-	IngestStatus = ingest.Status
 	// IngestSource is one advisory feed (directory or HTTP).
 	IngestSource = ingest.Source
 )
@@ -700,8 +511,6 @@ func NewIngestSource(spec string) (IngestSource, error) { return ingest.NewSourc
 // EMP-style correlated regional failures) swept into per-network outage-risk
 // distributions. See DESIGN.md, "Scenario ensembles".
 type (
-	// ScenarioFamily identifies one scenario-generation model.
-	ScenarioFamily = scenario.Family
 	// ScenarioSpec pairs a family with its ensemble count.
 	ScenarioSpec = scenario.FamilySpec
 	// Scenario is one generated disaster.
@@ -711,29 +520,13 @@ type (
 	// TrackPerturbation is the PerturbedTrack jitter magnitudes; the zero
 	// value reproduces the base replay bit-identically.
 	TrackPerturbation = scenario.Perturbation
-	// ScenarioOverlay is a scenario compiled against one network.
-	ScenarioOverlay = scenario.Overlay
 	// EnsembleWorld binds one network to its static risk inputs.
 	EnsembleWorld = scenario.World
 	// EnsembleConfig tunes ensemble evaluation.
 	EnsembleConfig = scenario.SweepConfig
 	// EnsembleReport is a full sweep's per-network distributions.
 	EnsembleReport = scenario.Report
-	// EnsembleDistribution summarizes one metric across an ensemble.
-	EnsembleDistribution = scenario.Distribution
 )
-
-// Scenario families.
-const (
-	ScenarioPerturbedTrack  = scenario.PerturbedTrack
-	ScenarioGenesisTrack    = scenario.GenesisTrack
-	ScenarioLineCut         = scenario.LineCut
-	ScenarioDiskOutage      = scenario.DiskOutage
-	ScenarioRegionalFailure = scenario.RegionalFailure
-)
-
-// ScenarioFamilies lists all families in declaration order.
-func ScenarioFamilies() []ScenarioFamily { return scenario.Families() }
 
 // ParseScenarioSpec parses an ensemble composition, e.g.
 // "track=300,cut=250,regional=150".
@@ -741,9 +534,6 @@ func ParseScenarioSpec(s string) ([]ScenarioSpec, error) { return scenario.Parse
 
 // FormatScenarioSpec renders specs back into ParseScenarioSpec's format.
 func FormatScenarioSpec(specs []ScenarioSpec) string { return scenario.FormatSpec(specs) }
-
-// DefaultTrackPerturbation returns the standard ensemble jitter.
-func DefaultTrackPerturbation() TrackPerturbation { return scenario.DefaultPerturbation() }
 
 // GenerateScenarios draws the ensemble cfg describes — a pure function of
 // the seed and parameters.
