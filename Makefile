@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEquirectGuard$$' -fuzztime=5s ./internal/geo
 	$(GO) test -run='^$$' -fuzz='^FuzzAdvisoryIngest$$' -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzRouteQuery$$' -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzJSONFloat$$' -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalReplay$$' -fuzztime=5s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalAppendReplay$$' -fuzztime=5s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotLoad$$' -fuzztime=5s ./internal/snapshot

@@ -27,8 +27,9 @@ type cacheKey struct {
 	lambdaF  float64
 }
 
-// lru is a small mutex-guarded LRU over cacheKey. A nil *lru (caching
-// disabled) is inert.
+// lru is a small mutex-guarded LRU from cacheKey to a finished response
+// body. A stored body is shared by every hit that serves it, so nothing may
+// write to it after Put. A nil *lru (caching disabled) is inert.
 type lru struct {
 	mu    sync.Mutex
 	max   int
@@ -40,7 +41,7 @@ type lru struct {
 
 type lruEntry struct {
 	key cacheKey
-	val any
+	val []byte
 }
 
 // newLRU returns a cache holding up to max entries, or nil (disabled) when
@@ -49,14 +50,11 @@ func newLRU(max int) *lru {
 	if max < 0 {
 		return nil
 	}
-	if max == 0 {
-		max = 4096
-	}
 	return &lru{max: max, ll: list.New(), items: make(map[cacheKey]*list.Element)}
 }
 
 // Get returns the cached value for k, marking it most recently used.
-func (c *lru) Get(k cacheKey) (any, bool) {
+func (c *lru) Get(k cacheKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -74,7 +72,7 @@ func (c *lru) Get(k cacheKey) (any, bool) {
 
 // Put inserts or refreshes k, evicting the least recently used entry when
 // over capacity.
-func (c *lru) Put(k cacheKey, v any) {
+func (c *lru) Put(k cacheKey, v []byte) {
 	if c == nil {
 		return
 	}

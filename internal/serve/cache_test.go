@@ -12,14 +12,14 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := c.Get(key(1, 0, 1)); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(key(1, 0, 1), "a")
-	c.Put(key(1, 0, 2), "b")
-	if v, ok := c.Get(key(1, 0, 1)); !ok || v != "a" {
-		t.Fatalf("get a: %v %v", v, ok)
+	c.Put(key(1, 0, 1), []byte("a"))
+	c.Put(key(1, 0, 2), []byte("b"))
+	if v, ok := c.Get(key(1, 0, 1)); !ok || string(v) != "a" {
+		t.Fatalf("get a: %q %v", v, ok)
 	}
 	// Capacity 2: inserting a third evicts the least recently used ("b",
 	// since "a" was just touched).
-	c.Put(key(1, 0, 3), "c")
+	c.Put(key(1, 0, 3), []byte("c"))
 	if _, ok := c.Get(key(1, 0, 2)); ok {
 		t.Fatal("LRU victim survived eviction")
 	}
@@ -51,10 +51,10 @@ func TestLRUBasics(t *testing.T) {
 
 func TestLRUPutReplaces(t *testing.T) {
 	c := newLRU(4)
-	c.Put(key(1, 0, 1), "old")
-	c.Put(key(1, 0, 1), "new")
-	if v, _ := c.Get(key(1, 0, 1)); v != "new" {
-		t.Fatalf("got %v, want new", v)
+	c.Put(key(1, 0, 1), []byte("old"))
+	c.Put(key(1, 0, 1), []byte("new"))
+	if v, _ := c.Get(key(1, 0, 1)); string(v) != "new" {
+		t.Fatalf("got %q, want new", v)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("len %d after replacing put, want 1", c.Len())
@@ -67,7 +67,7 @@ func TestLRUDisabled(t *testing.T) {
 		t.Fatal("negative capacity should disable the cache")
 	}
 	// All operations are nil-safe no-ops.
-	c.Put(key(1, 0, 1), "a")
+	c.Put(key(1, 0, 1), []byte("a"))
 	if _, ok := c.Get(key(1, 0, 1)); ok {
 		t.Fatal("nil cache hit")
 	}

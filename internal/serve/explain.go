@@ -234,6 +234,11 @@ func (s *Server) parseParams(q url.Values, limits risk.Params) (risk.Params, any
 		if v > f.limit {
 			return p, errorDoc("%s %q too large (costs overflow above %g)", f.name, raw, f.limit), http.StatusBadRequest
 		}
+		if v == 0 {
+			// −0 passes the sign check and shares +0's cache key, so keep
+			// only +0: every body then echoes the same λ for either.
+			v = 0
+		}
 		*f.dst = v
 	}
 	return p, nil, http.StatusOK

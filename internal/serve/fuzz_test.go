@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -51,7 +52,9 @@ func FuzzAdvisoryIngest(f *testing.F) {
 // FuzzRouteQuery throws arbitrary query values at GET /v1/route — the
 // untrusted surface of parseParams and the PoP lookup. Invariants: the
 // handler never panics, answers only 200, 400, 404, or 422 with a valid JSON
-// body, and a plain 200 route obeys Equations 3, 5, and 6: both legs' costs
+// body, and repeating the query answers the same status and bytes apart from
+// "cached". A plain 200 body is byte-identical to writeJSON of its decoded
+// routeResponse, and the route obeys Equations 3, 5, and 6: both legs' costs
 // are finite and non-negative, RiskRoute's bit-risk miles never exceed the
 // shortest path's (rr ≥ 0), and its miles are never fewer (dr ≥ 0).
 func FuzzRouteQuery(f *testing.F) {
@@ -65,6 +68,7 @@ func FuzzRouteQuery(f *testing.F) {
 		{"Sprint", a, b, "", "NaN", "", ""},
 		{"Sprint", a, b, "Inf", "", "", ""},
 		{"Sprint", a, b, "-1", "", "", ""},
+		{"Sprint", a, b, "-0", "", "", ""},
 		{"Sprint", "Atlantis", b, "", "", "", ""},
 		{"Sprint", a, b, "", "", "1", "geojson"},
 	} {
@@ -86,12 +90,25 @@ func FuzzRouteQuery(f *testing.F) {
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("status %d for %s: body is not JSON: %q", rec.Code, q.Encode(), rec.Body.Bytes())
 		}
+		again := httptest.NewRecorder()
+		s.mux.ServeHTTP(again, httptest.NewRequest(http.MethodGet, "/v1/route?"+q.Encode(), nil))
+		uncached := func(b []byte) string { return strings.ReplaceAll(string(b), `"cached": true`, `"cached": false`) }
+		if again.Code != rec.Code || uncached(again.Body.Bytes()) != uncached(rec.Body.Bytes()) {
+			t.Fatalf("repeated %s answers differently:\n%d %s\n%d %s", q.Encode(),
+				rec.Code, rec.Body.Bytes(), again.Code, again.Body.Bytes())
+		}
 		if rec.Code != http.StatusOK || wantExplain(q) {
 			return
+		}
+		if !bytes.HasSuffix(again.Body.Bytes(), []byte(`"cached": `+cachedTrue)) {
+			t.Fatalf("repeated %s missed the cache:\n%s", q.Encode(), again.Body.Bytes())
 		}
 		var resp routeResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("route body for %s: %v", q.Encode(), err)
+		}
+		if want := oracleBody(s, resp).Body.Bytes(); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("route body for %s differs from writeJSON of its document:\n%s\nwant:\n%s", q.Encode(), rec.Body.Bytes(), want)
 		}
 		rr, sp := resp.RiskRoute, resp.Shortest
 		for _, v := range []float64{rr.BitRiskMiles, rr.Miles, sp.BitRiskMiles, sp.Miles} {

@@ -99,6 +99,23 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// writeBody writes a finished JSON body with status 200 in one Write: the
+// headers and bytes writeJSON writes for the document the body encodes.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+}
+
+// writeMiss completes an appended body (jsonbody.go), stores its cached form
+// under key and writes its miss form. The stored body gets its own backing
+// array: every later hit shares it, so it is never written again.
+func (s *Server) writeMiss(w http.ResponseWriter, key cacheKey, body []byte) {
+	hit := make([]byte, 0, len(body)+len(cachedTrue))
+	s.cache.Put(key, append(append(hit, body...), cachedTrue...))
+	writeBody(w, append(body, cachedFalse...))
+}
+
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	s.writeJSON(w, status, errorDoc(format, args...))
 }
@@ -177,7 +194,8 @@ type pathLeg struct {
 
 // routeResponse answers /v1/route. Costs are byte-identical to the batch
 // `riskroute route` CLI for the same network, pair, parameters, and
-// generation inputs.
+// generation inputs. Explain responses encode it with writeJSON; plain ones
+// are appendRouteBody's bytes of the same document.
 type routeResponse struct {
 	Generation       uint64  `json:"generation"`
 	Network          string  `json:"network"`
@@ -235,12 +253,10 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	// carries no attribution, and attribution bodies are too large to be
 	// worth displacing plain routes.
 	if !explain {
-		if v, ok := s.cache.Get(key); ok {
+		if body, ok := s.cache.Get(key); ok {
 			s.tel.cacheHits.Inc()
 			scopeCacheHit(r, true)
-			resp := *v.(*routeResponse)
-			resp.Cached = true
-			s.writeJSON(w, http.StatusOK, resp)
+			writeBody(w, body)
 			return
 		}
 		s.tel.cacheMisses.Inc()
@@ -263,6 +279,10 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 			"no route between %s and %s (disconnected topology)", from, to)
 		return
 	}
+	if !explain {
+		s.writeMiss(w, key, appendRouteBody(make([]byte, 0, routeBodyCap), snap, st, src, dst, params, rr, sp))
+		return
+	}
 	resp := &routeResponse{
 		Generation: snap.gen,
 		Network:    st.net.Name,
@@ -277,17 +297,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 		resp.Storm = snap.advisory.Storm
 		resp.Advisory = snap.advisory.Number
 	}
-	if sp.BitRiskMiles > 0 {
-		resp.RiskReduction = 1 - rr.BitRiskMiles/sp.BitRiskMiles
-	}
-	if sp.Miles > 0 {
-		resp.DistanceIncrease = rr.Miles/sp.Miles - 1
-	}
-	if !explain {
-		s.cache.Put(key, resp)
-		s.writeJSON(w, http.StatusOK, *resp)
-		return
-	}
+	resp.RiskReduction, resp.DistanceIncrease = routeRatios(rr, sp)
 	resp.Explain = s.buildExplanation(st, eng, src, dst, rr, sp)
 	if q.Get("format") == "geojson" {
 		s.writeJSON(w, http.StatusOK, s.explainGeoJSON(st, resp, resp.Explain, rr.Path, sp.Path))
@@ -304,7 +314,8 @@ func (s *Server) popNames(st *netState, path []int) []string {
 	return names
 }
 
-// ratioResponse answers /v1/ratio.
+// ratioResponse is the /v1/ratio document. Its bytes are
+// appendRatioBody's; tests encode it with writeJSON as their oracle.
 type ratioResponse struct {
 	Generation       uint64  `json:"generation"`
 	Network          string  `json:"network"`
@@ -334,12 +345,10 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 
 	key := cacheKey{gen: snap.gen, kind: kindRatio, network: st.net.Name,
 		src: -1, dst: -1, lambdaH: params.LambdaH, lambdaF: params.LambdaF}
-	if v, ok := s.cache.Get(key); ok {
+	if body, ok := s.cache.Get(key); ok {
 		s.tel.cacheHits.Inc()
 		scopeCacheHit(r, true)
-		resp := *v.(*ratioResponse)
-		resp.Cached = true
-		s.writeJSON(w, http.StatusOK, resp)
+		writeBody(w, body)
 		return
 	}
 	s.tel.cacheMisses.Inc()
@@ -349,18 +358,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "engine build failed: %v", err)
 		return
 	}
-	ratios := eng.Evaluate()
-	resp := &ratioResponse{
-		Generation:       snap.gen,
-		Network:          st.net.Name,
-		LambdaH:          params.LambdaH,
-		LambdaF:          params.LambdaF,
-		Pairs:            ratios.Pairs,
-		RiskReduction:    ratios.RiskReduction,
-		DistanceIncrease: ratios.DistanceIncrease,
-	}
-	s.cache.Put(key, resp)
-	s.writeJSON(w, http.StatusOK, *resp)
+	s.writeMiss(w, key, appendRatioBody(make([]byte, 0, ratioBodyCap), snap.gen, st, params, eng.Evaluate()))
 }
 
 func (s *Server) handlePoPs(w http.ResponseWriter, r *http.Request) {

@@ -24,10 +24,12 @@
 // executing, a newcomer waits at most QueueTimeout and is then rejected
 // with 429 and a Retry-After header, so overload sheds load instead of
 // queueing unboundedly. Admitted requests run under a per-request
-// context deadline. Route and ratio results land in an LRU cache keyed by
-// (generation, network, query): because the generation is part of the key,
-// a snapshot swap implicitly invalidates every cached result, and in-flight
-// requests on the old snapshot cannot poison the new generation.
+// context deadline. Route and ratio answers land, as finished response
+// bodies, in an LRU cache keyed by (generation, network, query), so a
+// repeated query is one write of stored bytes. Because the generation is
+// part of the key, a snapshot swap implicitly invalidates every cached
+// result, and in-flight requests on the old snapshot cannot poison the new
+// generation.
 package serve
 
 import (
@@ -181,16 +183,24 @@ type netBase struct {
 	hist      []float64
 	fractions []float64
 	pops      map[string]int // PoP name → index
+
+	// The network's and PoPs' names quoted by encoding/json, once, for the
+	// route and ratio body appenders (jsonbody.go).
+	jsonName []byte
+	jsonPoPs [][]byte // by PoP index
 }
 
 func newNetBase(net *topology.Network, hist, fractions []float64) *netBase {
 	pops := make(map[string]int, len(net.PoPs))
+	jsonPoPs := make([][]byte, len(net.PoPs))
 	for i, p := range net.PoPs {
 		if _, dup := pops[p.Name]; !dup { // PoPIndex answers the first match
 			pops[p.Name] = i
 		}
+		jsonPoPs[i] = quoteJSON(p.Name)
 	}
-	return &netBase{net: net, hist: hist, fractions: fractions, pops: pops}
+	return &netBase{net: net, hist: hist, fractions: fractions, pops: pops,
+		jsonName: quoteJSON(net.Name), jsonPoPs: jsonPoPs}
 }
 
 // popIndex returns the index of the PoP with the given name, or -1 — the
@@ -234,10 +244,11 @@ func lambdaLimits(n int, hist, forecast []float64) risk.Params {
 // snapshot is one immutable published world. Readers load it once per
 // request and keep every answer internally consistent with it.
 type snapshot struct {
-	gen      uint64
-	advisory *forecast.Advisory // nil for the startup generation
-	states   []*netState
-	byName   map[string]*netState
+	gen       uint64
+	advisory  *forecast.Advisory // nil for the startup generation
+	jsonStorm []byte             // advisory.Storm quoted by encoding/json; nil when absent or empty
+	states    []*netState
+	byName    map[string]*netState
 }
 
 // serveObs caches the server's metric handles (nil registry = no-ops).
@@ -660,6 +671,9 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		states:   make([]*netState, len(slots)),
 		byName:   make(map[string]*netState, len(slots)),
 	}
+	if adv != nil && adv.Storm != "" { // routeResponse omits an empty storm
+		snap.jsonStorm = quoteJSON(adv.Storm)
+	}
 	for i, sl := range slots {
 		if sl.err != nil {
 			return nil, sl.err
@@ -812,10 +826,11 @@ func (s *Server) RevertAdvisory(fromGen uint64) (uint64, error) {
 	}
 	gen := cur.gen + 1
 	restored := &snapshot{
-		gen:      gen,
-		advisory: s.prev.advisory,
-		states:   s.prev.states,
-		byName:   s.prev.byName,
+		gen:       gen,
+		advisory:  s.prev.advisory,
+		jsonStorm: s.prev.jsonStorm,
+		states:    s.prev.states,
+		byName:    s.prev.byName,
 	}
 	revertStart := time.Now()
 	s.snap.Store(restored)

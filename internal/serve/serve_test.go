@@ -104,9 +104,10 @@ func TestRouteEndpoint(t *testing.T) {
 	path := routeURL(from, to)
 	s.cache.Reset() // shared server: earlier tests may have warmed this pair
 
+	firstBody := rawGet(t, s, path)
 	var first routeResponse
-	if code := get(t, s, path, &first); code != http.StatusOK {
-		t.Fatalf("route: %d", code)
+	if err := json.Unmarshal(firstBody, &first); err != nil {
+		t.Fatalf("route: %v", err)
 	}
 	if first.Cached {
 		t.Fatal("first query reported cached")
@@ -125,16 +126,8 @@ func TestRouteEndpoint(t *testing.T) {
 			first.RiskRoute.BitRiskMiles, first.Shortest.BitRiskMiles)
 	}
 
-	var second routeResponse
-	get(t, s, path, &second)
-	if !second.Cached {
-		t.Fatal("second identical query missed the cache")
-	}
-	second.Cached = first.Cached
-	firstJSON, _ := json.Marshal(first)
-	secondJSON, _ := json.Marshal(second)
-	if string(firstJSON) != string(secondJSON) {
-		t.Fatalf("cached response differs:\n%s\n%s", firstJSON, secondJSON)
+	if second := rawGet(t, s, path); string(second) != asHit(t, firstBody) {
+		t.Fatalf("second identical query is not the first body with \"cached\": true:\n%s\n%s", firstBody, second)
 	}
 
 	// Custom λ bypasses the shared engine but must stay deterministic.
@@ -146,6 +139,43 @@ func TestRouteEndpoint(t *testing.T) {
 	if a.RiskRoute.BitRiskMiles != b.RiskRoute.BitRiskMiles {
 		t.Fatalf("custom-λ route not deterministic: %v vs %v",
 			a.RiskRoute.BitRiskMiles, b.RiskRoute.BitRiskMiles)
+	}
+}
+
+// TestNegativeZeroLambda pins the echo of a λ given as −0. It passes the
+// sign check and shares +0's cache key, so every endpoint must echo it as 0
+// and a route must not depend on which of the two queries came first.
+func TestNegativeZeroLambda(t *testing.T) {
+	s := testServer(t)
+	net := s.bases[0].net
+	a, b := net.PoPs[0].Name, net.PoPs[1].Name
+	for _, tc := range []struct{ path, want string }{
+		{routeURL(a, b, "lambda_h", "-0"), `"lambda_h": 0,`},
+		{routeURL(a, b, "lambda_f", "-0"), `"lambda_f": 0,`},
+		{"/v1/ratio?network=Sprint&lambda_h=-0", `"lambda_h": 0,`},
+		{"/v1/risk?network=Sprint&lambda_f=-0", `"lambda_f": 0,`},
+		{"/v1/edges/top?network=Sprint&k=1&lambda_h=-0", `"lambda_h": 0,`},
+		{"/debug/hazard?lat=33.749&lon=-84.388&lambda_f=-0", `"lambda_f": 0,`},
+	} {
+		s.cache.Reset()
+		if body := rawGet(t, s, tc.path); !strings.Contains(string(body), tc.want) {
+			t.Errorf("GET %s: body lacks %s:\n%s", tc.path, tc.want, body)
+		}
+	}
+
+	var bodies []string
+	for _, order := range [][2]string{{"-0", "0"}, {"0", "-0"}} {
+		s.cache.Reset()
+		first := rawGet(t, s, routeURL(a, b, "lambda_h", order[0]))
+		second := rawGet(t, s, routeURL(a, b, "lambda_h", order[1]))
+		if string(second) != asHit(t, first) {
+			t.Fatalf("lambda_h=%s after lambda_h=%s is not the first body with \"cached\": true:\n%s\n%s",
+				order[1], order[0], first, second)
+		}
+		bodies = append(bodies, string(first))
+	}
+	if bodies[0] != bodies[1] {
+		t.Fatalf("lambda_h=-0 and lambda_h=0 answer differently by arrival order:\n%s\n%s", bodies[0], bodies[1])
 	}
 }
 
