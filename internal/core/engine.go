@@ -171,6 +171,7 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 	if err := opts.Injector.ForcedError(resilience.PointEngineBuild, 0); err != nil {
 		return nil, err
 	}
+	start := time.Now() // the span is nil when untraced; time the build apart
 	span := opts.Trace.Child("engine-build")
 	defer span.End()
 	if err := ctx.Validate(); err != nil {
@@ -266,7 +267,7 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 	span.SetAttr("components", e.components)
 	e.tel.alphaBuckets.Set(float64(k))
 	e.tel.unreachable.Set(float64(e.unreachable))
-	buildSeconds := span.End().Seconds()
+	buildSeconds := time.Since(start).Seconds()
 	e.tel.buildSeconds.Observe(buildSeconds)
 	e.lg.Info("engine built", "network", ctx.Net.Name,
 		"pops", n, "links", len(links),
@@ -490,6 +491,7 @@ func (e *Engine) EvaluateSubset(sources, dests []int) Ratios {
 		riskSum, distSum float64
 		pairs            int
 	}
+	sweepStart := time.Now()
 	sweep := e.opts.Trace.Child("sweep")
 	defer sweep.End()
 	workers := parallel.Workers(len(sources), e.opts.Workers)
@@ -554,7 +556,7 @@ func (e *Engine) EvaluateSubset(sources, dests []int) Ratios {
 	sweep.SetAttr("pairs", pairs)
 	e.lg.Info("sweep complete", "sources", len(sources),
 		"pairs", pairs, "workers", workers,
-		"seconds", sweep.Duration().Seconds())
+		"seconds", time.Since(sweepStart).Seconds())
 	if pairs == 0 {
 		return Ratios{}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"log/slog"
 	"math"
 	"testing"
 
@@ -471,6 +474,45 @@ func TestParallelDeterminism(t *testing.T) {
 	sub8 := par.EvaluateSubset([]int{0, 3, 7}, []int{10, 20, 24})
 	if sub1 != sub8 {
 		t.Errorf("subset: sequential %+v != parallel %+v", sub1, sub8)
+	}
+}
+
+// TestBuildTimingWithoutTrace pins build and sweep timings on untraced
+// engines (the serving daemon's reprices carry a registry and no span): the
+// build histogram and the "engine built" and "sweep complete" records all
+// report positive seconds.
+func TestBuildTimingWithoutTrace(t *testing.T) {
+	reg := obs.NewRegistry()
+	var logs bytes.Buffer
+	opts := Options{Metrics: reg, Logger: slog.New(slog.NewJSONHandler(&logs, nil))}
+	e := mustEngine(t, gridNet(4, 4, 3), opts)
+	for i := 0; i < 3; i++ {
+		if _, err := e.Reprice(e.Ctx, opts); err != nil {
+			t.Fatalf("Reprice: %v", err)
+		}
+	}
+	e.Evaluate()
+	h := reg.Histogram("core.engine.build_seconds", obs.LatencyBuckets())
+	if h.Count() != 4 || !(h.Sum() > 0) {
+		t.Fatalf("build_seconds count %d sum %v, want 4 positive observations", h.Count(), h.Sum())
+	}
+	seen := map[string]int{}
+	dec := json.NewDecoder(&logs)
+	for dec.More() {
+		var rec struct {
+			Msg     string  `json:"msg"`
+			Seconds float64 `json:"seconds"`
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if !(rec.Seconds > 0) {
+			t.Errorf("%q record reports %v seconds", rec.Msg, rec.Seconds)
+		}
+		seen[rec.Msg]++
+	}
+	if seen["engine built"] != 4 || seen["sweep complete"] != 1 {
+		t.Fatalf("records seen %v, want 4 builds and 1 sweep", seen)
 	}
 }
 

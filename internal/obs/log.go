@@ -79,12 +79,24 @@ func NewLogger(format string, w io.Writer) (*slog.Logger, error) {
 	return slog.New(h), nil
 }
 
-// FlightRecorder keeps the last N formatted log records in a ring. It is a
-// slog.Handler factory: Wrap returns a handler that records every record
-// (regardless of the inner handler's level) and then forwards to the inner
-// handler when that handler wants it. A nil *FlightRecorder is inert.
+// FlightRecorder keeps the last N log records in a ring and formats them
+// only when Records or WriteTo reads the ring, so a run that never fails
+// pays for keeping its log tail, not for rendering it. It is a slog.Handler
+// factory: Wrap returns a handler that records every record (regardless of
+// the inner handler's level) and then forwards to the inner handler when
+// that handler wants it. A nil *FlightRecorder is inert.
 type FlightRecorder struct {
-	ring Ring[string]
+	ring Ring[flightEntry]
+}
+
+// flightEntry is one retained record: the handler that received it (its
+// WithAttrs prefix and WithGroup path) and the record, or, when an attr may
+// reference memory the caller can still mutate, the line formatted at log
+// time (h is then nil).
+type flightEntry struct {
+	h    *flightHandler
+	r    slog.Record
+	line string
 }
 
 // DefaultFlightRecords is the ring size NewFlightRecorder uses for n <= 0.
@@ -96,7 +108,7 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = DefaultFlightRecords
 	}
-	return &FlightRecorder{ring: Ring[string]{buf: make([]string, n)}}
+	return &FlightRecorder{ring: Ring[flightEntry]{buf: make([]flightEntry, n)}}
 }
 
 // Wrap returns a handler that records into the ring and forwards to inner
@@ -115,12 +127,23 @@ func (f *FlightRecorder) Wrap(inner slog.Handler) slog.Handler {
 	return &flightHandler{flight: f, inner: inner}
 }
 
-// Records returns the retained records, oldest first (empty on nil).
+// Records returns the retained records formatted one per string, oldest
+// first (empty on nil). Each line shows the record's values as they were
+// when it was logged.
 func (f *FlightRecorder) Records() []string {
 	if f == nil {
 		return nil
 	}
-	return f.ring.Records()
+	entries := f.ring.Records()
+	lines := make([]string, len(entries))
+	for i, e := range entries {
+		if e.h == nil {
+			lines[i] = e.line
+		} else {
+			lines[i] = e.h.format(e.r)
+		}
+	}
+	return lines
 }
 
 // WriteTo dumps the retained records one per line.
@@ -138,6 +161,7 @@ func (f *FlightRecorder) WriteTo(w io.Writer) (int64, error) {
 
 // flightHandler is the slog.Handler the ring hands out. WithAttrs/WithGroup
 // derive handlers that share the same ring, so the tail is process-global.
+// A handler is immutable once derived, so retained entries may point at it.
 type flightHandler struct {
 	flight *FlightRecorder
 	inner  slog.Handler
@@ -149,7 +173,30 @@ type flightHandler struct {
 // handler's own Enabled gates forwarding in Handle.
 func (h *flightHandler) Enabled(context.Context, slog.Level) bool { return true }
 
+// Handle keeps r for formatting on read. The scalar kinds hold no reference
+// to caller memory, so their text cannot change before the ring is read;
+// a record carrying any other kind (an error, a slice, a LogValuer, a
+// group) is formatted now instead.
 func (h *flightHandler) Handle(ctx context.Context, r slog.Record) error {
+	e := flightEntry{h: h, r: r.Clone()}
+	r.Attrs(func(a slog.Attr) bool {
+		switch a.Value.Kind() {
+		case slog.KindAny, slog.KindLogValuer, slog.KindGroup:
+			e = flightEntry{line: h.format(r)}
+			return false
+		}
+		return true
+	})
+	h.flight.ring.Add(e)
+	if h.inner.Enabled(ctx, r.Level) {
+		return h.inner.Handle(ctx, r)
+	}
+	return nil
+}
+
+// format renders r as one line: RFC3339Nano UTC time, level, message, the
+// handler's prefix, then each attr as " group.key=value".
+func (h *flightHandler) format(r slog.Record) string {
 	var b strings.Builder
 	b.WriteString(r.Time.UTC().Format(time.RFC3339Nano))
 	b.WriteByte(' ')
@@ -161,11 +208,7 @@ func (h *flightHandler) Handle(ctx context.Context, r slog.Record) error {
 		b.WriteString(formatAttr(h.groups, a))
 		return true
 	})
-	h.flight.ring.Add(b.String())
-	if h.inner.Enabled(ctx, r.Level) {
-		return h.inner.Handle(ctx, r)
-	}
-	return nil
+	return b.String()
 }
 
 func (h *flightHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
@@ -195,8 +238,10 @@ func formatAttr(groups []string, a slog.Attr) string {
 	}
 	if a.Value.Kind() == slog.KindGroup {
 		var b strings.Builder
+		// Clip so the append copies: groups may be a shared handler's path.
+		sub := append(groups[:len(groups):len(groups)], a.Key)
 		for _, ga := range a.Value.Group() {
-			b.WriteString(formatAttr(append(groups, a.Key), ga))
+			b.WriteString(formatAttr(sub, ga))
 		}
 		return b.String()
 	}

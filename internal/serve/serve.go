@@ -620,9 +620,10 @@ func (s *Server) Boot() BootInfo { return s.boot }
 
 // buildSnapshot constructs the immutable world for one generation: the
 // forecast layer for adv (nil for none) and one engine per network, fanned
-// over internal/parallel. Booting builds each engine from scratch; a swap
+// over internal/parallel. Booting builds each engine from scratch, with an
+// engine-build span under span and a health event per network; a swap
 // reprices the serving snapshot's engine for the network, which shares its
-// adjacency and refreshes only the O(N+E) risk side.
+// adjacency and refreshes only the O(N+E) risk side, and records neither.
 func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Span) (*snapshot, error) {
 	cur := s.snap.Load() // nil while booting; states align with s.bases
 	type stateOrErr struct {
@@ -643,20 +644,17 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 			Params:    s.cfg.Params,
 		}
 		// Engine sweeps (Evaluate) run single-request parallel already; the
-		// snapshot engines take the configured worker bound. Build-time
-		// telemetry flows to the registry; per-engine spans/logs are left
-		// out so a swap stays one record, not twenty-three.
-		opts := core.Options{
-			Workers: s.cfg.Workers,
-			Metrics: s.cfg.Metrics,
-			Health:  s.cfg.Health,
-			Trace:   span,
-		}
+		// snapshot engines take the configured worker bound. Build timings
+		// flow to the registry either way. A reprice shares boot's topology,
+		// components and unreachable count, so its span and health event
+		// would repeat boot's: a swap stays one record, not twenty-four.
+		opts := core.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics}
 		var eng *core.Engine
 		var err error
 		if cur != nil {
 			eng, err = cur.states[i].engine.Reprice(ctx, opts)
 		} else {
+			opts.Health, opts.Trace = s.cfg.Health, span
 			eng, err = core.New(ctx, opts)
 		}
 		if err != nil {

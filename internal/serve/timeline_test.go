@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"riskroute/internal/datasets"
+	"riskroute/internal/obs"
+	"riskroute/internal/resilience"
 	"riskroute/internal/topology"
 )
 
@@ -101,5 +103,92 @@ func TestGenerationsEndpoint(t *testing.T) {
 	last := evs[len(evs)-1]
 	if last.Generation != reverted || !last.Rollback {
 		t.Fatalf("rollback event: %+v (want generation %d, rollback=true)", last, reverted)
+	}
+}
+
+// TestSwapTelemetryIsOneRecord pins what an advisory swap leaves in the
+// run's telemetry: one advisory-swap span with no engine-build children and
+// one health event, however many networks it reprices, while boot keeps its
+// per-network build spans and events. Build timings still reach the
+// registry: one positive observation per network per swap.
+func TestSwapTelemetryIsOneRecord(t *testing.T) {
+	reg := obs.NewRegistry()
+	trace := obs.NewTrace("riskrouted")
+	health := resilience.NewHealth()
+	health.AttachMetrics(reg)
+	s, err := New(Config{
+		Networks: []*topology.Network{
+			datasets.NetworkByName("Sprint"), datasets.NetworkByName("Abilene")},
+		Blocks:     4000,
+		EventScale: 0.03,
+		Seed:       1,
+		Metrics:    reg,
+		Trace:      trace,
+		Health:     health,
+	})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	const nets = 2
+	bootBuilds := func() int {
+		snap := trace.Snapshot()
+		stage := snap.Find("serve-warmup").Find("engine-build")
+		if stage == nil {
+			t.Fatal("boot engine-build stage missing")
+		}
+		return len(stage.Children)
+	}
+	engineEvents := func() (n int) {
+		for _, e := range health.Events() {
+			if e.Stage == "engine" {
+				n++
+			}
+		}
+		return n
+	}
+	if got := bootBuilds(); got != nets {
+		t.Fatalf("boot recorded %d engine-build spans, want %d", got, nets)
+	}
+	if got := engineEvents(); got != nets {
+		t.Fatalf("boot recorded %d engine health events, want %d", got, nets)
+	}
+	builds := reg.Histogram("core.engine.build_seconds", obs.LatencyBuckets())
+	events, count, sum := len(health.Events()), builds.Count(), builds.Sum()
+
+	advs := sandyReplay(t).Advisories
+	for k, adv := range advs[:3] {
+		if _, _, err := s.ApplyAdvisory(adv.Text()); err != nil {
+			t.Fatalf("swap %d: %v", k, err)
+		}
+		if got := len(health.Events()) - events; got != 1 {
+			t.Errorf("swap %d added %d health events, want 1", k, got)
+		}
+		events = len(health.Events())
+		if got := builds.Count() - count; got != nets {
+			t.Errorf("swap %d added %d build observations, want %d", k, got, nets)
+		}
+		if !(builds.Sum() > sum) {
+			t.Errorf("swap %d: build_seconds sum %v did not grow from %v", k, builds.Sum(), sum)
+		}
+		count, sum = builds.Count(), builds.Sum()
+	}
+	var swaps int
+	for _, c := range trace.Snapshot().Children {
+		if c.Name != "advisory-swap" {
+			continue
+		}
+		swaps++
+		if len(c.Children) != 0 {
+			t.Errorf("advisory-swap span has %d children, want none", len(c.Children))
+		}
+	}
+	if swaps != 3 {
+		t.Errorf("trace holds %d advisory-swap spans, want 3", swaps)
+	}
+	if got := bootBuilds(); got != nets {
+		t.Errorf("boot engine-build spans now %d, want %d", got, nets)
+	}
+	if got := engineEvents(); got != nets {
+		t.Errorf("engine health events now %d, want boot's %d", got, nets)
 	}
 }

@@ -2,12 +2,13 @@ package serve
 
 // Request-scoped tracing middleware. Every request entering the daemon gets
 // an identifier — honored from an inbound X-Request-Id header so IDs survive
-// proxy hops, otherwise drawn from the server's generator — carried through
-// admission, cache, and engine stages as a *obs.ReqScope in the context, and
-// echoed back as the X-Request-Id response header on every status. On the
-// way out the middleware emits one structured access-log line, feeds the SLO
-// engine (which shares the serve.request_seconds.all histogram, so latency
-// is observed once), and tail-samples slow or errored requests into the
+// proxy hops, when it is 1–128 bytes of visible ASCII, otherwise drawn from
+// the server's generator — carried through admission, cache, and engine
+// stages as a *obs.ReqScope in the context, and echoed back as the
+// X-Request-Id response header on every status. On the way out the
+// middleware emits one structured access-log line, feeds the SLO engine
+// (which shares the serve.request_seconds.all histogram, so latency is
+// observed once), and tail-samples slow or errored requests into the
 // bounded ring behind /debug/requests.
 //
 // The per-request state — status recorder, scope, and the context that
@@ -46,11 +47,10 @@ func (s *Server) traced(next http.Handler) http.Handler {
 		start := time.Now()
 		// Direct map access skips textproto canonicalization; net/http has
 		// already canonicalized inbound keys, and ours is canonical.
-		id := ""
-		if vs := r.Header["X-Request-Id"]; len(vs) > 0 {
+		var id string
+		if vs := r.Header["X-Request-Id"]; len(vs) > 0 && validRequestID(vs[0]) {
 			id = vs[0]
-		}
-		if id == "" {
+		} else {
 			id = s.ids.Next()
 		}
 		ts := tracePool.Get().(*traceState)
@@ -92,6 +92,26 @@ func (s *Server) traced(next http.Handler) http.Handler {
 		ts.ResponseWriter = nil
 		tracePool.Put(ts)
 	})
+}
+
+// maxRequestID is the longest inbound X-Request-Id the daemon honors. The
+// ID is echoed, logged and sampled, so an unbounded one would let a client
+// park up to net/http's header limit in every flight-recorder slot.
+const maxRequestID = 128
+
+// validRequestID reports whether an inbound ID is 1–maxRequestID bytes of
+// visible ASCII (0x21–0x7E): no spaces or control bytes to forge log fields
+// or lines.
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > maxRequestID {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7e {
+			return false
+		}
+	}
+	return true
 }
 
 // scopeGeneration records the snapshot generation a handler answered from

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -56,15 +57,35 @@ func TestRequestIDOnEveryResponse(t *testing.T) {
 }
 
 // TestInboundRequestIDHonored pins proxy-hop behavior: an inbound
-// X-Request-Id is kept, not replaced.
+// X-Request-Id of 1–128 visible ASCII bytes is kept, not replaced; any
+// other value gets a fresh 16-hex ID, so a client cannot park an arbitrary
+// header in the response, the log ring, or /debug/requests.
 func TestInboundRequestIDHonored(t *testing.T) {
 	s := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
-	req.Header.Set("X-Request-Id", "upstream-trace-42")
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if got := rec.Header().Get("X-Request-Id"); got != "upstream-trace-42" {
-		t.Fatalf("inbound id replaced: %q", got)
+	fresh := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	for _, tc := range []struct {
+		name, id string
+		kept     bool
+	}{
+		{"plain", "upstream-trace-42", true},
+		{"128 bytes", strings.Repeat("a", 127) + "~", true},
+		{"129 bytes", strings.Repeat("a", 129), false},
+		{"space", "upstream trace", false},
+		{"control byte", "upstream\x01trace", false},
+		{"DEL", "upstream\x7ftrace", false},
+		{"non-ASCII", "upstream-tracé", false},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
+		req.Header["X-Request-Id"] = []string{tc.id}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		got := rec.Header().Get("X-Request-Id")
+		if tc.kept && got != tc.id {
+			t.Errorf("%s: inbound id replaced: %q", tc.name, got)
+		}
+		if !tc.kept && !fresh.MatchString(got) {
+			t.Errorf("%s: X-Request-Id %q, want a fresh 16-hex ID", tc.name, got)
+		}
 	}
 }
 
