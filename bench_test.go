@@ -236,6 +236,53 @@ func BenchmarkPipelineRiskRoutePairLevel3(b *testing.B) {
 	}
 }
 
+// BenchmarkFastReroutePlan protects every link of Level3's Houston→Boston
+// RiskRoute path: one detour search per failed link.
+func BenchmarkFastReroutePlan(b *testing.B) {
+	lab := benchWorld(b)
+	net := riskroute.BuiltinNetwork("Level3")
+	e, err := lab.EngineFor(net, riskroute.PaperParams(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, dst := net.PoPIndex("Houston"), net.PoPIndex("Boston")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.FastReroutePlan(src, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulateOutage fails the Level3 PoPs under Hurricane Katrina's
+// tropical-storm-force or stronger winds, as `riskroute outage -tropical`
+// does, and measures the surviving topology.
+func BenchmarkSimulateOutage(b *testing.B) {
+	lab := benchWorld(b)
+	net := riskroute.BuiltinNetwork("Level3")
+	e, err := lab.EngineFor(net, riskroute.PaperParams(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	replay, err := riskroute.LoadHurricaneReplay(riskroute.HurricaneByName("Katrina"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	scope := riskroute.ScopeOf(replay)
+	var failed []int
+	for i, p := range net.PoPs {
+		if c := scope.Classify(p.Location); c == riskroute.HurricaneForceScope || c == riskroute.TropicalForceScope {
+			failed = append(failed, i)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.SimulateOutage(failed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPipelineAdvisoryRoundTrip(b *testing.B) {
 	corpus := riskroute.AdvisoryCorpus(riskroute.HurricaneByName("Sandy"))
 	b.ResetTimer()

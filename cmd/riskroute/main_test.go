@@ -187,6 +187,10 @@ func TestCLIErrors(t *testing.T) {
 	if !strings.Contains(out, "unknown storm") {
 		t.Errorf("error message: %s", out)
 	}
+	out = runExpectError(t, append([]string{"kpaths", "-network", "Sprint", "-from", "Atlanta", "-to", "Seattle", "-k", "0"}, tiny...)...)
+	if !strings.Contains(out, "-k must be at least 1") || strings.Contains(out, "panic:") {
+		t.Errorf("kpaths -k 0: %s", out)
+	}
 }
 
 func TestCLIFIB(t *testing.T) {

@@ -59,6 +59,9 @@ func cmdKPaths(args []string) error {
 	stretch := fs.Float64("sla-stretch", -1, "if >= 0, also solve the SLA-constrained variant with this stretch budget")
 	lambdaH := fs.Float64("lambda-h", 1e5, "historical risk weight λ_h")
 	fs.Parse(args)
+	if *k < 1 {
+		return fmt.Errorf("-k must be at least 1, got %d", *k)
+	}
 
 	e, net, err := engineFor(w, *network, riskroute.Params{LambdaH: *lambdaH}, nil)
 	if err != nil {

@@ -40,42 +40,20 @@ func (e *Engine) FastReroutePlan(i, j int) (primary PairResult, backups []Backup
 	alpha := e.Ctx.Alpha(i, j)
 	for x := 1; x < len(primary.Path); x++ {
 		failed := topology.Link{A: primary.Path[x-1], B: primary.Path[x]}
-		// Rebuild the risk-weighted graph without the failed link (the
-		// build is linear in links, so per-failure rebuilds stay cheap).
-		filtered := e.Ctx.Net.Clone()
-		var links []topology.Link
-		for _, l := range filtered.Links {
-			if (l.A == failed.A && l.B == failed.B) || (l.A == failed.B && l.B == failed.A) {
-				continue
-			}
-			links = append(links, l)
-		}
-		filtered.Links = links
-		fctx := *e.Ctx
-		fctx.Net = filtered
-		fg := fctx.WeightedGraph(alpha)
-
-		path, _ := fg.ShortestPath(i, j)
-		b := BackupRoute{FailedLink: failed}
-		if path != nil {
-			b.Path = path
-			b.BitRiskMiles = fctx.PathCost(path, i, j)
-			b.Miles = fctx.PathMiles(path)
-		} else {
-			b.BitRiskMiles = math.Inf(1)
-			b.Miles = math.Inf(1)
-		}
-		backups = append(backups, b)
+		// Route on a masked view without every link joining the failed pair.
+		path, _ := e.adj.Without(e.adj.EdgesBetween(failed.A, failed.B), nil).ShortestPath(i, j, alpha)
+		r := e.describe(path, i, j)
+		backups = append(backups, BackupRoute{FailedLink: failed, Path: r.Path, BitRiskMiles: r.BitRiskMiles, Miles: r.Miles})
 	}
 	return primary, backups, nil
 }
 
 // DiversePaths returns up to k loopless routes between i and j in
 // increasing bit-risk-mile order — the alternative set RiskRoute would feed
-// BGP's "add paths" mechanism for inter-domain fast restoration.
+// BGP's "add paths" mechanism for inter-domain fast restoration. k must be
+// positive.
 func (e *Engine) DiversePaths(i, j, k int) []PairResult {
-	g := e.Ctx.WeightedGraph(e.Ctx.Alpha(i, j))
-	paths, _ := g.KShortestPaths(i, j, k)
+	paths, _ := e.adj.KShortestPaths(i, j, k, e.Ctx.Alpha(i, j))
 	out := make([]PairResult, 0, len(paths))
 	for _, p := range paths {
 		out = append(out, e.describe(p, i, j))
@@ -89,15 +67,16 @@ func (e *Engine) DiversePaths(i, j, k int) []PairResult {
 // search enumerates the k geographically shortest loopless paths (k =
 // searchWidth, default 16 when zero) and prices each in bit-risk miles;
 // with a wide enough search this is exact, and the shortest path itself is
-// always feasible, so a result is guaranteed.
+// always feasible, so a result is guaranteed. An infinite maxStretch sets
+// no budget; a negative or NaN one is rejected.
 func (e *Engine) SLAConstrainedPair(i, j int, maxStretch float64, searchWidth int) (PairResult, error) {
-	if maxStretch < 0 {
-		return PairResult{}, fmt.Errorf("core: negative SLA stretch %v", maxStretch)
+	if !(maxStretch >= 0) {
+		return PairResult{}, fmt.Errorf("core: invalid SLA stretch %v", maxStretch)
 	}
 	if searchWidth <= 0 {
 		searchWidth = 16
 	}
-	paths, miles := e.adj.Graph(0).KShortestPaths(i, j, searchWidth)
+	paths, miles := e.adj.KShortestPaths(i, j, searchWidth, 0)
 	if len(paths) == 0 {
 		return PairResult{}, fmt.Errorf("core: no path between %d and %d", i, j)
 	}

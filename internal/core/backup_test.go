@@ -188,3 +188,43 @@ func TestExportOSPFWeightsRiskMatters(t *testing.T) {
 		}
 	}
 }
+
+func TestSLAConstrainedPairStretchDomain(t *testing.T) {
+	e := mustEngine(t, gridNet(4, 4, 61), Options{})
+	if _, err := e.SLAConstrainedPair(0, 15, math.NaN(), 16); err == nil {
+		t.Error("NaN stretch accepted")
+	}
+	// An infinite stretch sets no budget: the minimum-risk path among the
+	// searched ones, as any stretch wide enough to admit them all gives.
+	unbounded, err := e.SLAConstrainedPair(0, 15, math.Inf(1), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := e.SLAConstrainedPair(0, 15, 100, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePair(unbounded, wide) {
+		t.Errorf("infinite stretch = %+v, stretch 100 = %+v", unbounded, wide)
+	}
+}
+
+func TestVerifyOSPFExportNaNTolerance(t *testing.T) {
+	e := mustEngine(t, gridNet(4, 4, 79), Options{})
+	export, err := e.ExportOSPFWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hop-count metrics route many pairs well off the exact optimum.
+	for k := range export.Weights {
+		export.Weights[k].Weight = 1
+	}
+	want, err := e.VerifyOSPFExport(export, 0.01, 0)
+	if err != nil || want == 0 {
+		t.Fatalf("hop-count export: divergence %v, err %v", want, err)
+	}
+	got, err := e.VerifyOSPFExport(export, math.NaN(), 0)
+	if err != nil || !sameBits(got, want) {
+		t.Errorf("NaN tolerance: divergence %v (err %v), default tolerance %v", got, err, want)
+	}
+}

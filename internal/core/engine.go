@@ -24,7 +24,8 @@
 // An engine is immutable once built, so its query methods are safe for
 // concurrent callers. Reprice derives an engine for a new risk context over
 // the same network: it shares the adjacency's topology and link miles and
-// recomputes only the O(N+E) risk side.
+// recomputes only the O(N+E) risk side. WithoutLinks derives one whose
+// searches run on a masked view of the adjacency without failed links.
 package core
 
 import (
@@ -220,13 +221,7 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 			edges[li] = graph.Edge{U: l.A, V: l.B, Weight: e.miles[li]}
 		}
 		e.adj = graph.NewAffine(n, edges, r)
-		sizes := e.adj.ComponentSizes()
-		e.components = len(sizes)
-		reachable := 0
-		for _, c := range sizes {
-			reachable += c * (c - 1) / 2
-		}
-		e.unreachable = n*(n-1)/2 - reachable
+		e.components, e.unreachable = census(e.adj)
 	}
 
 	// Fragmented topologies (a lenient parse can keep them) still route
@@ -274,6 +269,36 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 		"alpha_buckets", k, "components", e.components,
 		"seconds", buildSeconds)
 	return e, nil
+}
+
+// WithoutLinks returns an engine with the given links (indices into
+// Ctx.Net.Links) failed, in O(N+E): it shares everything with e but a
+// masked adjacency and its component census. Its searches and census, and
+// those of engines Reprice derives from it, see only the surviving links;
+// what reads Ctx.Net itself (ExportOSPFWeights, GreedyAdditionalLinks)
+// still sees every link.
+func (e *Engine) WithoutLinks(disabled []int) (*Engine, error) {
+	for _, li := range disabled {
+		if li < 0 || li >= len(e.miles) {
+			return nil, fmt.Errorf("core: failed link %d out of range", li)
+		}
+	}
+	c := *e
+	c.adj = e.adj.Without(disabled, nil)
+	c.components, c.unreachable = census(c.adj)
+	return &c, nil
+}
+
+// census returns the number of connected components of adj and the number
+// of unordered node pairs split across them.
+func census(adj *graph.Affine) (components, unreachable int) {
+	_, sizes := adj.Components()
+	n, reachable := 0, 0
+	for _, c := range sizes {
+		n += c
+		reachable += c * (c - 1) / 2
+	}
+	return len(sizes), n*(n-1)/2 - reachable
 }
 
 // alphaRange returns the smallest and largest pairwise impact of ctx.
@@ -400,14 +425,6 @@ func (e *Engine) route(i, j int, alpha float64) PairResult {
 		miles += e.miles[l]
 	}
 	return PairResult{Path: path, BitRiskMiles: cost, Miles: miles}
-}
-
-// path returns the kernel's i→j path under weights m_e + alpha·r_e, or nil
-// when j is unreachable.
-func (e *Engine) path(i, j int, alpha float64) []int {
-	s := e.adj.Route(i, j, alpha)
-	defer s.Release()
-	return s.PathTo(j)
 }
 
 // describe prices an arbitrary path for the pair (i, j) through the

@@ -84,7 +84,8 @@ func (e *Engine) Explain(i, j int) Explanation {
 	span := e.opts.Trace.Child("explain")
 	defer span.End()
 	alpha := e.Ctx.Alpha(i, j)
-	ex := e.ExplainPathAlpha(e.path(i, j, alpha), i, j, alpha)
+	path, _ := e.adj.ShortestPath(i, j, alpha)
+	ex := e.ExplainPathAlpha(path, i, j, alpha)
 	span.SetAttr("edges", len(ex.Edges))
 	return ex
 }
@@ -92,7 +93,8 @@ func (e *Engine) Explain(i, j int) Explanation {
 // ExplainShortest prices the pure geographic shortest path between i and j
 // (ShortestPair's route) with the same decomposition.
 func (e *Engine) ExplainShortest(i, j int) Explanation {
-	return e.ExplainPath(e.path(i, j, 0), i, j)
+	path, _ := e.adj.ShortestPath(i, j, 0)
+	return e.ExplainPath(path, i, j)
 }
 
 // ExplainPath decomposes an arbitrary path priced for the endpoint pair

@@ -293,7 +293,7 @@ func checkPlanning(t *testing.T, label string, e *Engine) {
 			}
 		}
 	}
-	// SLAConstrainedPair and SimulateOutage search this materialization.
+	// The oracles search this materialization.
 	if !reflect.DeepEqual(e.adj.Graph(0), ctx.Net.Graph()) {
 		t.Fatalf("%s: adjacency's distance graph differs from Net.Graph", label)
 	}
@@ -323,6 +323,269 @@ func checkPlanning(t *testing.T, label string, e *Engine) {
 		if w := want[got.Link]; !sameBits(got.Total, w.Total) || !sameBits(got.DirectMiles, w.DirectMiles) ||
 			!sameBits(got.ShortestMiles, w.ShortestMiles) {
 			t.Fatalf("%s: ScoreCandidates %+v, oracle %+v", label, got, w)
+		}
+	}
+}
+
+// The protection callers (fast reroute, the forwarding table, the OSPF
+// verification and outage simulation) route on masked views of the same
+// kernel. Their oracles below are the pre-mask implementations, written on
+// the materialized WeightedGraph and graph.Graph searches.
+
+// oracleBackups is the pre-mask FastReroutePlan's detours: per failed hop,
+// a network clone without every link joining the pair, its WeightedGraph,
+// Graph.ShortestPath, and pricing through the clone's context.
+func oracleBackups(ctx *risk.Context, primary []int, i, j int) []BackupRoute {
+	var out []BackupRoute
+	for x := 1; x < len(primary); x++ {
+		failed := topology.Link{A: primary[x-1], B: primary[x]}
+		fctx := *ctx
+		fctx.Net = ctx.Net.Clone()
+		fctx.Net.Links = nil
+		for _, l := range ctx.Net.Links {
+			if !(l.A == failed.A && l.B == failed.B) && !(l.A == failed.B && l.B == failed.A) {
+				fctx.Net.Links = append(fctx.Net.Links, l)
+			}
+		}
+		r := oraclePair(&fctx, fctx.WeightedGraph(ctx.Alpha(i, j)), i, j)
+		out = append(out, BackupRoute{FailedLink: failed, Path: r.Path, BitRiskMiles: r.BitRiskMiles, Miles: r.Miles})
+	}
+	return out
+}
+
+// oracleMeanAlpha is α̅ = 2·mean(c_i).
+func oracleMeanAlpha(ctx *risk.Context) float64 {
+	sum := 0.0
+	for _, f := range ctx.Fractions {
+		sum += f
+	}
+	return 2 * sum / float64(len(ctx.Fractions))
+}
+
+// oracleForwarding is the pre-mask ForwardingTable: Graph.Dijkstra trees on
+// the α̅-weighted graph from src and from each neighbour, the neighbours in
+// the graph's adjacency order (src's links in link order), each one hop
+// away at its cheapest parallel edge.
+func oracleForwarding(ctx *risk.Context, src int) []ForwardingEntry {
+	n := len(ctx.Net.PoPs)
+	g := ctx.WeightedGraph(oracleMeanAlpha(ctx))
+	srcTree := g.Dijkstra(src)
+	var nbs []int
+	trees := map[int]*graph.ShortestTree{}
+	for _, l := range ctx.Net.Links {
+		if v := l.A + l.B - src; (l.A == src || l.B == src) && trees[v] == nil {
+			nbs = append(nbs, v)
+			trees[v] = g.Dijkstra(v)
+		}
+	}
+	out := []ForwardingEntry{}
+	for d := 0; d < n; d++ {
+		if d == src {
+			continue
+		}
+		entry := ForwardingEntry{Dest: d, NextHop: -1, Backup: -1}
+		if path := srcTree.PathTo(d); path != nil {
+			entry.NextHop = path[1]
+			best := math.Inf(1)
+			for _, v := range nbs {
+				dv := trees[v].Dist
+				if v == entry.NextHop || math.IsInf(dv[d], 1) || !(dv[d] < dv[src]+srcTree.Dist[d]) {
+					continue
+				}
+				if cost := g.PathWeight([]int{src, v}) + dv[d]; cost < best {
+					best, entry.Backup = cost, v
+				}
+			}
+		}
+		out = append(out, entry)
+	}
+	return out
+}
+
+// oracleVerifyOSPF is the pre-mask VerifyOSPFExport: a Graph of the
+// quantized metrics and the export-α weighted graph, both searched with
+// Graph.ShortestPath over the same deterministic pair sample. ok is false
+// when no pair was verifiable.
+func oracleVerifyOSPF(ctx *risk.Context, export *OSPFExport, tolerance float64, sampleCap int) (frac float64, ok bool) {
+	n := len(ctx.Net.PoPs)
+	ospf := graph.New(n)
+	for _, w := range export.Weights {
+		ospf.AddEdge(w.Link.A, w.Link.B, float64(w.Weight))
+	}
+	exact := ctx.WeightedGraph(export.Alpha)
+	stride := 1
+	if total := n * (n - 1) / 2; total > sampleCap {
+		stride = total/sampleCap + 1
+	}
+	mismatches, checked, k := 0, 0, 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			k++
+			if (k-1)%stride != 0 {
+				continue
+			}
+			oPath, _ := ospf.ShortestPath(i, j)
+			ePath, eCost := exact.ShortestPath(i, j)
+			if oPath == nil || ePath == nil {
+				continue
+			}
+			checked++
+			if eCost > 0 && (exact.PathWeight(oPath)-eCost)/eCost > tolerance {
+				mismatches++
+			}
+		}
+	}
+	return float64(mismatches) / float64(checked), checked > 0
+}
+
+// oracleOutage is the pre-mask SimulateOutage: Graph.Dijkstra on the
+// intact distance graph and on a graph.New of the surviving links, and the
+// giant component from Graph.Components, the lowest-node one on ties.
+func oracleOutage(ctx *risk.Context, failed []int) OutageImpact {
+	n := len(ctx.Net.PoPs)
+	down := make([]bool, n)
+	for _, f := range failed {
+		down[f] = true
+	}
+	survivors := graph.New(n)
+	for _, l := range ctx.Net.Links {
+		if !down[l.A] && !down[l.B] {
+			survivors.AddEdge(l.A, l.B, ctx.Net.LinkMiles(l))
+		}
+	}
+	intact := ctx.Net.Graph()
+	impact := OutageImpact{FailedPoPs: len(failed), SurvivingPoPs: n - len(failed)}
+	var detourSum float64
+	for i := 0; i < n; i++ {
+		if down[i] {
+			continue
+		}
+		before, after := intact.Dijkstra(i), survivors.Dijkstra(i)
+		for j := i + 1; j < n; j++ {
+			if down[j] {
+				continue
+			}
+			impact.TotalPairs++
+			switch {
+			case math.IsInf(after.Dist[j], 1):
+				impact.DisconnectedPairs++
+			case after.Dist[j] > before.Dist[j]+1e-9:
+				impact.ReroutedPairs++
+				detourSum += after.Dist[j] - before.Dist[j]
+			}
+		}
+	}
+	if impact.ReroutedPairs > 0 {
+		impact.MeanDetourMiles = detourSum / float64(impact.ReroutedPairs)
+	}
+	var giant []int
+	for _, comp := range survivors.Components() {
+		if !down[comp[0]] && len(comp) > len(giant) {
+			giant = comp
+		}
+	}
+	inGiant := make([]bool, n)
+	for _, v := range giant {
+		inGiant[v] = true
+	}
+	for i := 0; i < n; i++ {
+		if down[i] || !inGiant[i] {
+			impact.StrandedPopulation += ctx.Fractions[i]
+		}
+	}
+	return impact
+}
+
+func sameBackups(got, want []BackupRoute) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k := range got {
+		if got[k].FailedLink != want[k].FailedLink ||
+			!samePair(PairResult{got[k].Path, got[k].BitRiskMiles, got[k].Miles},
+				PairResult{want[k].Path, want[k].BitRiskMiles, want[k].Miles}) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameOutage(got, want OutageImpact) bool {
+	return got.FailedPoPs == want.FailedPoPs && got.SurvivingPoPs == want.SurvivingPoPs &&
+		got.TotalPairs == want.TotalPairs && got.DisconnectedPairs == want.DisconnectedPairs &&
+		got.ReroutedPairs == want.ReroutedPairs && sameBits(got.MeanDetourMiles, want.MeanDetourMiles) &&
+		sameBits(got.StrandedPopulation, want.StrandedPopulation)
+}
+
+// protectionCase sizes checkProtection's work on one engine.
+type protectionCase struct {
+	pairs   [][2]int // fast-reroute pairs
+	sources []int    // forwarding-table sources
+	outages [][]int  // failed-PoP sets
+	ospfCap int      // VerifyOSPFExport's pair sample
+}
+
+// newProtectionCase draws a seeded case: up to npairs distinct ordered
+// pairs, nsrc sources, and outage sets of no PoP, one PoP, a quarter and
+// half of the PoPs.
+func newProtectionCase(n int, seed uint64, npairs, nsrc, ospfCap int) protectionCase {
+	rng := stats.NewRNG(seed)
+	pc := protectionCase{ospfCap: ospfCap}
+	for k := 0; k < npairs; k++ {
+		if i, j := rng.Intn(n), rng.Intn(n); i != j {
+			pc.pairs = append(pc.pairs, [2]int{i, j})
+		}
+	}
+	for k := 0; k < nsrc; k++ {
+		pc.sources = append(pc.sources, rng.Intn(n))
+	}
+	for _, size := range []int{0, 1, n / 4, n / 2} {
+		pc.outages = append(pc.outages, rng.Perm(n)[:size])
+	}
+	return pc
+}
+
+// checkProtection compares FastReroutePlan, ForwardingTable,
+// VerifyOSPFExport (at two tolerances) and SimulateOutage with their
+// pre-mask oracles: paths equal and every figure Float64bits-equal.
+func checkProtection(t *testing.T, label string, e *Engine, pc protectionCase) {
+	t.Helper()
+	ctx := e.Ctx
+	for _, p := range pc.pairs {
+		i, j := p[0], p[1]
+		primary, backups, err := e.FastReroutePlan(i, j)
+		want := oraclePair(ctx, ctx.WeightedGraph(ctx.Alpha(i, j)), i, j)
+		if (err != nil) != (want.Path == nil) || !samePair(primary, want) {
+			t.Fatalf("%s: FastReroutePlan(%d,%d) primary %+v (err %v), oracle %+v", label, i, j, primary, err, want)
+		}
+		if wantB := oracleBackups(ctx, want.Path, i, j); !sameBackups(backups, wantB) {
+			t.Fatalf("%s: FastReroutePlan(%d,%d) backups %+v, oracle %+v", label, i, j, backups, wantB)
+		}
+	}
+	for _, src := range pc.sources {
+		got, err := e.ForwardingTable(src)
+		if want := oracleForwarding(ctx, src); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ForwardingTable(%d) = %v (err %v), oracle %v", label, src, got, err, want)
+		}
+	}
+	export, err := e.ExportOSPFWeights()
+	if err != nil {
+		t.Fatalf("%s: ExportOSPFWeights: %v", label, err)
+	}
+	if !sameBits(export.Alpha, oracleMeanAlpha(ctx)) {
+		t.Fatalf("%s: export α̅ = %v, oracle %v", label, export.Alpha, oracleMeanAlpha(ctx))
+	}
+	for _, tol := range []float64{0.01, 1e-4} {
+		got, err := e.VerifyOSPFExport(export, tol, pc.ospfCap)
+		want, ok := oracleVerifyOSPF(ctx, export, tol, pc.ospfCap)
+		if (err == nil) != ok || (ok && !sameBits(got, want)) {
+			t.Fatalf("%s: VerifyOSPFExport(tol %v) = %v (err %v), oracle %v", label, tol, got, err, want)
+		}
+	}
+	for _, failed := range pc.outages {
+		got, err := e.SimulateOutage(failed)
+		if want := oracleOutage(ctx, failed); err != nil || !sameOutage(got, want) {
+			t.Fatalf("%s: SimulateOutage(%v) = %+v (err %v), oracle %+v", label, failed, got, err, want)
 		}
 	}
 }
@@ -452,9 +715,10 @@ func sandyAdvisory(t *testing.T) *forecast.Advisory {
 
 // TestKernelMatchesOracleBuiltins covers every ordered pair of the 22
 // non-Level3 built-in networks and a seeded sample of Level3 pairs, under
-// four context variants each. The all-pairs aggregates are checked on the
-// non-Level3 networks and the planning answers on those of ≤25 PoPs, each
-// under two variants and one variant respectively.
+// four context variants each, and a seeded protection case per network
+// (smaller on Level3) under every variant. The all-pairs aggregates are
+// checked on the non-Level3 networks and the planning answers on those of
+// ≤25 PoPs, each under two variants and one variant respectively.
 func TestKernelMatchesOracleBuiltins(t *testing.T) {
 	adv := sandyAdvisory(t)
 	for ni, net := range datasets.BuildNetworks() {
@@ -462,6 +726,7 @@ func TestKernelMatchesOracleBuiltins(t *testing.T) {
 		ctxs := kernelContexts(base, fc, span)
 		first := mustEngine(t, ctxs[0], Options{})
 		pairs := allPairs(len(net.PoPs))
+		pc := newProtectionCase(len(net.PoPs), uint64(ni), 8, 2, 300)
 		if net.Name == "Level3" {
 			rng := stats.NewRNG(7)
 			sample := make([][2]int, 1000)
@@ -469,6 +734,7 @@ func TestKernelMatchesOracleBuiltins(t *testing.T) {
 				sample[k] = pairs[rng.Intn(len(pairs))]
 			}
 			pairs = sample
+			pc = newProtectionCase(len(net.PoPs), uint64(ni), 3, 1, 100)
 		}
 		for k, ctx := range ctxs {
 			label := net.Name + " variant " + string(rune('A'+k))
@@ -481,6 +747,7 @@ func TestKernelMatchesOracleBuiltins(t *testing.T) {
 				checkReprice(t, label, e, ctx)
 			}
 			checkPairs(t, label, e, pairs)
+			checkProtection(t, label, e, pc)
 			if net.Name != "Level3" && k%2 == ni%2 {
 				checkAggregates(t, label, e)
 			}
@@ -541,10 +808,23 @@ func fragmentedGrid(seed uint64) *risk.Context {
 	return ctx
 }
 
+// parallelGrid is gridNet(3, 4) with every third link doubled, the copy
+// reversed: parallel links, which a link failure must take down together.
+func parallelGrid(seed uint64) *risk.Context {
+	ctx := gridNet(3, 4, seed)
+	for li, l := range ctx.Net.Links {
+		if li%3 == 0 {
+			ctx.Net.Links = append(ctx.Net.Links, topology.Link{A: l.B, B: l.A})
+		}
+	}
+	return ctx
+}
+
 // TestKernelMatchesOracleFixtures covers every pair, aggregate and
-// planning answer on the gridNet lattice, on a fragmented lattice, on a
-// lattice with a skewed Impact override (log-spaced buckets) and on the
-// mirrored ladder's exact ties, under all four context variants.
+// planning answer, and a seeded protection case, on the gridNet lattice, on
+// a fragmented lattice, on a lattice with parallel links, on a lattice with
+// a skewed Impact override (log-spaced buckets) and on the mirrored
+// ladder's exact ties, under all four context variants.
 func TestKernelMatchesOracleFixtures(t *testing.T) {
 	skewed := gridNet(4, 5, 31)
 	skewed.Impact = func(i, j int) float64 {
@@ -558,6 +838,7 @@ func TestKernelMatchesOracleFixtures(t *testing.T) {
 	for name, base := range map[string]*risk.Context{
 		"grid":       gridNet(4, 5, 23),
 		"fragmented": fragmentedGrid(29),
+		"parallel":   parallelGrid(37),
 		"impact":     skewed,
 	} {
 		rng := stats.NewRNG(5)
@@ -602,9 +883,114 @@ func TestKernelMatchesOracleFixtures(t *testing.T) {
 				checkReprice(t, label, e, ctx)
 			}
 			checkPairs(t, label, e, allPairs(n))
+			checkProtection(t, label, e, newProtectionCase(n, uint64(k), 12, 3, 60))
 			checkAggregates(t, label, e)
 			checkPlanning(t, label, e)
 		}
+	}
+}
+
+// TestWithoutLinksMatchesPrunedNetwork holds an engine with failed links
+// masked out to a fresh engine over the network without them: every
+// pair's routes, the aggregates, the component census, the candidate links
+// and the protection answers, before and after a Reprice of the masked
+// engine.
+func TestWithoutLinksMatchesPrunedNetwork(t *testing.T) {
+	for seed := uint64(0); seed < 6; seed++ {
+		ctx := gridNet(4, 5, 40+seed)
+		pruned := *ctx
+		pruned.Net = &topology.Network{Name: ctx.Net.Name, Tier: ctx.Net.Tier, PoPs: ctx.Net.PoPs}
+		rng := stats.NewRNG(seed)
+		var failed []int
+		for li, l := range ctx.Net.Links {
+			if rng.Intn(3) == 0 {
+				failed = append(failed, li)
+			} else {
+				pruned.Net.Links = append(pruned.Net.Links, l)
+			}
+		}
+		masked, err := mustEngine(t, ctx, Options{}).WithoutLinks(failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := mustEngine(t, &pruned, Options{})
+		label := fmt.Sprintf("seed %d", seed)
+		for _, lambdaH := range []float64{ctx.Params.LambdaH, 5e4} {
+			if lambdaH != ctx.Params.LambdaH {
+				rctx, rpruned := *ctx, pruned
+				rctx.Params.LambdaH, rpruned.Params.LambdaH = lambdaH, lambdaH
+				if masked, err = masked.Reprice(&rctx, Options{}); err != nil {
+					t.Fatal(err)
+				}
+				fresh = mustEngine(t, &rpruned, Options{})
+				label += " repriced"
+			}
+			if masked.Components() != fresh.Components() || masked.UnreachablePairs() != fresh.UnreachablePairs() {
+				t.Fatalf("%s: census %d/%d, pruned network %d/%d", label,
+					masked.Components(), masked.UnreachablePairs(), fresh.Components(), fresh.UnreachablePairs())
+			}
+			for _, p := range allPairs(masked.N()) {
+				if got, want := masked.RiskRoutePair(p[0], p[1]), fresh.RiskRoutePair(p[0], p[1]); !samePair(got, want) {
+					t.Fatalf("%s: RiskRoutePair%v = %+v, pruned network %+v", label, p, got, want)
+				}
+				if got, want := masked.ShortestPair(p[0], p[1]), fresh.ShortestPair(p[0], p[1]); !samePair(got, want) {
+					t.Fatalf("%s: ShortestPair%v = %+v, pruned network %+v", label, p, got, want)
+				}
+			}
+			if !sameRatios(masked.Evaluate(), fresh.Evaluate()) || !sameBits(masked.TotalBitRisk(), fresh.TotalBitRisk()) {
+				t.Fatalf("%s: aggregates differ from the pruned network's", label)
+			}
+			if !reflect.DeepEqual(masked.CandidateLinks(), fresh.CandidateLinks()) {
+				t.Fatalf("%s: CandidateLinks differ from the pruned network's", label)
+			}
+			checkMaskedProtection(t, label, masked, fresh)
+		}
+	}
+	e := mustEngine(t, gridNet(3, 3, 1), Options{})
+	for _, li := range []int{-1, len(e.Ctx.Net.Links)} {
+		if _, err := e.WithoutLinks([]int{0, li}); err == nil {
+			t.Errorf("failed link %d accepted", li)
+		}
+	}
+}
+
+// checkMaskedProtection requires the protection answers of an engine with
+// failed links masked out to equal those of an engine over the pruned
+// network.
+func checkMaskedProtection(t *testing.T, label string, masked, fresh *Engine) {
+	t.Helper()
+	n := masked.N()
+	for i := 0; i < n; i += 3 {
+		j := n - 1 - i
+		mp, mb, merr := masked.FastReroutePlan(i, j)
+		fp, fb, ferr := fresh.FastReroutePlan(i, j)
+		if (merr == nil) != (ferr == nil) || !samePair(mp, fp) || !sameBackups(mb, fb) {
+			t.Fatalf("%s: FastReroutePlan(%d,%d) differs from the pruned network's", label, i, j)
+		}
+		md, fd := masked.DiversePaths(i, j, 4), fresh.DiversePaths(i, j, 4)
+		if len(md) != len(fd) {
+			t.Fatalf("%s: DiversePaths(%d,%d) found %d paths, pruned network %d", label, i, j, len(md), len(fd))
+		}
+		for k := range md {
+			if !samePair(md[k], fd[k]) {
+				t.Fatalf("%s: DiversePaths(%d,%d)[%d] differs from the pruned network's", label, i, j, k)
+			}
+		}
+		ms, merr := masked.SLAConstrainedPair(i, j, 0.3, 8)
+		fs, ferr := fresh.SLAConstrainedPair(i, j, 0.3, 8)
+		if (merr == nil) != (ferr == nil) || !samePair(ms, fs) {
+			t.Fatalf("%s: SLAConstrainedPair(%d,%d) differs from the pruned network's", label, i, j)
+		}
+		mt, merr := masked.ForwardingTable(i)
+		ft, ferr := fresh.ForwardingTable(i)
+		if merr != nil || ferr != nil || !reflect.DeepEqual(mt, ft) {
+			t.Fatalf("%s: ForwardingTable(%d) differs from the pruned network's", label, i)
+		}
+	}
+	mo, merr := masked.SimulateOutage([]int{1, n / 2})
+	fo, ferr := fresh.SimulateOutage([]int{1, n / 2})
+	if merr != nil || ferr != nil || !sameOutage(mo, fo) {
+		t.Fatalf("%s: SimulateOutage = %+v, pruned network %+v", label, mo, fo)
 	}
 }
 

@@ -40,38 +40,28 @@ func (e *Engine) ForwardingTable(src int) ([]ForwardingEntry, error) {
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("core: forwarding source %d out of range", src)
 	}
-	meanAlpha := 0.0
-	for _, f := range e.Ctx.Fractions {
-		meanAlpha += f
-	}
-	meanAlpha = 2 * meanAlpha / float64(n)
-	g := e.Ctx.WeightedGraph(meanAlpha)
+	alpha := e.meanAlpha()
+	srcTree := e.adj.Sweep(src, alpha)
+	defer srcTree.Release()
 
-	srcTree := g.Dijkstra(src)
-
-	// One Dijkstra per neighbor of src gives every dist(n, ·) we need.
+	// One sweep per neighbor of src gives every dist(n, ·) we need. The
+	// neighbors come in adjacency order (src's links in link order), each
+	// one hop away at its cheapest parallel link.
 	type neighbor struct {
 		node int
 		w    float64
-		tree *graph.ShortestTree
+		tree *graph.Search
 	}
 	var neighbors []neighbor
 	seen := map[int]bool{}
-	g.Neighbors(src, func(v int, w float64) {
-		if seen[v] {
-			// Parallel edges: keep the cheapest.
-			for i := range neighbors {
-				if neighbors[i].node == v && w < neighbors[i].w {
-					neighbors[i].w = w
-				}
-			}
-			return
+	for _, l := range e.Ctx.Net.Links {
+		// v is the far end of a link at src.
+		if v := l.A + l.B - src; (l.A == src || l.B == src) && !seen[v] {
+			seen[v] = true
+			nb := neighbor{node: v, w: e.adj.PathWeight([]int{src, v}, alpha), tree: e.adj.Sweep(v, alpha)}
+			defer nb.tree.Release()
+			neighbors = append(neighbors, nb)
 		}
-		seen[v] = true
-		neighbors = append(neighbors, neighbor{node: v, w: w})
-	})
-	for i := range neighbors {
-		neighbors[i].tree = g.Dijkstra(neighbors[i].node)
 	}
 
 	out := make([]ForwardingEntry, 0, n-1)

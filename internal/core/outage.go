@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"riskroute/internal/graph"
-	"riskroute/internal/topology"
 )
 
 // Outage simulation closes the loop the paper motivates: given the set of
@@ -51,25 +48,17 @@ func (e *Engine) SimulateOutage(failed []int) (OutageImpact, error) {
 		down[f] = true
 	}
 
-	// Surviving graph: original minus failed nodes (links to failed PoPs
-	// drop with them).
-	survivors := graph.New(n)
-	for _, l := range e.Ctx.Net.Links {
-		if !down[l.A] && !down[l.B] {
-			survivors.AddEdge(l.A, l.B, e.Ctx.Net.LinkMiles(topology.Link{A: l.A, B: l.B}))
-		}
-	}
-
+	// The surviving topology is a masked view: the adjacency without the
+	// failed PoPs and every link touching them.
+	survivors := e.adj.Without(nil, failed)
 	impact := OutageImpact{FailedPoPs: len(failed), SurvivingPoPs: n - len(failed)}
 	var detourSum float64
-	intact := e.adj.Graph(0)
-
 	for i := 0; i < n; i++ {
 		if down[i] {
 			continue
 		}
-		before := intact.Dijkstra(i)
-		after := survivors.Dijkstra(i)
+		before := e.adj.Sweep(i, 0)
+		after := survivors.Sweep(i, 0)
 		for j := i + 1; j < n; j++ {
 			if down[j] {
 				continue
@@ -83,42 +72,28 @@ func (e *Engine) SimulateOutage(failed []int) (OutageImpact, error) {
 				detourSum += after.Dist[j] - before.Dist[j]
 			}
 		}
+		before.Release()
+		after.Release()
 	}
 	if impact.ReroutedPairs > 0 {
 		impact.MeanDetourMiles = detourSum / float64(impact.ReroutedPairs)
 	}
 
 	// Stranded population: failed PoPs plus surviving PoPs cut off from the
-	// largest surviving component (down nodes are isolated in `survivors`,
-	// so skip them when sizing components).
-	inGiant := giantComponent(survivors, down)
+	// largest surviving component, the lowest-numbered one on ties. Failed
+	// PoPs are isolated in the view, so no surviving PoP shares a component
+	// with one.
+	label, sizes := survivors.Components()
+	giant := int32(-1)
+	for v := 0; v < n; v++ {
+		if !down[v] && (giant < 0 || sizes[label[v]] > sizes[giant]) {
+			giant = label[v]
+		}
+	}
 	for i := 0; i < n; i++ {
-		if down[i] || !inGiant[i] {
+		if down[i] || label[i] != giant {
 			impact.StrandedPopulation += e.Ctx.Fractions[i]
 		}
 	}
 	return impact, nil
-}
-
-// giantComponent marks the members of the largest connected component among
-// non-failed nodes.
-func giantComponent(g *graph.Graph, down []bool) []bool {
-	best := []int(nil)
-	for _, comp := range g.Components() {
-		// Skip components that consist solely of failed (isolated) nodes.
-		alive := comp[:0:0]
-		for _, v := range comp {
-			if !down[v] {
-				alive = append(alive, v)
-			}
-		}
-		if len(alive) > len(best) {
-			best = alive
-		}
-	}
-	out := make([]bool, g.N())
-	for _, v := range best {
-		out[v] = true
-	}
-	return out
 }

@@ -43,15 +43,10 @@ type OSPFExport struct {
 // RiskRoute routing at α = α̅ up to quantization; VerifyOSPFExport measures
 // the residual divergence.
 func (e *Engine) ExportOSPFWeights() (*OSPFExport, error) {
-	n := e.N()
-	if n < 2 {
+	if e.N() < 2 {
 		return nil, fmt.Errorf("core: network too small for weight export")
 	}
-	meanAlpha := 0.0
-	for _, f := range e.Ctx.Fractions {
-		meanAlpha += f
-	}
-	meanAlpha = 2 * meanAlpha / float64(n) // mean of c_i + c_j over pairs
+	meanAlpha := e.meanAlpha()
 
 	raw := make([]float64, 0, len(e.Ctx.Net.Links))
 	maxW := 0.0
@@ -94,13 +89,24 @@ func (e *Engine) ExportOSPFWeights() (*OSPFExport, error) {
 	return out, nil
 }
 
+// meanAlpha is α̅ = 2·mean(c_i), the mean of c_i + c_j over pairs: the
+// representative impact of the OSPF export and the forwarding table.
+func (e *Engine) meanAlpha() float64 {
+	sum := 0.0
+	for _, f := range e.Ctx.Fractions {
+		sum += f
+	}
+	return 2 * sum / float64(e.N())
+}
+
 // VerifyOSPFExport routes every pair on the quantized OSPF weights and on
 // the exact α̅-weighted graph and returns the fraction of pairs whose
 // bit-risk cost differs by more than tolerance (relative). Small networks
 // verify exhaustively; for larger ones a deterministic sample of pairs is
-// used (sampleCap pairs, default 2000 when zero).
+// used (sampleCap pairs, default 2000 when zero). A tolerance that is not
+// positive (NaN included) selects the default, 0.01.
 func (e *Engine) VerifyOSPFExport(export *OSPFExport, tolerance float64, sampleCap int) (float64, error) {
-	if tolerance <= 0 {
+	if !(tolerance > 0) {
 		tolerance = 0.01
 	}
 	if sampleCap <= 0 {
@@ -108,8 +114,13 @@ func (e *Engine) VerifyOSPFExport(export *OSPFExport, tolerance float64, sampleC
 	}
 	n := e.N()
 
-	ospf := newGraphFromWeights(n, export)
-	exact := e.Ctx.WeightedGraph(export.Alpha)
+	// The quantized metrics as a kernel of their own: base weights in
+	// export order, zero slopes.
+	edges := make([]graph.Edge, len(export.Weights))
+	for k, w := range export.Weights {
+		edges[k] = graph.Edge{U: w.Link.A, V: w.Link.B, Weight: float64(w.Weight)}
+	}
+	ospf := graph.NewAffine(n, edges, make([]float64, len(edges)))
 
 	type pair struct{ i, j int }
 	var pairs []pair
@@ -136,13 +147,13 @@ func (e *Engine) VerifyOSPFExport(export *OSPFExport, tolerance float64, sampleC
 	mismatches := 0
 	checked := 0
 	for _, p := range pairs {
-		oPath, _ := ospf.ShortestPath(p.i, p.j)
-		ePath, eCost := exact.ShortestPath(p.i, p.j)
+		oPath, _ := ospf.ShortestPath(p.i, p.j, 0)
+		ePath, eCost := e.adj.ShortestPath(p.i, p.j, export.Alpha)
 		if oPath == nil || ePath == nil {
 			continue
 		}
 		// Compare the OSPF-selected path's exact cost to the optimum.
-		oCost := exact.PathWeight(oPath)
+		oCost := e.adj.PathWeight(oPath, export.Alpha)
 		checked++
 		if eCost > 0 && (oCost-eCost)/eCost > tolerance {
 			mismatches++
@@ -152,14 +163,4 @@ func (e *Engine) VerifyOSPFExport(export *OSPFExport, tolerance float64, sampleC
 		return 0, fmt.Errorf("core: no verifiable pairs")
 	}
 	return float64(mismatches) / float64(checked), nil
-}
-
-// newGraphFromWeights builds a routing graph whose edge weights are the
-// quantized OSPF metrics.
-func newGraphFromWeights(n int, export *OSPFExport) *graph.Graph {
-	g := graph.New(n)
-	for _, w := range export.Weights {
-		g.AddEdge(w.Link.A, w.Link.B, float64(w.Weight))
-	}
-	return g
 }

@@ -18,6 +18,10 @@ import (
 // Graph — so a search breaks ties exactly as Dijkstra on the same edges in
 // a Graph does.
 //
+// Failures are masked views: Without derives an adjacency with some edges
+// and nodes removed, which every query treats as the graph of the surviving
+// edges while edge indices keep naming the original edges.
+//
 // An Affine is read-only once built and safe for concurrent searches; each
 // search runs on scratch space drawn from a pool.
 type Affine struct {
@@ -28,17 +32,20 @@ type Affine struct {
 }
 
 // arc is one half-edge: its head node, the index of its undirected edge,
-// and that edge's base weight.
+// and that edge's base weight (+Inf when a masked view removed the edge).
 type arc struct {
 	to, edge int32
 	base     float64
 }
 
+func (e arc) masked() bool { return math.IsInf(e.base, 1) }
+
 // NewAffine builds the adjacency of an undirected graph over nodes 0..n-1:
 // edge e joins edges[e].U and edges[e].V with base weight edges[e].Weight
 // and slope slopes[e]. It panics on what AddEdge rejects (out-of-range
-// nodes, self-loops, negative or NaN base weights) and on slopes that are
-// misaligned, negative or not finite.
+// nodes, self-loops, negative or NaN base weights), on +Inf base weights
+// (the mark of a masked edge) and on slopes that are misaligned, negative
+// or not finite.
 func NewAffine(n int, edges []Edge, slopes []float64) *Affine {
 	if n < 0 {
 		panic("graph: negative node count")
@@ -55,7 +62,7 @@ func NewAffine(n int, edges []Edge, slopes []float64) *Affine {
 		if e.U == e.V {
 			panic(fmt.Sprintf("graph: self-loop at %d", e.U))
 		}
-		if e.Weight < 0 || math.IsNaN(e.Weight) {
+		if !(e.Weight >= 0) || math.IsInf(e.Weight, 1) {
 			panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", e.Weight, e.U, e.V))
 		}
 		a.start[e.U+1]++
@@ -87,6 +94,34 @@ func (a *Affine) WithSlopes(slopes []float64) *Affine {
 	return &c
 }
 
+// Without returns a masked view of a without the given edges (indices into
+// the edges NewAffine was given) and every edge touching the given nodes.
+// It copies the half-edges in O(N+E) and shares the rest. A removed
+// half-edge keeps its place at base weight +Inf, which no search relaxes,
+// so searches over the view relax exactly the arcs, in the same order, of a
+// search over the surviving edges, and Via keeps naming original edges.
+// Every other query skips removed edges too, but Graph, which keeps them at
+// weight +Inf. It panics on out-of-range indices.
+func (a *Affine) Without(edges, nodes []int) *Affine {
+	dead := make([]bool, a.M())
+	for _, e := range edges {
+		dead[e] = true
+	}
+	for _, v := range nodes {
+		for _, e := range a.arcs[a.start[v]:a.start[v+1]] {
+			dead[e.edge] = true
+		}
+	}
+	c := *a
+	c.arcs = append([]arc(nil), a.arcs...)
+	for k, e := range c.arcs {
+		if dead[e.edge] {
+			c.arcs[k].base = Inf
+		}
+	}
+	return &c
+}
+
 // spread copies per-edge slopes onto the half-edges.
 func (a *Affine) spread(slopes []float64) []float64 {
 	if len(slopes) != a.M() {
@@ -110,7 +145,7 @@ func (a *Affine) M() int { return len(a.arcs) / 2 }
 // HasEdge reports whether at least one edge connects u and v, in O(deg u).
 func (a *Affine) HasEdge(u, v int) bool {
 	for _, e := range a.arcs[a.start[u]:a.start[u+1]] {
-		if int(e.to) == v {
+		if int(e.to) == v && !e.masked() {
 			return true
 		}
 	}
@@ -134,33 +169,79 @@ func (a *Affine) Graph(alpha float64) *Graph {
 	return g
 }
 
-// ComponentSizes returns the node count of each connected component, in
-// order of each component's lowest node.
-func (a *Affine) ComponentSizes() []int {
-	seen := make([]bool, a.n)
+// Components labels each node with its connected component and returns
+// each component's node count. Components are numbered in order of their
+// lowest node — Graph.Components' order — and removed edges join nothing.
+func (a *Affine) Components() (label []int32, sizes []int) {
+	label = make([]int32, a.n)
+	for v := range label {
+		label[v] = -1
+	}
 	stack := make([]int32, 0, a.n)
-	var sizes []int
-	for s := 0; s < a.n; s++ {
-		if seen[s] {
+	for s := range label {
+		if label[s] >= 0 {
 			continue
 		}
-		seen[s] = true
-		stack = append(stack[:0], int32(s))
-		size := 0
+		c := int32(len(sizes))
+		label[s], stack = c, append(stack, int32(s))
+		sizes = append(sizes, 0)
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			size++
+			sizes[c]++
 			for _, e := range a.arcs[a.start[u]:a.start[u+1]] {
-				if !seen[e.to] {
-					seen[e.to] = true
+				if label[e.to] < 0 && !e.masked() {
+					label[e.to] = c
 					stack = append(stack, e.to)
 				}
 			}
 		}
-		sizes = append(sizes, size)
 	}
-	return sizes
+	return label, sizes
+}
+
+// EdgesBetween returns the index of every edge joining u and v.
+func (a *Affine) EdgesBetween(u, v int) []int {
+	var edges []int
+	for _, e := range a.arcs[a.start[u]:a.start[u+1]] {
+		if int(e.to) == v && !e.masked() {
+			edges = append(edges, int(e.edge))
+		}
+	}
+	return edges
+}
+
+// ShortestPath returns the minimum-weight u→v path under weights Base +
+// alpha·Slope and its weight, or (nil, +Inf) when v is unreachable:
+// Graph.ShortestPath over the adjacency.
+func (a *Affine) ShortestPath(u, v int, alpha float64) ([]int, float64) {
+	s := a.Route(u, v, alpha)
+	defer s.Release()
+	return s.PathTo(v), s.Dist[v]
+}
+
+// PathWeight sums weights Base + alpha·Slope along the node sequence path,
+// taking each hop's cheapest parallel edge: Graph.PathWeight on the
+// materialized graph. It returns +Inf if a hop has no edge, and 0 for paths
+// with fewer than two nodes.
+func (a *Affine) PathWeight(path []int, alpha float64) float64 {
+	total := 0.0
+	for i := 1; i < len(path); i++ {
+		u, v := path[i-1], int32(path[i])
+		best := Inf
+		for k := a.start[u]; k < a.start[u+1]; k++ {
+			if e := a.arcs[k]; e.to == v {
+				if w := e.base + alpha*a.slope[k]; w < best {
+					best = w
+				}
+			}
+		}
+		if math.IsInf(best, 1) {
+			return Inf
+		}
+		total += best
+	}
+	return total
 }
 
 // Search is the result of one search over an Affine, held in pooled

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -148,19 +149,175 @@ func TestAffineWithSlopesSharesTopology(t *testing.T) {
 	}
 }
 
-func TestAffineComponentSizes(t *testing.T) {
+// componentLabels labels each node with its index in g.Components().
+func componentLabels(g *Graph) ([]int32, []int) {
+	label := make([]int32, g.N())
+	var sizes []int
+	for c, comp := range g.Components() {
+		for _, v := range comp {
+			label[v] = int32(c)
+		}
+		sizes = append(sizes, len(comp))
+	}
+	return label, sizes
+}
+
+func TestAffineComponents(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		rng := stats.NewRNG(seed)
 		n := 2 + rng.Intn(25)
 		edges, slopes := randomAffineEdges(rng, n, seed%2 == 0)
-		var want []int
-		for _, c := range materialize(n, edges, slopes, 0).Components() {
-			want = append(want, len(c))
-		}
-		if got := NewAffine(n, edges, slopes).ComponentSizes(); !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: ComponentSizes = %v, Components sizes %v", seed, got, want)
+		wantLabel, wantSizes := componentLabels(materialize(n, edges, slopes, 0))
+		label, sizes := NewAffine(n, edges, slopes).Components()
+		if !reflect.DeepEqual(label, wantLabel) || !reflect.DeepEqual(sizes, wantSizes) {
+			t.Errorf("seed %d: Components = %v %v, Graph.Components %v %v", seed, label, sizes, wantLabel, wantSizes)
 		}
 	}
+}
+
+// randomMask draws up to a quarter of the edges and an eighth of the nodes
+// (plus one of each) to mask, duplicates allowed.
+func randomMask(rng *stats.RNG, n, m int) (edges, nodes []int) {
+	for k := rng.Intn(m/4 + 2); k > 0 && m > 0; k-- {
+		edges = append(edges, rng.Intn(m))
+	}
+	for k := rng.Intn(n/8 + 2); k > 0; k-- {
+		nodes = append(nodes, rng.Intn(n))
+	}
+	return edges, nodes
+}
+
+// survivorGraph builds, in edge order, the Graph of the edges a mask
+// leaves, at weight Base + alpha·Slope; alive reports which edges those are.
+func survivorGraph(n int, edges []Edge, slopes []float64, alpha float64, deadEdges, deadNodes []int) (*Graph, []bool) {
+	alive := make([]bool, len(edges))
+	for e := range alive {
+		alive[e] = true
+	}
+	for _, e := range deadEdges {
+		alive[e] = false
+	}
+	for _, v := range deadNodes {
+		for e, ed := range edges {
+			if ed.U == v || ed.V == v {
+				alive[e] = false
+			}
+		}
+	}
+	g := New(n)
+	for e, ed := range edges {
+		if alive[e] {
+			g.AddEdge(ed.U, ed.V, ed.Weight+alpha*slopes[e])
+		}
+	}
+	return g, alive
+}
+
+// sameTree reports whether a search's Dist and Prev equal tree's bit for bit.
+func sameTree(s *Search, tree *ShortestTree) bool {
+	if s.Source != tree.Source || !reflect.DeepEqual(s.Prev, tree.Prev) || len(s.Dist) != len(tree.Dist) {
+		return false
+	}
+	for v, d := range tree.Dist {
+		if math.Float64bits(s.Dist[v]) != math.Float64bits(d) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAffineWithoutMatchesSurvivorGraph holds masked views to the graph
+// built from the surviving edges, on multigraphs with parallel edges and
+// integer-weight ties: sweeps and routes bit for bit, Via naming a
+// surviving original edge, and the same components, HasEdge, EdgesBetween
+// and PathWeight answers.
+func TestAffineWithoutMatchesSurvivorGraph(t *testing.T) {
+	prop := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		n := 2 + rng.Intn(30)
+		edges, slopes := randomAffineEdges(rng, n, seed%3 == 0)
+		deadEdges, deadNodes := randomMask(rng, n, len(edges))
+		view := NewAffine(n, edges, slopes).Without(deadEdges, deadNodes)
+		for _, alpha := range []float64{0, 0.5, 3} {
+			g, alive := survivorGraph(n, edges, slopes, alpha, deadEdges, deadNodes)
+			for src := 0; src < n; src++ {
+				s := view.Sweep(src, alpha)
+				ok := sameTree(s, g.Dijkstra(src)) && validVia(s, edges) && validOrder(s)
+				for _, e := range s.Via {
+					ok = ok && (e == -1 || alive[e])
+				}
+				s.Release()
+				if !ok {
+					t.Logf("seed %d α %v: masked sweep from %d differs", seed, alpha, src)
+					return false
+				}
+				dst := rng.Intn(n)
+				wantPath, wantDist := g.ShortestPath(src, dst)
+				r := view.Route(src, dst, alpha)
+				path := r.PathTo(dst)
+				ok = reflect.DeepEqual(path, wantPath) && math.Float64bits(r.Dist[dst]) == math.Float64bits(wantDist)
+				r.Release()
+				if !ok {
+					t.Logf("seed %d α %v: masked route %d→%d differs", seed, alpha, src, dst)
+					return false
+				}
+				hop := []int{src, dst}
+				var between []int
+				for e, ed := range edges {
+					if alive[e] && (ed.U == src && ed.V == dst || ed.U == dst && ed.V == src) {
+						between = append(between, e)
+					}
+				}
+				if view.HasEdge(src, dst) != g.HasEdge(src, dst) || !reflect.DeepEqual(view.EdgesBetween(src, dst), between) ||
+					math.Float64bits(view.PathWeight(hop, alpha)) != math.Float64bits(g.PathWeight(hop)) {
+					t.Logf("seed %d α %v: masked edge %d-%d differs", seed, alpha, src, dst)
+					return false
+				}
+			}
+			wantLabel, wantSizes := componentLabels(g)
+			if label, sizes := view.Components(); !reflect.DeepEqual(label, wantLabel) || !reflect.DeepEqual(sizes, wantSizes) {
+				t.Logf("seed %d: masked Components differ", seed)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAffineViewsConcurrent derives masked views of one shared Affine from
+// several goroutines and searches them at once; every answer must equal the
+// sequential one. Under -race it also shows that deriving a view never
+// writes the shared adjacency.
+func TestAffineViewsConcurrent(t *testing.T) {
+	rng := stats.NewRNG(11)
+	const n = 40
+	edges, slopes := randomAffineEdges(rng, n, false)
+	shared := NewAffine(n, edges, slopes)
+	type mask struct{ edges, nodes []int }
+	masks := make([]mask, 8)
+	want := make([][][]float64, len(masks))
+	for g := range masks {
+		masks[g].edges, masks[g].nodes = randomMask(rng, n, len(edges))
+		want[g] = shared.Without(masks[g].edges, masks[g].nodes).AllPairs(0.5)
+	}
+	var wg sync.WaitGroup
+	for g := range masks {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				got := shared.Without(masks[g].edges, masks[g].nodes).AllPairs(0.5)
+				if !reflect.DeepEqual(got, want[g]) {
+					t.Errorf("goroutine %d: masked all-pairs differ from the sequential answer", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestAffinePanics(t *testing.T) {
@@ -170,6 +327,7 @@ func TestAffinePanics(t *testing.T) {
 		"self loop":       func() { NewAffine(2, []Edge{{U: 1, V: 1, Weight: 1}}, []float64{0}) },
 		"negative weight": func() { NewAffine(2, []Edge{{U: 0, V: 1, Weight: -1}}, []float64{0}) },
 		"nan weight":      func() { NewAffine(2, []Edge{{U: 0, V: 1, Weight: math.NaN()}}, []float64{0}) },
+		"inf weight":      func() { NewAffine(2, []Edge{{U: 0, V: 1, Weight: math.Inf(1)}}, []float64{0}) },
 		"slope count":     func() { NewAffine(2, one, nil) },
 		"negative slope":  func() { NewAffine(2, one, []float64{-1}) },
 		"nan slope":       func() { NewAffine(2, one, []float64{math.NaN()}) },

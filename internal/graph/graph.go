@@ -78,13 +78,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Neighbors calls fn for every half-edge leaving u.
-func (g *Graph) Neighbors(u int, fn func(v int, weight float64)) {
-	for _, e := range g.adj[u] {
-		fn(int(e.to), e.weight)
-	}
-}
-
 // Edges returns every undirected edge exactly once (u < v for each).
 func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.m)

@@ -6,24 +6,25 @@ import (
 )
 
 // KShortestPaths implements Yen's algorithm for the k shortest loopless
-// paths between src and dst. RiskRoute uses path diversity in two places
-// the paper sketches: candidate backup routes (Section 3's IP Fast Reroute
-// and MPLS fast-reroute integrations, and the BGP "add paths" option) and
-// SLA-constrained routing (Section 6.4), where the best bit-risk path is
-// chosen among the k geographically shortest.
+// paths between src and dst under weights Base + alpha·Slope. RiskRoute
+// uses path diversity in two places the paper sketches: candidate backup
+// routes (Section 3's IP Fast Reroute and MPLS fast-reroute integrations,
+// and the BGP "add paths" option) and SLA-constrained routing (Section
+// 6.4), where the best bit-risk path is chosen among the k geographically
+// shortest.
 //
 // Paths are returned best-first with their total weights. Fewer than k
 // paths are returned when the graph doesn't contain k distinct loopless
 // paths. It panics on out-of-range endpoints and returns nil when dst is
 // unreachable. k must be positive.
-func (g *Graph) KShortestPaths(src, dst, k int) ([][]int, []float64) {
-	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
+func (a *Affine) KShortestPaths(src, dst, k int, alpha float64) ([][]int, []float64) {
+	if src < 0 || src >= a.n || dst < 0 || dst >= a.n {
 		panic("graph: KShortestPaths endpoints out of range")
 	}
 	if k <= 0 {
 		panic("graph: KShortestPaths needs k >= 1")
 	}
-	first, w := g.ShortestPath(src, dst)
+	first, w := a.ShortestPath(src, dst, alpha)
 	if first == nil {
 		return nil, nil
 	}
@@ -39,28 +40,21 @@ func (g *Graph) KShortestPaths(src, dst, k int) ([][]int, []float64) {
 			spurNode := prev[spurIdx]
 			rootPath := prev[:spurIdx+1]
 
-			// Build a filtered graph: remove edges used by any accepted
-			// path sharing this root, and remove root nodes except the
-			// spur node to keep paths loopless.
-			banned := make(map[[2]int]bool)
+			// Search a masked view: without every edge by which an accepted
+			// path sharing this root leaves the spur node, and without the
+			// root nodes but the spur node, to keep paths loopless.
+			var banned []int
 			for _, p := range paths {
 				if len(p) > spurIdx && equalPrefix(p, rootPath) {
-					a, b := p[spurIdx], p[spurIdx+1]
-					banned[[2]int{a, b}] = true
-					banned[[2]int{b, a}] = true
+					banned = append(banned, a.EdgesBetween(spurNode, p[spurIdx+1])...)
 				}
 			}
-			removedNode := make(map[int]bool)
-			for _, v := range rootPath[:len(rootPath)-1] {
-				removedNode[v] = true
-			}
-
-			spurPath, _ := g.shortestPathFiltered(spurNode, dst, banned, removedNode)
+			spurPath, _ := a.Without(banned, rootPath[:spurIdx]).ShortestPath(spurNode, dst, alpha)
 			if spurPath == nil {
 				continue
 			}
 			total := append(append([]int(nil), rootPath[:len(rootPath)-1]...), spurPath...)
-			totalWeight := g.PathWeight(total)
+			totalWeight := a.PathWeight(total, alpha)
 			if math.IsInf(totalWeight, 1) {
 				continue
 			}
@@ -83,55 +77,6 @@ func (g *Graph) KShortestPaths(src, dst, k int) ([][]int, []float64) {
 		weights = append(weights, best.weight)
 	}
 	return paths, weights
-}
-
-// shortestPathFiltered runs Dijkstra ignoring banned edges and removed
-// nodes.
-func (g *Graph) shortestPathFiltered(src, dst int, banned map[[2]int]bool, removed map[int]bool) ([]int, float64) {
-	if removed[src] || removed[dst] {
-		return nil, Inf
-	}
-	dist := make([]float64, g.n)
-	prev := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = Inf
-		prev[i] = -1
-	}
-	dist[src] = 0
-	h := newHeap(g.n)
-	h.push(src, 0)
-	for h.len() > 0 {
-		u, d := h.pop()
-		if d > dist[u] {
-			continue
-		}
-		if u == dst {
-			break
-		}
-		for _, e := range g.adj[u] {
-			v := int(e.to)
-			if removed[v] || banned[[2]int{u, v}] {
-				continue
-			}
-			nd := d + e.weight
-			if nd < dist[v] {
-				dist[v] = nd
-				prev[v] = int32(u)
-				h.push(v, nd)
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, Inf
-	}
-	var rev []int
-	for v := dst; v != -1; v = int(prev[v]) {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, dist[dst]
 }
 
 func equalPrefix(p, prefix []int) bool {

@@ -2,20 +2,24 @@ package graph
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"riskroute/internal/stats"
 )
 
+// zeroSlopes returns an Affine whose weights are the edges' base weights
+// at every α.
+func zeroSlopes(n int, edges []Edge) *Affine {
+	return NewAffine(n, edges, make([]float64, len(edges)))
+}
+
 func TestKShortestPathsDiamond(t *testing.T) {
 	// Two disjoint routes 0->3: via 1 (cost 3) and via 2 (cost 5).
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 3, 2)
-	g.AddEdge(0, 2, 2)
-	g.AddEdge(2, 3, 3)
-	paths, weights := g.KShortestPaths(0, 3, 5)
+	a := zeroSlopes(4, []Edge{{0, 1, 1}, {1, 3, 2}, {0, 2, 2}, {2, 3, 3}})
+	paths, weights := a.KShortestPaths(0, 3, 5, 0)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths: %v", len(paths), paths)
 	}
@@ -31,18 +35,24 @@ func TestKShortestPathsOrderedAndLoopless(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		n := 4 + rng.Intn(12)
-		g := New(n)
+		var edges []Edge
 		for i := 1; i < n; i++ {
-			g.AddEdge(i, rng.Intn(i), 0.5+rng.Float64()*5)
+			edges = append(edges, Edge{i, rng.Intn(i), 0.5 + rng.Float64()*5})
 		}
 		for e := 0; e < n; e++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				g.AddEdge(u, v, 0.5+rng.Float64()*5)
+				edges = append(edges, Edge{u, v, 0.5 + rng.Float64()*5})
 			}
 		}
+		slopes := make([]float64, len(edges))
+		for e := range slopes {
+			slopes[e] = rng.Float64()
+		}
+		a := NewAffine(n, edges, slopes)
+		const alpha = 2.5
 		src, dst := 0, n-1
-		paths, weights := g.KShortestPaths(src, dst, 6)
+		paths, weights := a.KShortestPaths(src, dst, 6, alpha)
 		if len(paths) == 0 {
 			return false
 		}
@@ -51,7 +61,7 @@ func TestKShortestPathsOrderedAndLoopless(t *testing.T) {
 			if p[0] != src || p[len(p)-1] != dst {
 				return false
 			}
-			if math.Abs(g.PathWeight(p)-weights[i]) > 1e-9 {
+			if math.Abs(a.PathWeight(p, alpha)-weights[i]) > 1e-9 {
 				return false
 			}
 			if i > 0 && weights[i] < weights[i-1]-1e-9 {
@@ -73,7 +83,7 @@ func TestKShortestPathsOrderedAndLoopless(t *testing.T) {
 			}
 		}
 		// First path must be the true shortest.
-		_, best := g.ShortestPath(src, dst)
+		_, best := a.ShortestPath(src, dst, alpha)
 		return math.Abs(weights[0]-best) < 1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -81,87 +91,112 @@ func TestKShortestPathsOrderedAndLoopless(t *testing.T) {
 	}
 }
 
-func TestKShortestPathsSecondBestIsExact(t *testing.T) {
-	// Verify the 2nd path against brute-force enumeration on small graphs.
+// simplePaths enumerates every loopless node sequence from src to dst,
+// walking g.Edges(), and weighs each with its cheapest parallel edge per
+// hop (Graph.PathWeight).
+func simplePaths(g *Graph, src, dst int) ([][]int, []float64) {
+	adj := make([]map[int]bool, g.N())
+	for v := range adj {
+		adj[v] = map[int]bool{}
+	}
+	for _, e := range g.Edges() {
+		adj[e.U][e.V], adj[e.V][e.U] = true, true
+	}
+	var paths [][]int
+	var weights []float64
+	onPath := make([]bool, g.N())
+	var walk func(path []int)
+	walk = func(path []int) {
+		v := path[len(path)-1]
+		if v == dst {
+			p := append([]int(nil), path...)
+			paths = append(paths, p)
+			weights = append(weights, g.PathWeight(p))
+			return
+		}
+		for u := range adj[v] {
+			if !onPath[u] {
+				onPath[u] = true
+				walk(append(path, u))
+				onPath[u] = false
+			}
+		}
+	}
+	onPath[src] = true
+	walk([]int{src})
+	return paths, weights
+}
+
+// TestKShortestPathsMatchBruteForce asks Yen for every path on small
+// multigraphs with integer weights (many ties): it must return every
+// loopless node sequence exactly once, and its weights must be the sorted
+// brute-force weights bit for bit — so for each k its first k weights are
+// the k smallest.
+func TestKShortestPathsMatchBruteForce(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		n := 4 + rng.Intn(4)
-		g := New(n)
+		var edges []Edge
+		var slopes []float64
+		add := func(u, v int) {
+			edges = append(edges, Edge{u, v, float64(1 + rng.Intn(4))})
+			slopes = append(slopes, float64(rng.Intn(3)))
+		}
 		for i := 1; i < n; i++ {
-			g.AddEdge(i, rng.Intn(i), float64(1+rng.Intn(9)))
+			add(i, rng.Intn(i))
 		}
-		for e := 0; e < 3; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v && !g.HasEdge(u, v) {
-				g.AddEdge(u, v, float64(1+rng.Intn(9)))
+		for e := 0; e < 4; e++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				add(u, v) // parallel edges allowed
 			}
 		}
+		a := NewAffine(n, edges, slopes)
 		src, dst := 0, n-1
-
-		// Brute force: enumerate all simple paths.
-		var all []float64
-		var dfs func(v int, visited map[int]bool, cost float64)
-		dfs = func(v int, visited map[int]bool, cost float64) {
-			if v == dst {
-				all = append(all, cost)
-				return
+		for _, alpha := range []float64{0, 1, 0.5} {
+			all, want := simplePaths(materialize(n, edges, slopes, alpha), src, dst)
+			sort.Float64s(want)
+			paths, weights := a.KShortestPaths(src, dst, len(all)+1, alpha)
+			if len(paths) != len(all) {
+				t.Logf("seed %d α %v: Yen found %d of %d paths", seed, alpha, len(paths), len(all))
+				return false
 			}
-			g.Neighbors(v, func(u int, w float64) {
-				if !visited[u] {
-					visited[u] = true
-					dfs(u, visited, cost+w)
-					delete(visited, u)
+			for i := range want {
+				if math.Float64bits(weights[i]) != math.Float64bits(want[i]) {
+					t.Logf("seed %d α %v: weight %d = %v, brute force %v", seed, alpha, i, weights[i], want[i])
+					return false
 				}
-			})
-		}
-		dfs(src, map[int]bool{src: true}, 0)
-		if len(all) < 2 {
-			return true
-		}
-		// Deduplicate identical node sequences are distinct paths, but
-		// parallel edges can create equal-cost duplicates in `all`; Yen
-		// enumerates node sequences, so compare against sorted unique costs
-		// loosely: the 2nd Yen weight must appear among the brute-force
-		// costs and be >= the true minimum.
-		paths, weights := g.KShortestPaths(src, dst, 2)
-		if len(paths) < 2 {
-			return true
-		}
-		min2 := math.Inf(1)
-		min1 := math.Inf(1)
-		for _, c := range all {
-			if c < min1 {
-				min2 = min1
-				min1 = c
-			} else if c < min2 {
-				min2 = c
+			}
+			for _, ps := range [][][]int{paths, all} {
+				sort.Slice(ps, func(i, j int) bool { return lessPath(ps[i], ps[j]) })
+			}
+			if !reflect.DeepEqual(paths, all) {
+				t.Logf("seed %d α %v: Yen's paths differ from the loopless node sequences", seed, alpha)
+				return false
 			}
 		}
-		// Yen's 2nd path cost equals the 2nd-smallest simple-path cost
-		// (counting the best path's cost once).
-		return math.Abs(weights[1]-min2) < 1e-9 || math.Abs(weights[1]-min1) < 1e-9
+		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Errorf("second-best exactness failed: %v", err)
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Errorf("brute-force exactness failed: %v", err)
 	}
 }
 
 func TestKShortestPathsEdgeCases(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
+	a := zeroSlopes(3, []Edge{{0, 1, 1}})
 	// Unreachable destination.
-	if paths, _ := g.KShortestPaths(0, 2, 3); paths != nil {
+	if paths, _ := a.KShortestPaths(0, 2, 3, 0); paths != nil {
 		t.Errorf("unreachable should give nil, got %v", paths)
 	}
 	// Single path only.
-	paths, weights := g.KShortestPaths(0, 1, 4)
+	paths, weights := a.KShortestPaths(0, 1, 4, 0)
 	if len(paths) != 1 || weights[0] != 1 {
 		t.Errorf("line graph: %v %v", paths, weights)
 	}
 	// Panics.
 	for name, fn := range map[string]func(){
-		"bad src": func() { g.KShortestPaths(-1, 1, 2) },
-		"bad k":   func() { g.KShortestPaths(0, 1, 0) },
+		"bad src": func() { a.KShortestPaths(-1, 1, 2, 0) },
+		"bad dst": func() { a.KShortestPaths(0, 3, 2, 0) },
+		"bad k":   func() { a.KShortestPaths(0, 1, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -177,8 +212,9 @@ func TestKShortestPathsEdgeCases(t *testing.T) {
 func BenchmarkKShortestPaths(b *testing.B) {
 	rng := stats.NewRNG(71)
 	g := randomConnectedGraph(rng, 60, 80)
+	a := zeroSlopes(g.N(), g.Edges())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.KShortestPaths(0, 59, 5)
+		a.KShortestPaths(0, 59, 5, 0)
 	}
 }

@@ -18,8 +18,8 @@ import (
 
 // World binds one network to its static risk inputs — the pieces of a
 // risk.Context that do not change across scenarios. Each scenario then
-// supplies the forecast layer (and, for regional failures, the surviving
-// topology) on top.
+// supplies the forecast layer (and, for regional failures, the severed
+// links) on top.
 type World struct {
 	Net       *topology.Network
 	Hist      []float64 // o_h per PoP, index-aligned
@@ -146,10 +146,12 @@ type sweepResult struct {
 }
 
 // Sweep evaluates every scenario against every world and aggregates the
-// per-scenario measurements into distributions. Scenarios are grouped by
-// family (each family gets its own trace span) and evaluated in parallel
-// with per-scenario engines; results reduce in scenario order, so the
-// report is bit-identical at any worker count.
+// per-scenario measurements into distributions. It builds one base engine
+// per world, so a world whose risk context is invalid fails the sweep
+// before any scenario runs. Scenarios are grouped by family (each family
+// gets its own trace span) and evaluated in parallel, each repricing the
+// base engines; results reduce in scenario order, so the report is
+// bit-identical at any worker count.
 func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: sweep of empty ensemble")
@@ -157,9 +159,15 @@ func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, err
 	if len(worlds) == 0 {
 		return nil, fmt.Errorf("scenario: sweep with no networks")
 	}
-	for _, w := range worlds {
+	bases := make([]*core.Engine, len(worlds))
+	for wi, w := range worlds {
 		if len(w.Hist) != len(w.Net.PoPs) || len(w.Fractions) != len(w.Net.PoPs) {
 			return nil, fmt.Errorf("scenario: world %q risk slices not index-aligned", w.Net.Name)
+		}
+		ctx := &risk.Context{Net: w.Net, Hist: w.Hist, Fractions: w.Fractions, Params: cfg.Params}
+		var err error
+		if bases[wi], err = core.New(ctx, core.Options{Workers: 1}); err != nil {
+			return nil, fmt.Errorf("scenario: world %q: %w", w.Net.Name, err)
 		}
 	}
 	if cfg.Pairs <= 0 {
@@ -217,7 +225,7 @@ func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, err
 			t0 := time.Now()
 			r := sweepResult{samples: make([]sample, len(worlds))}
 			for wi := range worlds {
-				sm, err := evalOne(s, &worlds[wi], pairs[wi], cfg.Params, rm)
+				sm, err := evalOne(s, &worlds[wi], bases[wi], pairs[wi], rm)
 				if err != nil {
 					r.err = fmt.Errorf("scenario %d (%s) on %s: %w", s.ID, s.Family, worlds[wi].Net.Name, err)
 					return r
@@ -297,23 +305,17 @@ func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, err
 
 // evalOne compiles one scenario against one world and measures it: static
 // exposure plus routed bit-risk miles over the world's sampled pairs. The
-// engine is built fresh per (scenario, world) — scenario overlays change
-// the weighted graphs wholesale — with sequential inner workers; sweep
-// parallelism lives at the scenario level.
-func evalOne(s *Scenario, w *World, pairs [][2]int, params risk.Params, rm forecast.RiskModel) (sample, error) {
+// world's base engine is repriced with the scenario's forecast layer and,
+// for a regional failure, the severed links are masked out of it. Inner
+// workers stay sequential; sweep parallelism lives at the scenario level.
+func evalOne(s *Scenario, w *World, base *core.Engine, pairs [][2]int, rm forecast.RiskModel) (sample, error) {
 	ov := s.Compile(w.Net, rm)
-	net := w.Net
-	if len(ov.Disabled) > 0 {
-		net = pruneLinks(w.Net, ov.Disabled)
+	ctx := *base.Ctx
+	ctx.Forecast = ov.Forecast
+	eng, err := base.Reprice(&ctx, core.Options{Workers: 1})
+	if err == nil && len(ov.Disabled) > 0 {
+		eng, err = eng.WithoutLinks(ov.Disabled)
 	}
-	ctx := &risk.Context{
-		Net:       net,
-		Hist:      w.Hist,
-		Forecast:  ov.Forecast,
-		Fractions: w.Fractions,
-		Params:    params,
-	}
-	eng, err := core.New(ctx, core.Options{Workers: 1})
 	if err != nil {
 		return sample{}, err
 	}
@@ -345,23 +347,6 @@ func evalOne(s *Scenario, w *World, pairs [][2]int, params risk.Params, rm forec
 	sm.disabled = float64(len(ov.Disabled))
 	sm.unreachable = float64(eng.UnreachablePairs())
 	return sm, nil
-}
-
-// pruneLinks returns a shallow network copy without the disabled links.
-// PoPs are shared (risk slices stay index-aligned); only the link set — and
-// therefore the routing graph — shrinks.
-func pruneLinks(net *topology.Network, disabled []int) *topology.Network {
-	dead := make(map[int]bool, len(disabled))
-	for _, i := range disabled {
-		dead[i] = true
-	}
-	links := make([]topology.Link, 0, len(net.Links)-len(disabled))
-	for i, l := range net.Links {
-		if !dead[i] {
-			links = append(links, l)
-		}
-	}
-	return &topology.Network{Name: net.Name, Tier: net.Tier, PoPs: net.PoPs, Links: links}
 }
 
 // samplePairs draws k distinct unordered PoP pairs for one network from the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"riskroute/internal/core"
@@ -13,6 +14,7 @@ import (
 	"riskroute/internal/geo"
 	"riskroute/internal/interdomain"
 	"riskroute/internal/kde"
+	"riskroute/internal/obs"
 	"riskroute/internal/risk"
 	"riskroute/internal/topology"
 )
@@ -349,6 +351,18 @@ func TestSweepErrors(t *testing.T) {
 	bad := World{Net: w.Net, Hist: w.Hist[:2], Fractions: w.Fractions}
 	if _, err := Sweep([]*Scenario{s}, []World{bad}, SweepConfig{}); err == nil {
 		t.Error("misaligned world accepted")
+	}
+	// A world whose risk context fails validation stops the sweep, naming
+	// the world, before any family's scenarios run.
+	invalid := testWorld("Invalid", 5)
+	invalid.Hist[2] = -0.1
+	tr := obs.NewTrace("test")
+	_, err := Sweep([]*Scenario{s}, []World{w, invalid}, SweepConfig{Trace: tr})
+	if err == nil || !strings.Contains(err.Error(), "Invalid") {
+		t.Errorf("invalid world: err = %v", err)
+	}
+	if snap := tr.Snapshot(); snap.Find("sweep-"+s.Family.String()) != nil {
+		t.Error("scenarios ran before the invalid world was rejected")
 	}
 }
 
