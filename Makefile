@@ -7,7 +7,7 @@ BENCH_BASELINE ?= BENCH_PR10.json
 BENCH_NEW ?= BENCH_PR13.json
 BENCH_THRESHOLD ?= 10
 
-.PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism
+.PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism experiments-golden
 
 # tier1 is the gate every change must keep green: full build + test suite.
 tier1:
@@ -70,6 +70,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalAppendReplay$$' -fuzztime=5s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotLoad$$' -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioSpec$$' -fuzztime=5s ./internal/scenario
+
+# experiments-golden reruns the reduced-scale reproduction and diffs its
+# stdout against the pinned golden (linux/amd64; see
+# cmd/experiments/testdata/README.md). CI runs the same diff.
+experiments-golden:
+	$(GO) run ./cmd/experiments -fast | diff cmd/experiments/testdata/fast.golden -
 
 # determinism replays the bit-identity tests under contrasting scheduler
 # widths: results must not depend on how many cores the host exposes.

@@ -65,6 +65,9 @@ func writeSVG(path string, build func(m *report.SVGMap)) error {
 var svgWidthGlobal = 900
 
 func run(layer, network, storm string, eventScale float64, blocks, rows, cols int, seed uint64, svgPath string, svgWidth int) error {
+	if err := datasets.CheckCensusBlocks(blocks); err != nil {
+		return err
+	}
 	svgWidthGlobal = svgWidth
 	switch layer {
 	case "population":

@@ -17,9 +17,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"riskroute"
+	"riskroute/internal/datasets"
 	"riskroute/internal/report"
 )
 
@@ -143,8 +145,18 @@ type worldFlags struct {
 }
 
 func addWorldFlags(fs *flag.FlagSet) *worldFlags {
-	w := &worldFlags{}
-	fs.IntVar(&w.blocks, "blocks", 20000, "synthetic census blocks")
+	w := &worldFlags{blocks: 20000}
+	// A block budget below the census floor is rejected as it is parsed,
+	// before anything is fitted.
+	fs.Func("blocks", fmt.Sprintf("synthetic census blocks, `n` >= %d (default 20000)", datasets.MinCensusBlocks),
+		func(s string) error {
+			n, err := strconv.Atoi(s)
+			if err != nil {
+				return err
+			}
+			w.blocks = n
+			return datasets.CheckCensusBlocks(n)
+		})
 	fs.Float64Var(&w.eventScale, "event-scale", 0.2, "disaster catalog scale (1.0 = paper size)")
 	fs.StringVar(&w.topoFile, "topology", "", "optional topology file (native format) replacing the embedded corpus")
 	fs.BoolVar(&w.spanRisk, "span-risk", false, "also charge risk sampled along fiber spans, not just at PoPs")

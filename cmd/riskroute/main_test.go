@@ -191,6 +191,10 @@ func TestCLIErrors(t *testing.T) {
 	if !strings.Contains(out, "-k must be at least 1") || strings.Contains(out, "panic:") {
 		t.Errorf("kpaths -k 0: %s", out)
 	}
+	out = runExpectError(t, "provision", "-network", "Tinet", "-blocks", "2500", "-event-scale", "0.03")
+	if !strings.Contains(out, "minimum of 2510") || strings.Contains(out, "panic:") {
+		t.Errorf("provision -blocks 2500: %s", out)
+	}
 }
 
 func TestCLIFIB(t *testing.T) {

@@ -2,10 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"riskroute/internal/resilience"
+	"riskroute/internal/risk"
 )
 
 // TestEngineDisconnectedTopology cuts a 3×4 lattice into a 3-PoP column and
@@ -114,5 +118,96 @@ func TestTotalBitRiskSweepSkip(t *testing.T) {
 	again := e.TotalBitRisk()
 	if faulted != again {
 		t.Errorf("faulted total not deterministic: %v vs %v", faulted, again)
+	}
+}
+
+// serialTotalBitRiskSubset is the serial TotalBitRiskSubset the per-source
+// pass replaced, kept as its oracle: sources in order, a sweep fault
+// skipping its source before it claims any pair, each pair claimed once in
+// a map, and destinations sorted within their bucket.
+func serialTotalBitRiskSubset(e *Engine, sources, dests []int) float64 {
+	inDest := make(map[int]bool, len(dests))
+	for _, d := range dests {
+		inDest[d] = true
+	}
+	seen := make(map[[2]int]bool)
+	total := 0.0
+	for _, i := range sources {
+		if e.skipSweep(i) {
+			continue
+		}
+		sMiles, sEntered := e.sweep(i, 0)
+		byBucket := make(map[int][]int)
+		for j := range inDest {
+			key := [2]int{min(i, j), max(i, j)}
+			if j == i || seen[key] {
+				continue
+			}
+			seen[key] = true
+			b := e.bucketOf(e.Ctx.Alpha(i, j))
+			byBucket[b] = append(byBucket[b], j)
+		}
+		for _, b := range sortedInts(byBucket) {
+			js := byBucket[b]
+			sort.Ints(js)
+			miles, entered := e.sweep(i, e.buckets[b])
+			for _, j := range js {
+				if !math.IsInf(miles[j], 1) {
+					total += minCost(e.Ctx.Alpha(i, j), miles[j], entered[j], sMiles[j], sEntered[j])
+				}
+			}
+		}
+	}
+	return total
+}
+
+// TestTotalBitRiskSubsetMatchesSerialLoop holds the parallel
+// TotalBitRiskSubset to the serial loop under injected sweep faults, a
+// repeated source and overlapping destinations: the bits, the number of
+// faults fired and the health record must match at any worker count.
+func TestTotalBitRiskSubsetMatchesSerialLoop(t *testing.T) {
+	faults := map[string]func() *resilience.Injector{
+		"none": func() *resilience.Injector { return nil },
+		"keys 3,8": func() *resilience.Injector {
+			return resilience.NewInjector(7).EnableKeys(resilience.PointDijkstraSweep, resilience.ForceError, 3, 8)
+		},
+		"keys 0,7,11": func() *resilience.Injector {
+			return resilience.NewInjector(7).EnableKeys(resilience.PointDijkstraSweep, resilience.Drop, 0, 7, 11)
+		},
+		"rate 0.4": func() *resilience.Injector {
+			return resilience.NewInjector(11).Enable(resilience.PointDijkstraSweep, resilience.ForceError, 0.4)
+		},
+	}
+	subsets := []struct{ sources, dests []int }{
+		{[]int{0, 3, 7, 8, 3, 11}, []int{3, 5, 8, 10, 11, 8, 0}},
+		{[]int{11, 8, 7, 8, 0}, []int{0, 1, 2, 3, 7, 7, 8, 11}},
+		{[]int{5, 6, 7, 3, 9, 5}, []int{0, 5, 6, 7, 8, 9, 10, 11}},
+	}
+	contexts := map[string]*risk.Context{"grid": gridNet(5, 5, 41), "fragmented": fragmentedGrid(43)}
+	for cname, ctx := range contexts {
+		for fname, mk := range faults {
+			for si, sub := range subsets {
+				sources, dests := sub.sources, sub.dests
+				label := fmt.Sprintf("%s/%s/subset %d", cname, fname, si)
+				inj, h := mk(), resilience.NewHealth()
+				want := serialTotalBitRiskSubset(mustEngine(t, ctx, Options{Injector: inj, Health: h}), sources, dests)
+				if fired := inj.Fired(resilience.PointDijkstraSweep); (fname == "none") != (fired == 0) {
+					t.Fatalf("%s: %d faults fired", label, fired)
+				}
+				for _, workers := range []int{1, 2, 3, 8} {
+					gotInj, gotH := mk(), resilience.NewHealth()
+					e := mustEngine(t, ctx, Options{Workers: workers, Injector: gotInj, Health: gotH})
+					if got := e.TotalBitRiskSubset(sources, dests); !sameBits(got, want) {
+						t.Fatalf("%s, workers %d: TotalBitRiskSubset = %v, serial loop %v", label, workers, got, want)
+					}
+					if got, want := gotInj.Fired(resilience.PointDijkstraSweep), inj.Fired(resilience.PointDijkstraSweep); got != want {
+						t.Fatalf("%s, workers %d: %d faults fired, serial loop %d", label, workers, got, want)
+					}
+					if got, want := gotH.Lost("engine"), h.Lost("engine"); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, workers %d: health lost %v, serial loop %v", label, workers, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
 	"time"
 
 	"riskroute/internal/graph"
@@ -275,8 +274,8 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 // Ctx.Net.Links) failed, in O(N+E): it shares everything with e but a
 // masked adjacency and its component census. Its searches and census, and
 // those of engines Reprice derives from it, see only the surviving links;
-// what reads Ctx.Net itself (ExportOSPFWeights, GreedyAdditionalLinks)
-// still sees every link.
+// what reads Ctx.Net itself (ExportOSPFWeights, WithLink and so
+// GreedyAdditionalLinks) still sees every link.
 func (e *Engine) WithoutLinks(disabled []int) (*Engine, error) {
 	for _, li := range disabled {
 		if li < 0 || li >= len(e.miles) {
@@ -465,6 +464,59 @@ func (e *Engine) sweep(src int, alpha float64) (miles, entered []float64) {
 	return miles, entered
 }
 
+// pairCost is one reachable destination of a source's pass, priced at the
+// pair's exact α: the shortest path's cost and miles, and the bucket
+// route's, clamped to the shortest path's. The true optimum never prices
+// above the shortest path, so any excess is pure bucket error, and
+// RiskRoute would keep the shortest path there.
+type pairCost struct {
+	cost, miles             float64
+	shortest, shortestMiles float64
+}
+
+// pass is the per-source all-pairs pass behind Evaluate, TotalBitRisk and
+// TotalBitRiskSubset: one α = 0 sweep from i, then one sweep per α bucket
+// the destinations js fall in, in ascending bucket order. It visits every
+// destination but i that the bucket route reaches, in js's order within
+// its bucket.
+func (e *Engine) pass(i int, js []int, visit func(pairCost)) {
+	byBucket := make([][]int, len(e.buckets))
+	for _, j := range js {
+		if j != i {
+			b := e.bucketOf(e.Ctx.Alpha(i, j))
+			byBucket[b] = append(byBucket[b], j)
+		}
+	}
+	sMiles, sEntered := e.sweep(i, 0)
+	for b, group := range byBucket {
+		if len(group) == 0 {
+			continue
+		}
+		rMiles, rEntered := e.sweep(i, e.buckets[b])
+		for _, j := range group {
+			if math.IsInf(rMiles[j], 1) {
+				continue
+			}
+			alpha := e.Ctx.Alpha(i, j)
+			c := pairCost{cost: rMiles[j] + alpha*rEntered[j], miles: rMiles[j],
+				shortest: sMiles[j] + alpha*sEntered[j], shortestMiles: sMiles[j]}
+			if c.cost > c.shortest {
+				c.cost, c.miles = c.shortest, c.shortestMiles
+			}
+			visit(c)
+		}
+	}
+}
+
+// indices returns 0, 1, …, n-1.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // Ratios aggregates Equations 5 and 6.
 type Ratios struct {
 	// RiskReduction is rr: the mean fractional decrease in bit-risk miles of
@@ -490,18 +542,11 @@ func (e *Engine) Evaluate() Ratios {
 // experiments, where sources are one regional network's PoPs and
 // destinations are every regional PoP.
 func (e *Engine) EvaluateSubset(sources, dests []int) Ratios {
-	n := e.N()
 	if sources == nil {
-		sources = make([]int, n)
-		for i := range sources {
-			sources[i] = i
-		}
+		sources = indices(e.N())
 	}
 	if dests == nil {
-		dests = make([]int, n)
-		for i := range dests {
-			dests[i] = i
-		}
+		dests = indices(e.N())
 	}
 
 	type partial struct {
@@ -521,41 +566,16 @@ func (e *Engine) EvaluateSubset(sources, dests []int) Ratios {
 		if e.skipSweep(i) {
 			return p
 		}
-		sMiles, sEntered := e.sweep(i, 0)
-
-		// Group destinations by α bucket so each bucket's Dijkstra runs once.
-		byBucket := make(map[int][]int)
-		for _, j := range dests {
-			if j == i {
-				continue
+		e.pass(i, dests, func(c pairCost) {
+			// Skip zero-cost pairs (co-located PoPs in composite
+			// interdomain graphs have zero miles).
+			if math.IsInf(c.shortest, 1) || math.IsInf(c.cost, 1) || c.shortest == 0 || c.shortestMiles == 0 {
+				return
 			}
-			byBucket[e.bucketOf(e.Ctx.Alpha(i, j))] = append(byBucket[e.bucketOf(e.Ctx.Alpha(i, j))], j)
-		}
-		for _, b := range sortedInts(byBucket) {
-			js := byBucket[b]
-			rMiles, rEntered := e.sweep(i, e.buckets[b])
-			for _, j := range js {
-				alpha := e.Ctx.Alpha(i, j)
-				rShortest := sMiles[j] + alpha*sEntered[j]
-				rRR := rMiles[j] + alpha*rEntered[j]
-				// Skip unreachable pairs and zero-cost pairs (co-located
-				// PoPs in composite interdomain graphs have zero miles).
-				if math.IsInf(rShortest, 1) || math.IsInf(rRR, 1) || rShortest == 0 || sMiles[j] == 0 {
-					continue
-				}
-				// The true optimum never exceeds the shortest path's cost;
-				// a quantized route pricing above it is pure bucket error,
-				// and RiskRoute would simply keep the shortest path there.
-				rrMilesJ := rMiles[j]
-				if rRR > rShortest {
-					rRR = rShortest
-					rrMilesJ = sMiles[j]
-				}
-				p.riskSum += rRR / rShortest
-				p.distSum += rrMilesJ / sMiles[j]
-				p.pairs++
-			}
-		}
+			p.riskSum += c.cost / c.shortest
+			p.distSum += c.miles / c.shortestMiles
+			p.pairs++
+		})
 		e.tel.sourceSeconds.Observe(time.Since(started).Seconds())
 		return p
 	})
@@ -624,35 +644,13 @@ func (e *Engine) TotalBitRisk() float64 {
 	n := e.N()
 	span := e.opts.Trace.Child("total-bit-risk")
 	defer span.End()
+	all := indices(n)
 	workers := parallel.Workers(n, e.opts.Workers)
 	e.tel.workers.Set(float64(workers))
 	partials := parallel.Map(n, workers, func(i int) float64 {
-		if e.skipSweep(i) {
-			return 0
-		}
 		sub := 0.0
-		sMiles, sEntered := e.sweep(i, 0)
-		byBucket := make(map[int][]int)
-		for j := i + 1; j < n; j++ {
-			b := e.bucketOf(e.Ctx.Alpha(i, j))
-			byBucket[b] = append(byBucket[b], j)
-		}
-		for _, b := range sortedInts(byBucket) {
-			js := byBucket[b]
-			miles, entered := e.sweep(i, e.buckets[b])
-			for _, j := range js {
-				if math.IsInf(miles[j], 1) {
-					continue
-				}
-				alpha := e.Ctx.Alpha(i, j)
-				cost := miles[j] + alpha*entered[j]
-				// Bucket error can price the quantized route above the
-				// plain shortest path; the optimum never does.
-				if s := sMiles[j] + alpha*sEntered[j]; s < cost {
-					cost = s
-				}
-				sub += cost
-			}
+		if !e.skipSweep(i) {
+			e.pass(i, all[i+1:], func(c pairCost) { sub += c.cost })
 		}
 		return sub
 	})
@@ -664,62 +662,48 @@ func (e *Engine) TotalBitRisk() float64 {
 }
 
 // TotalBitRiskSubset sums the minimum bit-risk miles over the given
-// source×destination pairs (unordered: each {i, j} counted once, i = j and
-// unreachable pairs skipped). The interdomain analysis uses this as the
-// lower-bound objective when scoring new peering relationships.
+// source×destination pairs (unordered: each {i, j} counted once, by the
+// first source that sweeps it; i = j and unreachable pairs skipped). The
+// interdomain analysis uses this as the lower-bound objective when scoring
+// new peering relationships. Each source returns its costs in visit order
+// and the sum runs serially over them, so the bits ignore the worker count.
 func (e *Engine) TotalBitRiskSubset(sources, dests []int) float64 {
-	inDest := make(map[int]bool, len(dests))
-	for _, d := range dests {
-		inDest[d] = true
+	n := e.N()
+	inDest := make([]bool, n)
+	for _, j := range dests {
+		inDest[j] = true
 	}
-	seen := make(map[[2]int]bool)
+	// first[v] is one past v's position in sources where it first sweeps
+	// (0: never). That source counts each pair {v, j} unless j swept
+	// earlier with v among its destinations.
+	first := make([]int, n)
+	for si, i := range sources {
+		if !e.skipSweep(i) && first[i] == 0 {
+			first[i] = si + 1
+		}
+	}
+	workers := parallel.Workers(len(sources), e.opts.Workers)
+	e.tel.workers.Set(float64(workers))
+	costs := parallel.Map(len(sources), workers, func(si int) []float64 {
+		i := sources[si]
+		if first[i] != si+1 {
+			return nil // faulted, or a repeat
+		}
+		var js []int
+		for j, ok := range inDest {
+			if ok && !(inDest[i] && first[j] != 0 && first[j] <= si) {
+				js = append(js, j)
+			}
+		}
+		var out []float64
+		e.pass(i, js, func(c pairCost) { out = append(out, c.cost) })
+		return out
+	})
 	total := 0.0
-	for _, i := range sources {
-		if e.skipSweep(i) {
-			continue
-		}
-		sMiles, sEntered := e.sweep(i, 0)
-		byBucket := make(map[int][]int)
-		for j := range inDest {
-			if j == i {
-				continue
-			}
-			key := [2]int{i, j}
-			if i > j {
-				key = [2]int{j, i}
-			}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			byBucket[e.bucketOf(e.Ctx.Alpha(i, j))] = append(byBucket[e.bucketOf(e.Ctx.Alpha(i, j))], j)
-		}
-		for _, b := range sortedInts(byBucket) {
-			js := byBucket[b]
-			sort.Ints(js)
-			miles, entered := e.sweep(i, e.buckets[b])
-			for _, j := range js {
-				if math.IsInf(miles[j], 1) {
-					continue
-				}
-				alpha := e.Ctx.Alpha(i, j)
-				cost := miles[j] + alpha*entered[j]
-				if s := sMiles[j] + alpha*sEntered[j]; s < cost {
-					cost = s
-				}
-				total += cost
-			}
+	for _, cs := range costs {
+		for _, c := range cs {
+			total += c
 		}
 	}
 	return total
-}
-
-// sortedInts returns a sorted copy (helper for deterministic iteration).
-func sortedInts(m map[int][]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

@@ -352,11 +352,56 @@ func TestGreedyAdditionalLinksMonotone(t *testing.T) {
 	}
 }
 
+// TestGreedyKeepsRiskContext prices every greedy step under the context it
+// started from: with span risk and with an Impact override, each step's
+// TotalAfter equals TotalBitRisk of a fresh engine on the augmented
+// network under the same context, the added links carrying no span risk.
+func TestGreedyKeepsRiskContext(t *testing.T) {
+	spanCtx := horseshoeNet(5, 31)
+	span := make([]float64, len(spanCtx.Net.Links))
+	for li := range span {
+		span[li] = 0.02 * float64(li%4)
+	}
+	spanCtx.SetLinkHist(span)
+	impactCtx := horseshoeNet(5, 31)
+	fr := impactCtx.Fractions
+	impactCtx.Impact = func(i, j int) float64 { return 30 * fr[i] * fr[j] }
+
+	for name, ctx := range map[string]*risk.Context{"span risk": spanCtx, "impact": impactCtx} {
+		e := mustEngine(t, ctx, Options{})
+		adds, err := e.GreedyAdditionalLinks(2)
+		if err != nil || len(adds) != 2 {
+			t.Fatalf("%s: GreedyAdditionalLinks = %v, %v", name, adds, err)
+		}
+		aug := &risk.Context{Net: ctx.Net.Clone(), Hist: ctx.Hist, Fractions: ctx.Fractions,
+			Params: ctx.Params, Impact: ctx.Impact}
+		for step, a := range adds {
+			if err := aug.Net.AddLink(a.Link.A, a.Link.B); err != nil {
+				t.Fatal(err)
+			}
+			if ctx == spanCtx {
+				aug.SetLinkHist(append(span[:len(span):len(span)], make([]float64, step+1)...))
+			}
+			if want := mustEngine(t, aug, Options{}).TotalBitRisk(); !sameBits(a.TotalAfter, want) {
+				t.Errorf("%s: step %d TotalAfter %v, fresh engine %v", name, step+1, a.TotalAfter, want)
+			}
+		}
+		if adds[0].Fraction >= 1 {
+			t.Errorf("%s: first link's fraction %v, want < 1", name, adds[0].Fraction)
+		}
+	}
+}
+
 func TestGreedyArgErrors(t *testing.T) {
 	ctx := gridNet(3, 3, 37)
 	e := mustEngine(t, ctx, Options{})
 	if _, err := e.GreedyAdditionalLinks(0); err == nil {
 		t.Error("k=0 accepted")
+	}
+	for _, l := range []topology.Link{{A: -1, B: 2}, {A: 0, B: 9}, {A: 4, B: 4}, ctx.Net.Links[0]} {
+		if _, err := e.WithLink(l); err == nil {
+			t.Errorf("WithLink(%v) accepted", l)
+		}
 	}
 }
 
@@ -474,6 +519,11 @@ func TestParallelDeterminism(t *testing.T) {
 	sub8 := par.EvaluateSubset([]int{0, 3, 7}, []int{10, 20, 24})
 	if sub1 != sub8 {
 		t.Errorf("subset: sequential %+v != parallel %+v", sub1, sub8)
+	}
+	tsub1 := seq.TotalBitRiskSubset([]int{0, 3, 7, 10, 3}, []int{3, 10, 20, 24, 10})
+	tsub8 := par.TotalBitRiskSubset([]int{0, 3, 7, 10, 3}, []int{3, 10, 20, 24, 10})
+	if tsub1 != tsub8 {
+		t.Errorf("subset total: sequential %v != parallel %v", tsub1, tsub8)
 	}
 }
 

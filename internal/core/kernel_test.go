@@ -98,6 +98,16 @@ func (o *oracleSweeps) byBucket(i int, js []int) ([]int, map[int][]int) {
 	return sortedInts(groups), groups
 }
 
+// sortedInts returns a map's keys in ascending order.
+func sortedInts(m map[int][]int) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
 // evaluate is the pre-kernel EvaluateSubset.
 func (o *oracleSweeps) evaluate(sources, dests []int) Ratios {
 	var riskSum, distSum float64

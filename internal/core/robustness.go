@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"riskroute/internal/graph"
-	"riskroute/internal/risk"
 	"riskroute/internal/topology"
 )
 
@@ -59,28 +58,32 @@ func (e *Engine) ScoreCandidates(candidates []topology.Link) []Candidate {
 	n := e.N()
 	dist := e.adj.AllPairs(0)
 
-	// One all-pairs table per α bucket actually used by some pair.
-	used := make(map[int]bool)
+	// Each pair's α bucket, found once (row-major over i < j), and one
+	// all-pairs table per bucket some pair uses.
+	pairBucket := make([]int, 0, n*(n-1)/2)
+	tables := make([]*graph.AllPairsTable, len(e.buckets))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			used[e.bucketOf(e.Ctx.Alpha(i, j))] = true
+			b := e.bucketOf(e.Ctx.Alpha(i, j))
+			pairBucket = append(pairBucket, b)
+			if tables[b] == nil {
+				tables[b] = &graph.AllPairsTable{N: n, Dist: e.adj.AllPairs(e.buckets[b])}
+			}
 		}
-	}
-	tables := make([]*graph.AllPairsTable, len(e.buckets))
-	for b := range used {
-		tables[b] = &graph.AllPairsTable{N: n, Dist: e.adj.AllPairs(e.buckets[b])}
 	}
 
 	out := make([]Candidate, 0, len(candidates))
 	w := make([]float64, len(e.buckets)) // the candidate's weight per bucket
 	for _, c := range candidates {
-		for b := range used {
+		for b := range w {
 			w[b] = e.Ctx.EdgeWeight(c.A, c.B, e.buckets[b])
 		}
 		total := 0.0
+		k := 0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				b := e.bucketOf(e.Ctx.Alpha(i, j))
+				b := pairBucket[k]
+				k++
 				d := tables[b].WithEdge(i, j, c.A, c.B, w[b])
 				if !math.IsInf(d, 1) {
 					total += d
@@ -129,6 +132,22 @@ type Addition struct {
 	Fraction float64
 }
 
+// WithLink returns the engine for e's network plus the link l, with e's
+// options and a copy of its whole risk context, span risk and Impact
+// included. The new link carries no span risk: nothing sampled its span.
+// It builds from Ctx.Net, so links a WithoutLinks view failed are back.
+func (e *Engine) WithLink(l topology.Link) (*Engine, error) {
+	if n := e.N(); l.A < 0 || l.A >= n || l.B < 0 || l.B >= n || l.A == l.B {
+		return nil, fmt.Errorf("core: added link %d-%d out of range or a self-loop", l.A, l.B)
+	}
+	ctx := *e.Ctx
+	ctx.Net = e.Ctx.Net.Clone()
+	if err := ctx.Net.AddLink(l.A, l.B); err != nil {
+		return nil, err
+	}
+	return New(&ctx, e.opts)
+}
+
 // GreedyAdditionalLinks adds k links one at a time, each chosen by Equation
 // 4 against the network as augmented so far (the paper's greedy
 // methodology), and reports the exact objective after each addition. It
@@ -143,35 +162,21 @@ func (e *Engine) GreedyAdditionalLinks(k int) ([]Addition, error) {
 	}
 
 	cur := e
-	net := e.Ctx.Net
 	var out []Addition
 	for step := 0; step < k; step++ {
 		best, err := cur.BestAdditionalLink()
 		if err != nil {
 			break // no candidates left; return what we have
 		}
-		net = net.Clone()
-		if err := net.AddLink(best.Link.A, best.Link.B); err != nil {
+		if cur, err = cur.WithLink(best.Link); err != nil {
 			return nil, fmt.Errorf("core: greedy step %d: %w", step, err)
 		}
-		ctx := &risk.Context{
-			Net:       net,
-			Hist:      cur.Ctx.Hist,
-			Forecast:  cur.Ctx.Forecast,
-			Fractions: cur.Ctx.Fractions,
-			Params:    cur.Ctx.Params,
-		}
-		next, err := New(ctx, cur.opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: greedy step %d: %w", step, err)
-		}
-		total := next.TotalBitRisk()
+		total := cur.TotalBitRisk()
 		out = append(out, Addition{
 			Link:       best.Link,
 			TotalAfter: total,
 			Fraction:   total / base,
 		})
-		cur = next
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: network %q has no candidate links", e.Ctx.Net.Name)

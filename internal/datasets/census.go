@@ -1,6 +1,8 @@
 package datasets
 
 import (
+	"fmt"
+
 	"riskroute/internal/geo"
 	"riskroute/internal/population"
 	"riskroute/internal/stats"
@@ -18,7 +20,7 @@ import (
 type CensusConfig struct {
 	// Blocks is the total number of census blocks to generate. The paper's
 	// data has 215,932; the default 20,000 preserves the density structure
-	// at a fraction of the cost. Must be at least 10× the gazetteer size.
+	// at a fraction of the cost. Must be at least MinCensusBlocks.
 	Blocks int
 	// RuralFraction is the share of blocks drawn from the uniform rural
 	// background instead of city clusters (default 0.15).
@@ -46,6 +48,19 @@ func (c CensusConfig) withDefaults() CensusConfig {
 	return c
 }
 
+// MinCensusBlocks is the smallest block budget GenerateCensus accepts: ten
+// blocks per gazetteer city.
+var MinCensusBlocks = 10 * len(Cities)
+
+// CheckCensusBlocks rejects a block budget GenerateCensus would panic on,
+// naming the floor. Zero means the default and passes.
+func CheckCensusBlocks(blocks int) error {
+	if blocks != 0 && blocks < MinCensusBlocks {
+		return fmt.Errorf("census blocks %d below the minimum of %d (0 means the default)", blocks, MinCensusBlocks)
+	}
+	return nil
+}
+
 // GenerateCensus synthesizes a continental-US census. Urban blocks cluster
 // around gazetteer cities (count proportional to city population, population
 // per block proportional to the city's share), rural blocks scatter
@@ -53,7 +68,7 @@ func (c CensusConfig) withDefaults() CensusConfig {
 // It panics on a block budget too small to cover the gazetteer.
 func GenerateCensus(cfg CensusConfig) *population.Census {
 	cfg = cfg.withDefaults()
-	if cfg.Blocks < 10*len(Cities) {
+	if cfg.Blocks < MinCensusBlocks {
 		panic("datasets: census block budget too small for gazetteer")
 	}
 	rng := stats.NewRNG(seedFor("census") ^ cfg.Seed)

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"riskroute/internal/datasets"
 )
 
 // testLab builds one reduced-scale lab shared by all experiment tests (the
@@ -34,6 +37,15 @@ func testLab(t *testing.T) *Lab {
 		t.Fatalf("NewLab: %v", labErr)
 	}
 	return lab
+}
+
+// TestNewLabRejectsSmallCensus: a census block budget below the
+// generator's floor is an error naming the floor, not a panic.
+func TestNewLabRejectsSmallCensus(t *testing.T) {
+	floor := strconv.Itoa(datasets.MinCensusBlocks)
+	if _, err := NewLab(Config{CensusBlocks: 100}); err == nil || !strings.Contains(err.Error(), floor) {
+		t.Fatalf("NewLab with 100 blocks: %v, want an error naming %s", err, floor)
+	}
 }
 
 func TestLabWorld(t *testing.T) {

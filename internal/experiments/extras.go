@@ -50,7 +50,7 @@ func (l *Lab) Extras() (*ExtrasResult, error) {
 		return nil, err
 	}
 	net := l.NetworkByName(out.SeasonalNetwork)
-	asg, err := l.Assignment(net)
+	annual, err := l.EngineFor(net, risk.Params{LambdaH: 1e5}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -62,13 +62,9 @@ func (l *Lab) Extras() (*ExtrasResult, error) {
 		}
 		out.SeasonalMeanRisk[name] = mean / float64(len(hist))
 
-		ctx := &risk.Context{
-			Net:       net,
-			Hist:      hist,
-			Fractions: asg.Fractions,
-			Params:    risk.Params{LambdaH: 1e5},
-		}
-		e, err := newEngineForLab(l, ctx)
+		ctx := *annual.Ctx
+		ctx.Hist = hist
+		e, err := annual.Reprice(&ctx, l.opts)
 		if err != nil {
 			return nil, err
 		}

@@ -146,54 +146,36 @@ func (l *Lab) Figure9(network string, k int) (*Figure9Result, error) {
 // would stop after one or two additions; the loosest rule used is reported.
 func (l *Lab) greedyLinksAdaptive(n *topology.Network, k int) ([]core.Addition, float64, error) {
 	rules := []float64{0.5, 0.35, 0.25, 0.15}
-	net := n
+	cur, err := l.EngineFor(n, risk.Params{LambdaH: 1e5}, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	base := cur.TotalBitRisk()
 	loosest := rules[0]
 	var out []core.Addition
-	base := 0.0
-
 	for step := 0; step < k; step++ {
-		ctx, err := l.ContextFor(net, risk.Params{LambdaH: 1e5}, nil)
-		if err != nil {
-			return nil, 0, err
-		}
 		var best core.Candidate
 		found := false
 		for _, rule := range rules {
-			e, err := core.New(ctx, core.Options{
-				AlphaBuckets:       l.Cfg.AlphaBuckets,
-				CandidateReduction: rule,
-			})
+			opts := l.opts
+			opts.CandidateReduction = rule
+			e, err := cur.Reprice(cur.Ctx, opts)
 			if err != nil {
 				return nil, 0, err
 			}
-			if step == 0 && base == 0 {
-				base = e.TotalBitRisk()
-			}
-			b, err := e.BestAdditionalLink()
-			if err == nil {
-				best, found = b, true
-				if rule < loosest {
-					loosest = rule
-				}
+			if best, err = e.BestAdditionalLink(); err == nil {
+				found = true
+				loosest = min(loosest, rule)
 				break
 			}
 		}
 		if !found {
 			break // nothing left even at the loosest rule
 		}
-		net = net.Clone()
-		if err := net.AddLink(best.Link.A, best.Link.B); err != nil {
+		if cur, err = cur.WithLink(best.Link); err != nil {
 			return nil, 0, fmt.Errorf("experiments: greedy step %d: %w", step, err)
 		}
-		ctx2, err := l.ContextFor(net, risk.Params{LambdaH: 1e5}, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		e2, err := core.New(ctx2, core.Options{AlphaBuckets: l.Cfg.AlphaBuckets})
-		if err != nil {
-			return nil, 0, err
-		}
-		total := e2.TotalBitRisk()
+		total := cur.TotalBitRisk()
 		out = append(out, core.Addition{
 			Link:       best.Link,
 			TotalAfter: total,
@@ -269,7 +251,7 @@ func (l *Lab) Figure11() (*Figure11Result, error) {
 		choices, err := interdomain.BestNewPeering(
 			l.Networks, datasets.ArePeered, name, names,
 			l.Model, l.Census, risk.Params{LambdaH: 1e5},
-			core.Options{AlphaBuckets: l.Cfg.AlphaBuckets})
+			l.opts)
 		if err != nil {
 			continue // no candidates
 		}

@@ -116,6 +116,7 @@ type Lab struct {
 	Census   *population.Census
 	Model    *hazard.Model
 
+	opts        core.Options // every lab engine's: buckets, workers, telemetry
 	mu          sync.Mutex
 	assignments map[string]*population.Assignment
 	popRisks    map[string][]float64
@@ -126,6 +127,9 @@ type Lab struct {
 // Table 1 bandwidths; Table1 re-runs the cross-validation itself).
 func NewLab(cfg Config) (*Lab, error) {
 	cfg = cfg.withDefaults()
+	if err := datasets.CheckCensusBlocks(cfg.CensusBlocks); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	nets := datasets.BuildNetworks()
 
 	lab := &Lab{
@@ -134,6 +138,8 @@ func NewLab(cfg Config) (*Lab, error) {
 		Census:      datasets.GenerateCensus(datasets.CensusConfig{Blocks: cfg.CensusBlocks, Seed: cfg.Seed}),
 		assignments: make(map[string]*population.Assignment),
 		popRisks:    make(map[string][]float64),
+		opts: core.Options{AlphaBuckets: cfg.AlphaBuckets, Workers: cfg.Workers,
+			Metrics: cfg.Metrics, Trace: cfg.Trace, Logger: cfg.Logger},
 	}
 	for _, n := range nets {
 		switch n.Tier {
@@ -247,35 +253,20 @@ func (l *Lab) PoPRisks(n *topology.Network) []float64 {
 	return r
 }
 
-// ContextFor assembles a risk context for a network under the given tuning
+// EngineFor builds a routing engine for a network under the given tuning
 // parameters, with optional per-PoP forecast risk.
-func (l *Lab) ContextFor(n *topology.Network, params risk.Params, forecast []float64) (*risk.Context, error) {
+func (l *Lab) EngineFor(n *topology.Network, params risk.Params, forecast []float64) (*core.Engine, error) {
 	asg, err := l.Assignment(n)
 	if err != nil {
 		return nil, err
 	}
-	return &risk.Context{
+	return core.New(&risk.Context{
 		Net:       n,
 		Hist:      l.PoPRisks(n),
 		Forecast:  forecast,
 		Fractions: asg.Fractions,
 		Params:    params,
-	}, nil
-}
-
-// EngineFor builds a routing engine for a network.
-func (l *Lab) EngineFor(n *topology.Network, params risk.Params, forecast []float64) (*core.Engine, error) {
-	ctx, err := l.ContextFor(n, params, forecast)
-	if err != nil {
-		return nil, err
-	}
-	return core.New(ctx, core.Options{
-		AlphaBuckets: l.Cfg.AlphaBuckets,
-		Workers:      l.Cfg.Workers,
-		Metrics:      l.Cfg.Metrics,
-		Trace:        l.Cfg.Trace,
-		Logger:       l.Cfg.Logger,
-	})
+	}, l.opts)
 }
 
 // track times one experiment: it opens a child span named after the
@@ -312,16 +303,4 @@ func (l *Lab) RegionalNames() []string {
 		out[i] = n.Name
 	}
 	return out
-}
-
-// newEngineForLab builds an engine with the lab's bucket configuration for
-// an already-assembled context.
-func newEngineForLab(l *Lab, ctx *risk.Context) (*core.Engine, error) {
-	return core.New(ctx, core.Options{
-		AlphaBuckets: l.Cfg.AlphaBuckets,
-		Workers:      l.Cfg.Workers,
-		Metrics:      l.Cfg.Metrics,
-		Trace:        l.Cfg.Trace,
-		Logger:       l.Cfg.Logger,
-	})
 }

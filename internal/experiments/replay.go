@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"riskroute/internal/core"
 	"riskroute/internal/datasets"
 	"riskroute/internal/forecast"
 	"riskroute/internal/interdomain"
@@ -113,7 +112,7 @@ func (l *Lab) Figure13(storm string) (*ReplayResult, error) {
 		a := replay.Advisories[i]
 		fc := rm.PoPRisks(a, comp.Flat)
 		an, err := interdomain.NewAnalysisPrecomputed(comp, hist, fractions, fc, params,
-			core.Options{AlphaBuckets: l.Cfg.AlphaBuckets})
+			l.opts)
 		if err != nil {
 			return nil, err
 		}

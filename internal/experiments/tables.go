@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"riskroute/internal/core"
 	"riskroute/internal/datasets"
 	"riskroute/internal/interdomain"
 	"riskroute/internal/kde"
@@ -123,7 +122,7 @@ func (l *Lab) evaluateRegionals(params risk.Params) ([]RegionalEvaluation, error
 		return nil, err
 	}
 	an, err := interdomain.NewAnalysis(comp, l.Model, l.Census, nil, params,
-		core.Options{AlphaBuckets: l.Cfg.AlphaBuckets})
+		l.opts)
 	if err != nil {
 		return nil, err
 	}

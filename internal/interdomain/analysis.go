@@ -56,7 +56,8 @@ func NewAnalysis(comp *Composite, model *hazard.Model, census *population.Census
 
 // NewAnalysisPrecomputed builds an analysis from already-computed per-flat-
 // node historical risk and population fractions. Disaster replays use this
-// to avoid recomputing the assignment at every advisory.
+// to avoid recomputing the assignment at every advisory, and the peering
+// search to avoid recomputing it for every candidate peer.
 func NewAnalysisPrecomputed(comp *Composite, hist, fractions, forecast []float64,
 	params risk.Params, opts core.Options) (*Analysis, error) {
 
@@ -124,7 +125,15 @@ func BestNewPeering(nets []*topology.Network, peered func(a, b string) bool,
 	if err != nil {
 		return nil, err
 	}
-	base, err := NewAnalysis(baseComp, model, census, nil, params, opts)
+	// A peering only adds zero-mile links, so every candidate composite has
+	// the base's flat PoPs in the same order: one census assignment and one
+	// set of PoP risks serve them all.
+	fractions, err := Fractions(baseComp, census)
+	if err != nil {
+		return nil, err
+	}
+	hist := model.PoPRisks(baseComp.Flat)
+	base, err := NewAnalysisPrecomputed(baseComp, hist, fractions, nil, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +166,7 @@ func BestNewPeering(nets []*topology.Network, peered func(a, b string) bool,
 		if err != nil {
 			return nil, fmt.Errorf("interdomain: candidate %s: %w", cand, err)
 		}
-		an, err := NewAnalysis(comp, model, census, nil, params, opts)
+		an, err := NewAnalysisPrecomputed(comp, hist, fractions, nil, params, opts)
 		if err != nil {
 			return nil, fmt.Errorf("interdomain: candidate %s: %w", cand, err)
 		}

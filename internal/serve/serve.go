@@ -466,6 +466,9 @@ type fittedWorld struct {
 // through the same function is what makes snapshot boots bit-identical by
 // construction.
 func fitWorld(cfg Config, warm *obs.Span) (*fittedWorld, error) {
+	if err := datasets.CheckCensusBlocks(cfg.Blocks); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	fit := warm.Child("hazard-fit")
 	model, err := hazard.Fit(hazard.SyntheticSources(cfg.EventScale, cfg.Seed),
 		hazard.FitConfig{Workers: cfg.Workers, Metrics: cfg.Metrics,

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +76,24 @@ func sandyReplay(tb testing.TB) *forecast.Replay {
 		tb.Fatalf("LoadReplay: %v", err)
 	}
 	return replay
+}
+
+// TestSmallCensusIsConfigError: a census block budget below the
+// generator's floor is an error naming the floor, returned before the
+// hazard fit, from both the serving boot and the bake.
+func TestSmallCensusIsConfigError(t *testing.T) {
+	cfg := Config{
+		Networks:   []*topology.Network{datasets.NetworkByName("Sprint")},
+		Blocks:     100,
+		EventScale: 0.03,
+	}
+	floor := strconv.Itoa(datasets.MinCensusBlocks)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), floor) {
+		t.Errorf("New with %d blocks: %v, want an error naming %s", cfg.Blocks, err, floor)
+	}
+	if _, err := BakeWorld(cfg); err == nil || !strings.Contains(err.Error(), floor) {
+		t.Errorf("BakeWorld with %d blocks: %v, want an error naming %s", cfg.Blocks, err, floor)
+	}
 }
 
 func TestReadyAndHealth(t *testing.T) {
