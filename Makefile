@@ -7,7 +7,7 @@ BENCH_BASELINE ?= BENCH_PR10.json
 BENCH_NEW ?= BENCH_PR13.json
 BENCH_THRESHOLD ?= 10
 
-.PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism experiments-golden
+.PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism experiments-golden ensemble-golden
 
 # tier1 is the gate every change must keep green: full build + test suite.
 tier1:
@@ -76,6 +76,14 @@ fuzz-smoke:
 # cmd/experiments/testdata/README.md). CI runs the same diff.
 experiments-golden:
 	$(GO) run ./cmd/experiments -fast | diff cmd/experiments/testdata/fast.golden -
+
+# ensemble-golden reruns a small five-family scenario sweep and diffs its
+# stdout against the pinned golden (linux/amd64; see
+# cmd/riskroute/testdata/README.md). CI runs the same diff.
+ensemble-golden:
+	$(GO) run ./cmd/riskroute ensemble -networks Sprint,NTT \
+		-scenarios track=20,genesis=10,cut=40,disk=40,regional=40 \
+		-blocks 4000 -event-scale 0.03 | diff cmd/riskroute/testdata/ensemble.golden -
 
 # determinism replays the bit-identity tests under contrasting scheduler
 # widths: results must not depend on how many cores the host exposes.

@@ -460,6 +460,9 @@ func cmdReplay(args []string) error {
 	lambdaH := fs.Float64("lambda-h", 1e5, "historical risk weight λ_h")
 	lambdaF := fs.Float64("lambda-f", 1e3, "forecast risk weight λ_f")
 	fs.Parse(args)
+	if *stride < 1 {
+		return fmt.Errorf("-stride must be at least 1, got %d", *stride)
+	}
 
 	track := riskroute.HurricaneByName(*storm)
 	if track == nil {

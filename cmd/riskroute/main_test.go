@@ -5,11 +5,13 @@ package main
 // formatting, and cross-package plumbing that unit tests can't.
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var binPath string
@@ -42,9 +44,18 @@ func run(t *testing.T, args ...string) string {
 	return string(out)
 }
 
+// errorDeadline bounds a run expected to fail: bad input must be refused
+// promptly, and a run that outlives it (a hang) fails the test.
+const errorDeadline = time.Minute
+
 func runExpectError(t *testing.T, args ...string) string {
 	t.Helper()
-	out, err := exec.Command(binPath, args...).CombinedOutput()
+	ctx, cancel := context.WithTimeout(context.Background(), errorDeadline)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, binPath, args...).CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("riskroute %s: still running after %v:\n%.2000s", strings.Join(args, " "), errorDeadline, out)
+	}
 	if err == nil {
 		t.Fatalf("riskroute %s: expected failure, got:\n%s", strings.Join(args, " "), out)
 	}
@@ -194,6 +205,14 @@ func TestCLIErrors(t *testing.T) {
 	out = runExpectError(t, "provision", "-network", "Tinet", "-blocks", "2500", "-event-scale", "0.03")
 	if !strings.Contains(out, "minimum of 2510") || strings.Contains(out, "panic:") {
 		t.Errorf("provision -blocks 2500: %s", out)
+	}
+	// A stride of 0 would never advance the replay loop, and a negative one
+	// would index before the first advisory.
+	for _, stride := range []string{"-1", "0"} {
+		out = runExpectError(t, append([]string{"replay", "-stride", stride}, tiny...)...)
+		if !strings.Contains(out, "-stride must be at least 1") || strings.Contains(out, "panic:") {
+			t.Errorf("replay -stride %s: %.2000s", stride, out)
+		}
 	}
 }
 

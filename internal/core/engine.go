@@ -309,8 +309,8 @@ func alphaRange(ctx *risk.Context) (lo, hi float64, err error) {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				a := ctx.Alpha(i, j)
-				if a < 0 {
-					return 0, 0, fmt.Errorf("core: negative impact for pair (%d,%d)", i, j)
+				if !(a >= 0) || math.IsInf(a, 1) {
+					return 0, 0, fmt.Errorf("core: invalid impact %v for pair (%d,%d)", a, i, j)
 				}
 				if a < lo {
 					lo = a

@@ -68,17 +68,45 @@ func mustEngine(t *testing.T, ctx *risk.Context, opts Options) *Engine {
 }
 
 func TestNewValidation(t *testing.T) {
-	ctx := gridNet(3, 3, 1)
-	ctx.Hist = ctx.Hist[:2]
-	if _, err := New(ctx, Options{}); err == nil {
-		t.Error("misaligned context accepted")
-	}
 	tiny := &risk.Context{
 		Net:  &topology.Network{Name: "One", PoPs: []topology.PoP{{Name: "A"}}},
 		Hist: []float64{0}, Fractions: []float64{1},
 	}
 	if _, err := New(tiny, Options{}); err == nil {
 		t.Error("single-PoP network accepted")
+	}
+	// A negative population fraction makes some α_ij negative, and a search
+	// over negative edge weights never settles; a NaN or infinite fraction or
+	// impact prices every pair NaN or unreachable.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		apply func(ctx *risk.Context)
+	}{
+		{"misaligned hist", func(ctx *risk.Context) { ctx.Hist = ctx.Hist[:2] }},
+		{"negative fraction", func(ctx *risk.Context) { ctx.Fractions[0] = -0.9 }},
+		{"NaN fraction", func(ctx *risk.Context) { ctx.Fractions[4] = nan }},
+		{"+Inf fraction", func(ctx *risk.Context) { ctx.Fractions[8] = inf }},
+		{"NaN hist", func(ctx *risk.Context) { ctx.Hist[2] = nan }},
+		{"+Inf hist", func(ctx *risk.Context) { ctx.Hist[2] = inf }},
+		{"negative hist", func(ctx *risk.Context) { ctx.Hist[2] = -1 }},
+		{"NaN impact", func(ctx *risk.Context) {
+			ctx.Impact = func(i, j int) float64 { return nan }
+		}},
+		{"+Inf impact", func(ctx *risk.Context) {
+			ctx.Impact = func(i, j int) float64 {
+				if i == 1 && j == 5 {
+					return inf
+				}
+				return ctx.Fractions[i] + ctx.Fractions[j]
+			}
+		}},
+	} {
+		ctx := gridNet(3, 3, 5)
+		tc.apply(ctx)
+		if _, err := New(ctx, Options{}); err == nil {
+			t.Errorf("%s: engine built", tc.name)
+		}
 	}
 }
 

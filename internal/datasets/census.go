@@ -22,25 +22,22 @@ type CensusConfig struct {
 	// data has 215,932; the default 20,000 preserves the density structure
 	// at a fraction of the cost. Must be at least MinCensusBlocks.
 	Blocks int
-	// RuralFraction is the share of blocks drawn from the uniform rural
-	// background instead of city clusters (default 0.15).
-	RuralFraction float64
-	// UrbanSpreadMiles is the standard deviation of a city cluster's block
-	// scatter (default 12 miles).
-	UrbanSpreadMiles float64
 	// Seed drives all sampling (default 1).
 	Seed uint64
 }
 
+const (
+	// ruralFraction is the share of blocks drawn from the uniform rural
+	// background instead of city clusters.
+	ruralFraction = 0.15
+	// urbanSpreadMiles is the standard deviation of a city cluster's block
+	// scatter.
+	urbanSpreadMiles = 12.0
+)
+
 func (c CensusConfig) withDefaults() CensusConfig {
 	if c.Blocks == 0 {
 		c.Blocks = 20000
-	}
-	if c.RuralFraction == 0 {
-		c.RuralFraction = 0.15
-	}
-	if c.UrbanSpreadMiles == 0 {
-		c.UrbanSpreadMiles = 12
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -73,7 +70,7 @@ func GenerateCensus(cfg CensusConfig) *population.Census {
 	}
 	rng := stats.NewRNG(seedFor("census") ^ cfg.Seed)
 
-	nRural := int(float64(cfg.Blocks) * cfg.RuralFraction)
+	nRural := int(float64(cfg.Blocks) * ruralFraction)
 	nUrban := cfg.Blocks - nRural
 
 	totalCityPop := 0.0
@@ -86,7 +83,7 @@ func GenerateCensus(cfg CensusConfig) *population.Census {
 	// Urban blocks: each city gets a share of blocks proportional to its
 	// population (at least one), holding an equal share of the city's
 	// population per block.
-	spreadDegLat := cfg.UrbanSpreadMiles / 69.0
+	spreadDegLat := urbanSpreadMiles / 69.0
 	remaining := nUrban
 	for i, c := range Cities {
 		share := int(float64(nUrban) * c.Population / totalCityPop)

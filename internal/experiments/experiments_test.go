@@ -48,6 +48,16 @@ func TestNewLabRejectsSmallCensus(t *testing.T) {
 	}
 }
 
+// TestNewLabRejectsNegativeStride: a negative replay stride would index
+// before the first advisory; only 0 means the default, so NewLab refuses it
+// before building anything.
+func TestNewLabRejectsNegativeStride(t *testing.T) {
+	_, err := NewLab(Config{CensusBlocks: 4000, EventScale: 0.03, CellMiles: 60, ReplayStride: -1})
+	if err == nil || !strings.Contains(err.Error(), "stride") {
+		t.Fatalf("NewLab with stride -1: %v, want an error naming the stride", err)
+	}
+}
+
 func TestLabWorld(t *testing.T) {
 	l := testLab(t)
 	if len(l.Networks) != 23 || len(l.Tier1) != 7 || len(l.Regional) != 16 {

@@ -42,7 +42,7 @@ type Config struct {
 	AlphaBuckets int
 	// ReplayStride evaluates every k-th advisory in the disaster case
 	// studies (default 5, giving 12-14 points per storm — the granularity
-	// of the paper's Figures 12 and 13).
+	// of the paper's Figures 12 and 13). Negative strides are rejected.
 	ReplayStride int
 	// CVCandidates is the size of Table 1's bandwidth search grid
 	// (default 18 log-spaced values in [2, 600] miles).
@@ -129,6 +129,9 @@ func NewLab(cfg Config) (*Lab, error) {
 	cfg = cfg.withDefaults()
 	if err := datasets.CheckCensusBlocks(cfg.CensusBlocks); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	if cfg.ReplayStride < 1 {
+		return nil, fmt.Errorf("experiments: replay stride %d below 1 (0 means the default)", cfg.ReplayStride)
 	}
 	nets := datasets.BuildNetworks()
 

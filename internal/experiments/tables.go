@@ -36,7 +36,6 @@ func (l *Lab) Table1() (*Table1Result, error) {
 	for _, et := range datasets.EventTypes {
 		events := l.EventsFor(et)
 		res := kde.SelectBandwidth(events, kde.CVConfig{
-			Folds:      5,
 			Candidates: kde.LogGrid(2, 600, l.Cfg.CVCandidates),
 			MaxEvents:  l.Cfg.CVMaxEvents,
 			Seed:       l.Cfg.Seed,

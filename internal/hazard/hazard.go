@@ -149,22 +149,21 @@ func Restore(sources []FittedSource, lost []string, renorm float64) (*Model, err
 	return m, nil
 }
 
+// fitBounds is every fitted surface's raster region: the continental US
+// padded 2°.
+var fitBounds = geo.ContinentalUS.Expand(2)
+
 // FitConfig controls model fitting.
 type FitConfig struct {
-	// Bounds is the raster region (default: continental US padded 2°).
-	Bounds geo.Bounds
 	// CellMiles is the target raster cell size in miles. Each source gets
 	// its own grid with cells no larger than min(CellMiles, bandwidth/2), so
 	// sharply peaked surfaces (the paper's 3.59-mile wind bandwidth) stay
 	// resolved. Default 20.
 	CellMiles float64
-	// CV configures bandwidth cross-validation for sources with Bandwidth
-	// zero. The zero value uses kde defaults.
-	CV kde.CVConfig
-	// Workers bounds the goroutines used for rasterization and, unless
-	// CV.Workers is set explicitly, cross-validation (zero means GOMAXPROCS,
-	// one forces sequential). Fitted fields and selected bandwidths are
-	// bit-identical at every worker count.
+	// Workers bounds the goroutines used for rasterization and for the
+	// cross-validation of sources with Bandwidth zero, which runs at kde's
+	// defaults (zero means GOMAXPROCS, one forces sequential). Fitted fields
+	// and selected bandwidths are bit-identical at every worker count.
 	Workers int
 	// Lenient makes Fit fail open: a source that cannot be fitted (no
 	// events, too few events for cross-validation, negative scale, or an
@@ -193,18 +192,15 @@ type FitConfig struct {
 }
 
 func (c FitConfig) withDefaults() FitConfig {
-	if c.Bounds == (geo.Bounds{}) {
-		c.Bounds = geo.ContinentalUS.Expand(2)
-	}
 	if c.CellMiles == 0 {
 		c.CellMiles = 20
 	}
 	return c
 }
 
-// gridFor sizes a raster so cells are at most cellMiles (and at most half
-// the bandwidth) on a side, within sane limits.
-func gridFor(bounds geo.Bounds, cellMiles, bandwidth float64) geo.Grid {
+// gridFor sizes a raster over fitBounds so cells are at most cellMiles (and
+// at most half the bandwidth) on a side, within sane limits.
+func gridFor(cellMiles, bandwidth float64) geo.Grid {
 	target := cellMiles
 	if half := bandwidth / 2; half < target {
 		target = half
@@ -212,9 +208,9 @@ func gridFor(bounds geo.Bounds, cellMiles, bandwidth float64) geo.Grid {
 	if target < 1.5 {
 		target = 1.5
 	}
-	latMiles := (bounds.MaxLat - bounds.MinLat) * 69.0
-	midLat := (bounds.MinLat + bounds.MaxLat) / 2
-	lonMiles := (bounds.MaxLon - bounds.MinLon) * 69.0 * math.Cos(geo.DegToRad(midLat))
+	latMiles := (fitBounds.MaxLat - fitBounds.MinLat) * 69.0
+	midLat := (fitBounds.MinLat + fitBounds.MaxLat) / 2
+	lonMiles := (fitBounds.MaxLon - fitBounds.MinLon) * 69.0 * math.Cos(geo.DegToRad(midLat))
 	rows := int(latMiles/target) + 1
 	cols := int(lonMiles/target) + 1
 	const maxDim = 2600
@@ -230,7 +226,7 @@ func gridFor(bounds geo.Bounds, cellMiles, bandwidth float64) geo.Grid {
 	if cols < 8 {
 		cols = 8
 	}
-	return geo.NewGrid(bounds, rows, cols)
+	return geo.NewGrid(fitBounds, rows, cols)
 }
 
 // Fit resolves bandwidths (by cross-validation where unspecified) and
@@ -245,12 +241,6 @@ func Fit(sources []Source, cfg FitConfig) (*Model, error) {
 		panic("hazard: Fit with no sources")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.CV.Metrics == nil {
-		cfg.CV.Metrics = cfg.Metrics
-	}
-	if cfg.CV.Workers == 0 {
-		cfg.CV.Workers = cfg.Workers
-	}
 	fit := cfg.Trace.Child("fit")
 	defer fit.End()
 	lg := obs.LoggerOrNop(cfg.Logger)
@@ -267,9 +257,9 @@ func Fit(sources []Source, cfg FitConfig) (*Model, error) {
 		if s.Scale < 0 {
 			return fmt.Errorf("hazard: source %q has negative scale", s.Name)
 		}
-		if s.Bandwidth == 0 && len(s.Events) < cfg.CV.MinEvents() {
+		if s.Bandwidth == 0 && len(s.Events) < kde.CVMinEvents {
 			return fmt.Errorf("hazard: source %q has %d events, below the %d cross-validation needs",
-				s.Name, len(s.Events), cfg.CV.MinEvents())
+				s.Name, len(s.Events), kde.CVMinEvents)
 		}
 		return nil
 	}
@@ -295,13 +285,14 @@ func Fit(sources []Source, cfg FitConfig) (*Model, error) {
 		bw := s.Bandwidth
 		if bw == 0 {
 			cvStart := time.Now()
-			bw = kde.SelectBandwidth(s.Events, cfg.CV).Bandwidth
+			cv := kde.CVConfig{Workers: cfg.Workers, Metrics: cfg.Metrics}
+			bw = kde.SelectBandwidth(s.Events, cv).Bandwidth
 			cfg.Metrics.Histogram("hazard.fit.cv_seconds", obs.LatencyBuckets()).
 				Observe(time.Since(cvStart).Seconds())
 			src.SetAttr("cv", true)
 		}
 		est := kde.New(s.Events, bw)
-		grid := gridFor(cfg.Bounds, cfg.CellMiles, bw)
+		grid := gridFor(cfg.CellMiles, bw)
 		field := kde.RasterizeWorkers(est, grid, 5, cfg.Workers)
 		if s.Scale != 0 && s.Scale != 1 {
 			field.Scale(s.Scale)

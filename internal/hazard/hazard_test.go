@@ -2,6 +2,7 @@ package hazard
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,26 +93,19 @@ func TestRiskScaleMagnitude(t *testing.T) {
 }
 
 func TestFitCrossValidation(t *testing.T) {
-	// A source with zero bandwidth goes through CV.
+	// A source with zero bandwidth goes through CV over kde's default
+	// candidates, 25 log-spaced values in [1, 1000] miles.
 	events := datasets.GenerateEvents(datasets.FEMAHurricane, 300, 3)
-	m, err := Fit([]Source{{Name: "cv", Events: events}}, FitConfig{
-		CellMiles: 40,
-		CV: kde.CVConfig{
-			Folds:      3,
-			Candidates: []float64{30, 100, 400},
-			Grid:       geo.NewGrid(geo.ContinentalUS, 20, 40),
-			Seed:       5,
-		},
-	})
+	m, err := Fit([]Source{{Name: "cv", Events: events}}, FitConfig{CellMiles: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bw := m.Sources[0].Bandwidth
-	if bw != 30 && bw != 100 && bw != 400 {
-		t.Errorf("CV bandwidth %v not among candidates", bw)
+	if !slices.Contains(kde.LogGrid(1, 1000, 25), bw) {
+		t.Errorf("CV bandwidth %v not among kde's default candidates", bw)
 	}
-	if bw == 400 {
-		t.Errorf("CV picked the degenerate 400-mile bandwidth for coastal hurricane data")
+	if bw >= 400 {
+		t.Errorf("CV picked a degenerate %v-mile bandwidth for coastal hurricane data", bw)
 	}
 }
 

@@ -10,10 +10,22 @@ import (
 	"riskroute/internal/stats"
 )
 
+// cvFolds is the number of cross-validation folds: the paper's 5-way CV
+// (Table 1).
+const cvFolds = 5
+
+// CVMinEvents is the smallest catalog SelectBandwidth accepts (it panics
+// below two events per fold). Callers wanting to degrade rather than crash
+// — hazard.Fit in lenient mode — check this first.
+const CVMinEvents = 2 * cvFolds
+
+// cvGrid is the histogram grid over which the KL divergence between the
+// held-out empirical distribution and the fitted density is computed: 40×80
+// cells over the continental US padded 2°.
+var cvGrid = geo.NewGrid(geo.ContinentalUS.Expand(2), 40, 80)
+
 // CVConfig controls bandwidth cross-validation.
 type CVConfig struct {
-	// Folds is the number of cross-validation folds (the paper uses 5-way CV).
-	Folds int
 	// Candidates is the bandwidth grid to search, in miles. If nil, a
 	// logarithmic grid spanning [1, 1000] miles is used.
 	Candidates []float64
@@ -23,10 +35,6 @@ type CVConfig struct {
 	// is quadratic — the cap keeps CV tractable without changing which
 	// bandwidth wins (the likelihood surface is smooth in σ).
 	MaxEvents int
-	// Grid is the histogram grid over which the KL divergence between the
-	// held-out empirical distribution and the fitted density is computed.
-	// A zero Grid defaults to a 40×80 grid over the continental US.
-	Grid geo.Grid
 	// Seed drives fold assignment and subsampling.
 	Seed uint64
 	// Workers bounds the goroutines used to score candidates (zero means
@@ -40,25 +48,14 @@ type CVConfig struct {
 }
 
 func (c CVConfig) withDefaults() CVConfig {
-	if c.Folds == 0 {
-		c.Folds = 5
-	}
 	if c.Candidates == nil {
 		c.Candidates = LogGrid(1, 1000, 25)
-	}
-	if c.Grid.Rows == 0 {
-		c.Grid = geo.NewGrid(geo.ContinentalUS.Expand(2), 40, 80)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
 }
-
-// MinEvents returns the smallest catalog SelectBandwidth accepts under this
-// configuration (it panics below 2×Folds events). Callers wanting to degrade
-// rather than crash — hazard.Fit in lenient mode — check this first.
-func (c CVConfig) MinEvents() int { return 2 * c.withDefaults().Folds }
 
 // LogGrid returns n logarithmically spaced values from lo to hi inclusive.
 func LogGrid(lo, hi float64, n int) []float64 {
@@ -80,13 +77,13 @@ type CVResult struct {
 	Used      int       // number of events actually used after subsampling
 }
 
-// SelectBandwidth chooses the kernel bandwidth for events by k-fold
+// SelectBandwidth chooses the kernel bandwidth for events by 5-fold
 // cross-validation: each fold's held-out events are histogrammed over
-// cfg.Grid, the estimator fitted on the remaining events is rasterized over
+// cvGrid, the estimator fitted on the remaining events is rasterized over
 // the same grid, and the KL divergence D(held-out ‖ fitted) is averaged
 // across folds. The candidate minimizing the mean divergence wins. This
 // mirrors the paper's Section 5.2 procedure (5-way CV, KL divergence
-// criterion). It panics with fewer than 2×Folds events.
+// criterion). It panics with fewer than CVMinEvents events.
 //
 // Per candidate, every event is splatted exactly once — into its own fold's
 // unnormalized field — and each fold's train field is recovered by
@@ -98,7 +95,7 @@ type CVResult struct {
 // bit-identical at every worker count.
 func SelectBandwidth(events []geo.Point, cfg CVConfig) CVResult {
 	cfg = cfg.withDefaults()
-	if len(events) < 2*cfg.Folds {
+	if len(events) < CVMinEvents {
 		panic("kde: too few events for cross-validation")
 	}
 	started := time.Now()
@@ -119,13 +116,13 @@ func SelectBandwidth(events []geo.Point, cfg CVConfig) CVResult {
 		events = sub
 	}
 
-	folds := stats.KFold(len(events), cfg.Folds, rng)
-	cells := cfg.Grid.Size()
+	folds := stats.KFold(len(events), cvFolds, rng)
+	cells := cvGrid.Size()
 
 	// Scratch index mapping event -> fold, and per-fold train sizes. This
 	// replaces a per-fold membership map: one O(N) pass serves every fold.
 	foldOf := make([]int, len(events))
-	trainN := make([]float64, cfg.Folds)
+	trainN := make([]float64, cvFolds)
 	for f, test := range folds {
 		for _, i := range test {
 			foldOf[i] = f
@@ -134,23 +131,23 @@ func SelectBandwidth(events []geo.Point, cfg CVConfig) CVResult {
 	}
 
 	// Histogram each fold's held-out events once, up front.
-	hists := make([][]float64, cfg.Folds)
+	hists := make([][]float64, cvFolds)
 	for f := range hists {
 		hists[f] = make([]float64, cells)
 	}
 	for i, ev := range events {
-		r, c := cfg.Grid.Cell(ev)
-		hists[foldOf[i]][cfg.Grid.Index(r, c)]++
+		r, c := cvGrid.Cell(ev)
+		hists[foldOf[i]][cvGrid.Index(r, c)]++
 	}
 
 	// Cell areas convert densities (per square mile) to per-cell probability
 	// mass so the KL divergence compares like with like.
 	areas := make([]float64, cells)
-	for r := 0; r < cfg.Grid.Rows; r++ {
-		lat := cfg.Grid.CellCenter(r, 0).Lat
-		area := cfg.Grid.CellHeight() * 69.0 * cfg.Grid.CellWidth() * 69.0 * math.Cos(geo.DegToRad(lat))
-		for c := 0; c < cfg.Grid.Cols; c++ {
-			areas[cfg.Grid.Index(r, c)] = area
+	for r := 0; r < cvGrid.Rows; r++ {
+		lat := cvGrid.CellCenter(r, 0).Lat
+		area := cvGrid.CellHeight() * 69.0 * cvGrid.CellWidth() * 69.0 * math.Cos(geo.DegToRad(lat))
+		for c := 0; c < cvGrid.Cols; c++ {
+			areas[cvGrid.Index(r, c)] = area
 		}
 	}
 
@@ -163,11 +160,11 @@ func SelectBandwidth(events []geo.Point, cfg CVConfig) CVResult {
 		bw := cfg.Candidates[ci]
 		// One splat pass over the whole catalog, routed into per-fold
 		// unnormalized fields.
-		fields := make([][]float64, cfg.Folds)
+		fields := make([][]float64, cvFolds)
 		for f := range fields {
 			fields[f] = make([]float64, cells)
 		}
-		splatInto(fields, foldOf, events, bw, 5, cfg.Grid, cfg.Workers)
+		splatInto(fields, foldOf, events, bw, 5, cvGrid, cfg.Workers)
 
 		// Total field, accumulated in fold order (deterministic).
 		full := make([]float64, cells)
@@ -179,7 +176,7 @@ func SelectBandwidth(events []geo.Point, cfg CVConfig) CVResult {
 
 		pred := make([]float64, cells)
 		sum := 0.0
-		for f := 0; f < cfg.Folds; f++ {
+		for f := 0; f < cvFolds; f++ {
 			norm := 1 / (2 * math.Pi * bw * bw * trainN[f])
 			fv := fields[f]
 			for i := range pred {
@@ -187,7 +184,7 @@ func SelectBandwidth(events []geo.Point, cfg CVConfig) CVResult {
 			}
 			sum += stats.KLDivergence(hists[f], pred)
 		}
-		return sum / float64(cfg.Folds)
+		return sum / float64(cvFolds)
 	})
 
 	best := 0

@@ -203,7 +203,6 @@ func TestLogGrid(t *testing.T) {
 func TestSelectBandwidthRecoversScale(t *testing.T) {
 	// Tight clusters should get a small bandwidth; diffuse data a large one.
 	rng := stats.NewRNG(21)
-	grid := geo.NewGrid(geo.ContinentalUS.Expand(3), 30, 60)
 	candidates := []float64{10, 40, 160, 640}
 
 	tight := make([]geo.Point, 0, 300)
@@ -219,7 +218,7 @@ func TestSelectBandwidthRecoversScale(t *testing.T) {
 		}
 	}
 
-	cfg := CVConfig{Folds: 5, Candidates: candidates, Grid: grid, Seed: 7}
+	cfg := CVConfig{Candidates: candidates, Seed: 7}
 	tightBW := SelectBandwidth(tight, cfg).Bandwidth
 	diffuseBW := SelectBandwidth(diffuse, cfg).Bandwidth
 	if tightBW >= diffuseBW {
@@ -234,10 +233,8 @@ func TestSelectBandwidthSubsampling(t *testing.T) {
 	rng := stats.NewRNG(31)
 	events := clusterEvents(rng, geo.Point{Lat: 38, Lon: -90}, 2, 500)
 	cfg := CVConfig{
-		Folds:      3,
 		Candidates: []float64{30, 120},
 		MaxEvents:  100,
-		Grid:       geo.NewGrid(geo.ContinentalUS, 20, 40),
 		Seed:       3,
 	}
 	res := SelectBandwidth(events, cfg)
@@ -255,7 +252,7 @@ func TestSelectBandwidthTooFewEvents(t *testing.T) {
 			t.Error("expected panic with too few events")
 		}
 	}()
-	SelectBandwidth([]geo.Point{{Lat: 1, Lon: 1}}, CVConfig{Folds: 5})
+	SelectBandwidth([]geo.Point{{Lat: 1, Lon: 1}}, CVConfig{})
 }
 
 func BenchmarkDensityAt1000Events(b *testing.B) {

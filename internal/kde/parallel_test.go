@@ -48,7 +48,6 @@ func TestRasterizeDeterministicAcrossWorkers(t *testing.T) {
 func TestSelectBandwidthDeterministicAcrossWorkers(t *testing.T) {
 	events := randomEvents(300, 29)
 	base := CVConfig{
-		Folds:      5,
 		Candidates: LogGrid(5, 200, 6),
 		Seed:       3,
 	}
@@ -186,7 +185,6 @@ func BenchmarkKDERasterize(b *testing.B) {
 func BenchmarkKDESelectBandwidth(b *testing.B) {
 	events := randomEvents(800, 17)
 	base := CVConfig{
-		Folds:      5,
 		Candidates: LogGrid(5, 200, 8),
 		Seed:       3,
 	}

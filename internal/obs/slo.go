@@ -17,12 +17,12 @@ package obs
 // a 30-day budget in ~2 days). Two objectives are tracked: error ratio
 // (responses counted bad by the caller, conventionally 5xx) and latency
 // (requests slower than the objective threshold). Both are computed over
-// every configured window — 5m and 1h by default, the short window for
-// fast detection and the long one to keep a brief spike from paging.
+// two fixed windows, 5m and 1h: the short window for fast detection and
+// the long one to keep a brief spike from paging.
 //
 // # Mechanics
 //
-// Events land in a ring of per-second buckets sized to the longest window.
+// Events land in a ring of per-second buckets sized to the 1h window.
 // Each bucket remembers which second it represents, so stale slots are
 // skipped rather than zeroed on a timer — there is no background goroutine,
 // and with an injected clock every window sum is exactly reproducible
@@ -35,8 +35,12 @@ import (
 	"time"
 )
 
+// sloWindows are the rolling burn-rate windows, ascending; the ring is sized
+// to the last.
+var sloWindows = [...]time.Duration{5 * time.Minute, time.Hour}
+
 // SLOConfig tunes an SLO engine. The zero value is fully usable: 100ms
-// latency objective at 99%, 99.9% availability, 5m and 1h windows.
+// latency objective at 99%, 99.9% availability.
 type SLOConfig struct {
 	// LatencyObjective is the threshold above which a request counts
 	// against the latency objective (default 100ms).
@@ -48,9 +52,6 @@ type SLOConfig struct {
 	// that must not be errors (default 0.999). Values outside (0, 1) take
 	// the default.
 	ErrorTarget float64
-	// Windows are the rolling burn-rate windows, ascending (default
-	// 5m, 1h). The ring is sized to the longest window.
-	Windows []time.Duration
 	// Now is the clock (tests inject a fake; nil means time.Now).
 	Now func() time.Time
 	// Metrics, when set, receives the burn rates as gauges
@@ -69,14 +70,11 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	if c.LatencyObjective <= 0 {
 		c.LatencyObjective = 100 * time.Millisecond
 	}
-	if c.LatencyTarget <= 0 || c.LatencyTarget >= 1 {
+	if !(c.LatencyTarget > 0 && c.LatencyTarget < 1) {
 		c.LatencyTarget = 0.99
 	}
-	if c.ErrorTarget <= 0 || c.ErrorTarget >= 1 {
+	if !(c.ErrorTarget > 0 && c.ErrorTarget < 1) {
 		c.ErrorTarget = 0.999
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []time.Duration{5 * time.Minute, time.Hour}
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -108,21 +106,15 @@ type SLO struct {
 
 	mu      sync.Mutex
 	buckets []sloBucket
-	gauges  []sloGauges // parallel to cfg.Windows
+	gauges  []sloGauges // parallel to sloWindows
 }
 
 // NewSLO builds an SLO engine from cfg (zero value = defaults).
 func NewSLO(cfg SLOConfig) *SLO {
 	cfg = cfg.withDefaults()
-	max := cfg.Windows[0]
-	for _, w := range cfg.Windows {
-		if w > max {
-			max = w
-		}
-	}
 	s := &SLO{
 		cfg:     cfg,
-		buckets: make([]sloBucket, int(max/time.Second)+1),
+		buckets: make([]sloBucket, int(sloWindows[len(sloWindows)-1]/time.Second)+1),
 	}
 	switch {
 	case cfg.LatencyHistogram != nil:
@@ -133,7 +125,7 @@ func NewSLO(cfg SLOConfig) *SLO {
 		s.hist = newHistogram(LatencyBuckets())
 	}
 	if cfg.Metrics != nil {
-		for _, w := range cfg.Windows {
+		for _, w := range sloWindows {
 			s.gauges = append(s.gauges, sloGauges{
 				errorBurn:   cfg.Metrics.Gauge("slo.error.burn_rate." + windowLabel(w)),
 				latencyBurn: cfg.Metrics.Gauge("slo.latency.burn_rate." + windowLabel(w)),
@@ -143,16 +135,12 @@ func NewSLO(cfg SLOConfig) *SLO {
 	return s
 }
 
-// windowLabel renders a window for metric names: "5m", "1h", "90s".
+// windowLabel renders a window for metric names: "5m", "1h".
 func windowLabel(w time.Duration) string {
-	switch {
-	case w%time.Hour == 0:
+	if w%time.Hour == 0 {
 		return fmt.Sprintf("%dh", w/time.Hour)
-	case w%time.Minute == 0:
-		return fmt.Sprintf("%dm", w/time.Minute)
-	default:
-		return fmt.Sprintf("%ds", w/time.Second)
 	}
+	return fmt.Sprintf("%dm", w/time.Minute)
 }
 
 // Record accounts one request: its duration (fed to the latency objective
@@ -228,7 +216,7 @@ func (s *SLO) Snapshot() SLOSnapshot {
 		P99Seconds:              s.hist.Quantile(0.99),
 	}
 	s.mu.Lock()
-	for i, w := range s.cfg.Windows {
+	for i, w := range sloWindows {
 		oldest := now - int64(w/time.Second) // exclusive lower bound
 		win := SLOWindow{Window: windowLabel(w)}
 		for _, b := range s.buckets {

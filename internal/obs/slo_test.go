@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -22,7 +23,6 @@ func TestSLOExactWindowValues(t *testing.T) {
 		LatencyObjective: 100 * time.Millisecond,
 		LatencyTarget:    0.99,  // latency budget 1%
 		ErrorTarget:      0.999, // error budget 0.1%
-		Windows:          []time.Duration{5 * time.Minute, time.Hour},
 		Now:              clk.now,
 	})
 
@@ -98,18 +98,16 @@ func TestSLOExactWindowValues(t *testing.T) {
 
 func TestSLORingReuseResetsStaleBuckets(t *testing.T) {
 	clk := newFakeClock()
-	s := NewSLO(SLOConfig{
-		Windows: []time.Duration{2 * time.Second},
-		Now:     clk.now,
-	})
+	s := NewSLO(SLOConfig{Now: clk.now})
 	s.Record(time.Millisecond, true)
-	// Wrap the ring (len = 3 for a 2s window): the same slot is reused for a
-	// later second and must not inherit the old error count.
-	clk.advance(3 * time.Second)
+	// Wrap the ring (len = 3601 for the 1h window): the same slot is reused
+	// for a later second and must not inherit the old error count.
+	clk.advance(time.Hour + time.Second)
 	s.Record(time.Millisecond, false)
-	w := s.Snapshot().Windows[0]
-	if w.Total != 1 || w.Errors != 0 {
-		t.Fatalf("stale bucket leaked: %+v", w)
+	for _, w := range s.Snapshot().Windows {
+		if w.Total != 1 || w.Errors != 0 {
+			t.Fatalf("stale bucket leaked: %+v", w)
+		}
 	}
 }
 
@@ -118,7 +116,6 @@ func TestSLOGaugesExported(t *testing.T) {
 	r := NewRegistry()
 	s := NewSLO(SLOConfig{
 		ErrorTarget: 0.99, // budget 1%
-		Windows:     []time.Duration{5 * time.Minute},
 		Now:         clk.now,
 		Metrics:     r,
 	})
@@ -161,8 +158,24 @@ func TestSLONilAndDefaults(t *testing.T) {
 	}
 	d := NewSLO(SLOConfig{})
 	if d.cfg.LatencyObjective != 100*time.Millisecond || d.cfg.LatencyTarget != 0.99 ||
-		d.cfg.ErrorTarget != 0.999 || len(d.cfg.Windows) != 2 {
+		d.cfg.ErrorTarget != 0.999 || len(d.Snapshot().Windows) != 2 {
 		t.Fatalf("defaults not applied: %+v", d.cfg)
+	}
+	// Any target outside (0, 1) takes the default. NaN fails every
+	// comparison, so it needs the same treatment; otherwise every burn rate
+	// is NaN and the /v1/slo document cannot be encoded.
+	for _, target := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1, -0.5, 2} {
+		s := NewSLO(SLOConfig{LatencyTarget: target, ErrorTarget: target, Now: newFakeClock().now})
+		s.Record(time.Millisecond, true)
+		s.Record(time.Second, false)
+		snap := s.Snapshot()
+		if snap.LatencyTarget != 0.99 || snap.ErrorTarget != 0.999 {
+			t.Errorf("target %v: snapshot targets %v / %v, want the defaults 0.99 / 0.999",
+				target, snap.LatencyTarget, snap.ErrorTarget)
+		}
+		if _, err := json.Marshal(snap); err != nil {
+			t.Errorf("target %v: snapshot does not encode: %v", target, err)
+		}
 	}
 }
 
@@ -173,7 +186,6 @@ func TestWindowLabel(t *testing.T) {
 	}{
 		{5 * time.Minute, "5m"},
 		{time.Hour, "1h"},
-		{90 * time.Second, "90s"},
 		{2 * time.Hour, "2h"},
 	} {
 		if got := windowLabel(tc.w); got != tc.want {

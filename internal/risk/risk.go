@@ -24,6 +24,7 @@ package risk
 
 import (
 	"fmt"
+	"math"
 
 	"riskroute/internal/graph"
 	"riskroute/internal/topology"
@@ -104,8 +105,11 @@ func (c *Context) LinkRisk(u, v int) float64 {
 	return c.Params.LambdaH * c.linkHist[linkKey(u, v)]
 }
 
-// Validate checks the context's slices are index-aligned with the network
-// and that parameters are non-negative.
+// Validate checks the context's slices are index-aligned with the network,
+// that every historical risk and population fraction is finite and
+// non-negative, and that parameters are non-negative. A negative fraction
+// would make some α_ij negative, and a search over negative edge weights
+// never settles.
 func (c *Context) Validate() error {
 	n := len(c.Net.PoPs)
 	if len(c.Hist) != n {
@@ -120,9 +124,12 @@ func (c *Context) Validate() error {
 	if c.Params.LambdaH < 0 || c.Params.LambdaF < 0 {
 		return fmt.Errorf("risk: negative tuning parameters %+v", c.Params)
 	}
-	for i, h := range c.Hist {
-		if h < 0 {
-			return fmt.Errorf("risk: negative historical risk at PoP %d", i)
+	for i := range n {
+		if h := c.Hist[i]; !(h >= 0) || math.IsInf(h, 1) {
+			return fmt.Errorf("risk: invalid historical risk %v at PoP %d", h, i)
+		}
+		if f := c.Fractions[i]; !(f >= 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("risk: invalid population fraction %v at PoP %d", f, i)
 		}
 	}
 	return nil

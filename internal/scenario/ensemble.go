@@ -26,16 +26,14 @@ type World struct {
 	Fractions []float64 // c_i per PoP, index-aligned
 }
 
-// SweepConfig tunes ensemble evaluation.
+// SweepConfig tunes ensemble evaluation. Scenario wind fields map to o_f
+// through forecast.DefaultRiskModel, the paper's ρ_t = 50, ρ_h = 100.
 type SweepConfig struct {
 	// Seed drives the deterministic routed-pair sample per network;
 	// typically the ensemble seed.
 	Seed uint64
 	// Params are the bit-risk λ knobs (zero values are legal but inert).
 	Params risk.Params
-	// Model maps wind fields to o_f; the zero value means the paper's
-	// ρ_t = 50, ρ_h = 100.
-	Model forecast.RiskModel
 	// Pairs is how many PoP pairs are routed per network and scenario
 	// (default 4). Pair choice is a function of Seed and the network name.
 	Pairs int
@@ -173,10 +171,7 @@ func Sweep(scenarios []*Scenario, worlds []World, cfg SweepConfig) (*Report, err
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = 4
 	}
-	rm := cfg.Model
-	if rm == (forecast.RiskModel{}) {
-		rm = forecast.DefaultRiskModel()
-	}
+	rm := forecast.DefaultRiskModel()
 	lg := obs.LoggerOrNop(cfg.Logger)
 	span := cfg.Trace.Child("ensemble-sweep")
 	defer span.End()

@@ -157,19 +157,6 @@ type Config struct {
 	// from; nil fits the default peak-season surface (GenesisSurface).
 	GenesisField *kde.Field
 
-	// Region bounds the geometric families (default geo.ContinentalUS).
-	Region geo.Bounds
-	// CutHalfWidthMi is the line-cut corridor half-width (default 25).
-	CutHalfWidthMi float64
-	// CutLengthMi is the [min, max) chord length range (default 400..1800).
-	CutLengthMi [2]float64
-	// DiskRadiusMi is the [min, max) disk-outage radius range
-	// (default 75..250).
-	DiskRadiusMi [2]float64
-	// RegionalRadiusMi is the [min, max) regional-failure radius range
-	// (default 150..450).
-	RegionalRadiusMi [2]float64
-
 	// Workers bounds the goroutines of the default genesis-surface
 	// rasterization (bit-identical at any setting). Generation itself is
 	// sequential.
@@ -181,24 +168,16 @@ type Config struct {
 	Trace *obs.Span
 }
 
-func (c Config) withDefaults() Config {
-	if c.Region == (geo.Bounds{}) {
-		c.Region = geo.ContinentalUS
-	}
-	if c.CutHalfWidthMi == 0 {
-		c.CutHalfWidthMi = 25
-	}
-	if c.CutLengthMi == ([2]float64{}) {
-		c.CutLengthMi = [2]float64{400, 1800}
-	}
-	if c.DiskRadiusMi == ([2]float64{}) {
-		c.DiskRadiusMi = [2]float64{75, 250}
-	}
-	if c.RegionalRadiusMi == ([2]float64{}) {
-		c.RegionalRadiusMi = [2]float64{150, 450}
-	}
-	return c
-}
+// The geometric families follow Saito's disaster model: a centre (a cut's
+// midpoint) uniform over geo.ContinentalUS's lat/lon box, and a radius or
+// chord length uniform over [min, max), in miles; a cut's bearing is
+// uniform too.
+const (
+	cutHalfWidthMi                           = 25 // line-cut corridor half-width
+	cutLengthMinMi, cutLengthMaxMi           = 400, 1800
+	diskRadiusMinMi, diskRadiusMaxMi         = 75, 250
+	regionalRadiusMinMi, regionalRadiusMaxMi = 150, 450
+)
 
 // genesisCatalogSeed fixes the synthetic catalog behind the default genesis
 // surface: the surface is part of the model, not of any one ensemble, so
@@ -250,7 +229,6 @@ func Generate(cfg Config) ([]*Scenario, error) {
 		seen[fs.Family] = true
 		total += fs.Count
 	}
-	cfg = cfg.withDefaults()
 	span := cfg.Trace.Child("scenario-generate")
 	defer span.End()
 
@@ -297,11 +275,11 @@ func Generate(cfg Config) ([]*Scenario, error) {
 			case GenesisTrack:
 				genesisTrack(s, sampler, rng)
 			case LineCut:
-				lineCut(s, cfg, rng)
+				lineCut(s, rng)
 			case DiskOutage:
-				diskScenario(s, cfg.Region, cfg.DiskRadiusMi, rng)
+				diskScenario(s, diskRadiusMinMi, diskRadiusMaxMi, rng)
 			case RegionalFailure:
-				diskScenario(s, cfg.Region, cfg.RegionalRadiusMi, rng)
+				diskScenario(s, regionalRadiusMinMi, regionalRadiusMaxMi, rng)
 			}
 			out = append(out, s)
 			id++
@@ -411,22 +389,23 @@ func genesisTrack(s *Scenario, sampler *kde.FieldSampler, rng *stats.RNG) {
 	s.Peak = peakIndex(s.Advisories)
 }
 
-func lineCut(s *Scenario, cfg Config, rng *stats.RNG) {
-	mid := randPoint(cfg.Region, rng)
+func lineCut(s *Scenario, rng *stats.RNG) {
+	mid := randPoint(rng)
 	brg := rng.Float64() * 360
-	half := rng.Range(cfg.CutLengthMi[0], cfg.CutLengthMi[1]) / 2
+	half := rng.Range(cutLengthMinMi, cutLengthMaxMi) / 2
 	s.CutA = geo.Destination(mid, brg, half)
 	s.CutB = geo.Destination(mid, brg+180, half)
 	s.Center = mid
-	s.RadiusMi = cfg.CutHalfWidthMi
+	s.RadiusMi = cutHalfWidthMi
 }
 
-func diskScenario(s *Scenario, region geo.Bounds, radius [2]float64, rng *stats.RNG) {
-	s.Center = randPoint(region, rng)
-	s.RadiusMi = rng.Range(radius[0], radius[1])
+func diskScenario(s *Scenario, minRadiusMi, maxRadiusMi float64, rng *stats.RNG) {
+	s.Center = randPoint(rng)
+	s.RadiusMi = rng.Range(minRadiusMi, maxRadiusMi)
 }
 
-func randPoint(b geo.Bounds, rng *stats.RNG) geo.Point {
+func randPoint(rng *stats.RNG) geo.Point {
+	b := geo.ContinentalUS
 	return geo.Point{Lat: rng.Range(b.MinLat, b.MaxLat), Lon: rng.Range(b.MinLon, b.MaxLon)}
 }
 

@@ -217,7 +217,7 @@ func (s *Server) explainGeoJSON(st *netState, resp *routeResponse, ex *routeExpl
 // lookupParams writes the error instead. A λ above its limit (lambdaLimits)
 // is bad input too: its costs would overflow.
 func (s *Server) parseParams(q url.Values, limits risk.Params) (risk.Params, any, int) {
-	p := s.cfg.Params
+	p := risk.PaperParams()
 	for _, f := range []struct {
 		name  string
 		dst   *float64

@@ -15,6 +15,7 @@ import (
 	"riskroute/internal/datasets"
 	"riskroute/internal/geo"
 	"riskroute/internal/obs"
+	"riskroute/internal/risk"
 	"riskroute/internal/topology"
 )
 
@@ -365,7 +366,8 @@ func TestHazardProbeEndpoint(t *testing.T) {
 	if len(resp.Sources) != len(s.model.Sources) {
 		t.Fatalf("%d sources, model has %d", len(resp.Sources), len(s.model.Sources))
 	}
-	wantNode := s.cfg.Params.LambdaH*resp.Hist + s.cfg.Params.LambdaF*resp.Forecast
+	pp := risk.PaperParams()
+	wantNode := pp.LambdaH*resp.Hist + pp.LambdaF*resp.Forecast
 	if math.Float64bits(resp.NodeRisk) != math.Float64bits(wantNode) {
 		t.Fatalf("node_risk %v, want %v", resp.NodeRisk, wantNode)
 	}

@@ -134,7 +134,7 @@ func TestRouteSwapHammer(t *testing.T) {
 		}
 		eng, err := core.New(&risk.Context{
 			Net: base.net, Hist: base.hist, Forecast: fc,
-			Fractions: base.fractions, Params: s.cfg.Params,
+			Fractions: base.fractions, Params: risk.PaperParams(),
 		}, core.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("replay engine for generation %d: %v", gen, err)

@@ -174,7 +174,7 @@ func (s *Server) lookupNet(w http.ResponseWriter, q url.Values, snap *snapshot) 
 }
 
 // lookupParams resolves the optional lambda_h / lambda_f query parameters
-// against the server defaults and st's limits, writing the error response
+// against the paper's defaults and st's limits, writing the error response
 // on failure.
 func (s *Server) lookupParams(w http.ResponseWriter, q url.Values, st *netState) (risk.Params, bool) {
 	p, doc, status := s.parseParams(q, st.limit)

@@ -56,7 +56,9 @@ import (
 
 // Config tunes the serving daemon. The synthetic-world knobs default to the
 // batch CLI's defaults, so a generation's route costs are byte-identical to
-// `riskroute route` run with the same inputs.
+// `riskroute route` run with the same inputs. Requests that do not set
+// lambda_h/lambda_f run at the paper's λ_h = 10⁵, λ_f = 10³
+// (risk.PaperParams).
 type Config struct {
 	// Networks is the serving corpus; nil means the embedded 23 networks.
 	Networks []*topology.Network
@@ -66,9 +68,6 @@ type Config struct {
 	EventScale float64
 	// Seed is the synthetic-world seed (default 1, the CLI default).
 	Seed uint64
-	// Params are the default tuning parameters for requests that do not set
-	// lambda_h/lambda_f; zero means the paper's λ_h = 10⁵, λ_f = 10³.
-	Params risk.Params
 	// Workers bounds the goroutines of warmup, snapshot rebuilds, and
 	// engine sweeps (0 = GOMAXPROCS).
 	Workers int
@@ -132,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Params == (risk.Params{}) {
-		c.Params = risk.PaperParams()
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
@@ -380,8 +376,9 @@ func New(cfg Config) (*Server, error) {
 		model, bases, err := worldBases(cfg, world)
 		if err != nil {
 			// Drift: the snapshot is internally sound but describes a
-			// different world than this configuration serves. Fail closed
-			// into the fit path rather than serving someone else's risks.
+			// different world than this configuration serves, or holds risk
+			// vectors no engine accepts. Fail closed into the fit path
+			// rather than serving someone else's risks.
 			s.boot = BootInfo{Path: "fit", Fallback: true, FallbackReason: err.Error()}
 			world = nil
 			cfg.Metrics.Counter("snapshot.fallbacks").Inc()
@@ -644,7 +641,7 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 			Hist:      base.hist,
 			Forecast:  fc,
 			Fractions: base.fractions,
-			Params:    s.cfg.Params,
+			Params:    risk.PaperParams(),
 		}
 		// Engine sweeps (Evaluate) run single-request parallel already; the
 		// snapshot engines take the configured worker bound. Build timings
@@ -893,12 +890,11 @@ func (s *Server) SLOSnapshot() obs.SLOSnapshot { return s.slo.Snapshot() }
 func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }
 
 // engineAt returns the engine answering queries for st at the given
-// parameters: the snapshot's shared engine when the parameters match the
-// server defaults, otherwise a request-scoped reprice of it over the same
-// immutable risk layers (identical numerics, an O(N+E) refresh, no shared
-// mutation).
+// parameters: the snapshot's shared engine at the paper's parameters,
+// otherwise a request-scoped reprice of it over the same immutable risk
+// layers (identical numerics, an O(N+E) refresh, no shared mutation).
 func (s *Server) engineAt(st *netState, p risk.Params) (*core.Engine, error) {
-	if p == s.cfg.Params {
+	if p == risk.PaperParams() {
 		return st.engine, nil
 	}
 	ctx := &risk.Context{

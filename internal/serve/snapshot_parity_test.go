@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"riskroute/internal/datasets"
@@ -115,8 +116,9 @@ func TestSnapshotPreloadedWorld(t *testing.T) {
 	rawGet(t, s, parityPaths()[0])
 }
 
-// TestSnapshotFallback covers every degraded boot: a corrupt file and a
-// drifted world must both fall back to the full fit and still serve.
+// TestSnapshotFallback covers every degraded boot: a corrupt file, a
+// drifted world and an invalid baked risk vector must all fall back to the
+// full fit and still serve.
 func TestSnapshotFallback(t *testing.T) {
 	dir := t.TempDir()
 
@@ -156,6 +158,25 @@ func TestSnapshotFallback(t *testing.T) {
 	}
 	if boot = s.Boot(); boot.Path != "fit" || !boot.Fallback {
 		t.Fatalf("drifted snapshot boot = %+v, want fit fallback", boot)
+	}
+	rawGet(t, s, parityPaths()[0])
+
+	// A negative population fraction passes every checksum, but an engine
+	// over it searches negative edge weights and never settles: boot must
+	// reject it, naming the network, before any route runs.
+	world, err = BakeWorld(parityConfig())
+	if err != nil {
+		t.Fatalf("BakeWorld: %v", err)
+	}
+	world.Networks[0].Fractions[0] = -0.9
+	cfg = parityConfig()
+	cfg.World = world
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatalf("New with an invalid baked fraction: %v", err)
+	}
+	if boot = s.Boot(); boot.Path != "fit" || !boot.Fallback || !strings.Contains(boot.FallbackReason, `"Sprint"`) {
+		t.Fatalf("invalid fraction boot = %+v, want fit fallback naming Sprint", boot)
 	}
 	rawGet(t, s, parityPaths()[0])
 }

@@ -59,6 +59,7 @@ import (
 	"riskroute/internal/geo"
 	"riskroute/internal/kde"
 	"riskroute/internal/population"
+	"riskroute/internal/risk"
 	"riskroute/internal/topology"
 )
 
@@ -189,7 +190,9 @@ func (w *World) VerifyConfig(blocks int, eventScale float64, seed uint64) error 
 // state for n whose topology identity hash matches n exactly — name, tier,
 // PoP names, states, coordinate bit patterns, and links all participate, so
 // any drift in the serving topology since bake time is rejected rather than
-// silently mispriced. On success it returns the network's baked state.
+// silently mispriced. It also fails closed (ErrFormat) on a historical risk
+// or population fraction risk.Context.Validate rejects: negative, NaN or
+// infinite. On success it returns the network's baked state.
 func (w *World) VerifyNetwork(n *topology.Network) (*NetworkState, error) {
 	ns := w.Network(n.Name)
 	if ns == nil {
@@ -203,6 +206,10 @@ func (w *World) VerifyNetwork(n *topology.Network) (*NetworkState, error) {
 		len(ns.Hist) != len(n.PoPs) || len(ns.Fractions) != len(n.PoPs) || len(ns.Served) != len(n.PoPs) {
 		return nil, fmt.Errorf("%w: network %q baked vectors sized for %d PoPs, topology has %d",
 			ErrDrift, n.Name, ns.PoPs, len(n.PoPs))
+	}
+	ctx := risk.Context{Net: n, Hist: ns.Hist, Fractions: ns.Fractions}
+	if err := ctx.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: network %q: %v", ErrFormat, n.Name, err)
 	}
 	return ns, nil
 }

@@ -261,6 +261,20 @@ func TestVerifyNetworkDrift(t *testing.T) {
 	if _, err := world.VerifyNetwork(relinked); !errors.Is(err, ErrDrift) {
 		t.Errorf("link drift: err = %v, want ErrDrift", err)
 	}
+
+	// Vectors no risk context accepts are malformed, whatever their length.
+	for _, bad := range []float64{-0.9, math.NaN(), math.Inf(1)} {
+		w := testWorld()
+		w.Networks[0].Fractions[1] = bad
+		if _, err := w.VerifyNetwork(net); !errors.Is(err, ErrFormat) {
+			t.Errorf("fraction %v: err = %v, want ErrFormat", bad, err)
+		}
+		w = testWorld()
+		w.Networks[0].Hist[2] = bad
+		if _, err := w.VerifyNetwork(net); !errors.Is(err, ErrFormat) {
+			t.Errorf("hist %v: err = %v, want ErrFormat", bad, err)
+		}
+	}
 }
 
 func TestHashNetworkDistinguishes(t *testing.T) {

@@ -165,7 +165,9 @@ type (
 	HazardModel = hazard.Model
 	// HazardSource is one disaster catalog with an optional fixed bandwidth.
 	HazardSource = hazard.Source
-	// HazardFitConfig controls risk-model fitting.
+	// HazardFitConfig controls risk-model fitting. Every surface is
+	// rasterized over the continental US padded 2°, and a zero-bandwidth
+	// source is cross-validated 5-fold at kde's defaults.
 	HazardFitConfig = hazard.FitConfig
 )
 
@@ -408,7 +410,7 @@ type (
 	// estimates percentiles by linear interpolation within a bucket.
 	Histogram = obs.Histogram
 	// SLOConfig tunes a burn-rate SLO engine (latency and error-ratio
-	// objectives over rolling windows).
+	// objectives over fixed 5m and 1h rolling windows).
 	SLOConfig = obs.SLOConfig
 )
 
@@ -432,7 +434,8 @@ func LatencyBuckets() []float64 { return obs.LatencyBuckets() }
 // a monotonic generation counter — as NHC advisories are ingested.
 type (
 	// ServeConfig tunes the serving daemon (synthetic-world knobs default
-	// to the batch CLI's, so served costs match `riskroute route` exactly).
+	// to the batch CLI's, so served costs match `riskroute route` exactly;
+	// requests without lambda_h/lambda_f run at PaperParams).
 	ServeConfig = serve.Config
 	// Server is the online RiskRoute daemon.
 	Server = serve.Server
@@ -515,14 +518,17 @@ type (
 	ScenarioSpec = scenario.FamilySpec
 	// Scenario is one generated disaster.
 	Scenario = scenario.Scenario
-	// ScenarioConfig parameterizes ensemble generation.
+	// ScenarioConfig parameterizes ensemble generation. The geometric
+	// families' region, cut corridor and length, and disk and regional
+	// radii are fixed by the model (DESIGN.md §14).
 	ScenarioConfig = scenario.Config
 	// TrackPerturbation is the PerturbedTrack jitter magnitudes; the zero
 	// value reproduces the base replay bit-identically.
 	TrackPerturbation = scenario.Perturbation
 	// EnsembleWorld binds one network to its static risk inputs.
 	EnsembleWorld = scenario.World
-	// EnsembleConfig tunes ensemble evaluation.
+	// EnsembleConfig tunes ensemble evaluation; scenarios are priced with
+	// DefaultForecastModel.
 	EnsembleConfig = scenario.SweepConfig
 	// EnsembleReport is a full sweep's per-network distributions.
 	EnsembleReport = scenario.Report
