@@ -88,5 +88,5 @@ ensemble-golden:
 # determinism replays the bit-identity tests under contrasting scheduler
 # widths: results must not depend on how many cores the host exposes.
 determinism:
-	GOMAXPROCS=1 $(GO) test -run 'Deterministic' ./internal/parallel ./internal/kde ./internal/population
-	GOMAXPROCS=4 $(GO) test -run 'Deterministic' -count=1 ./internal/parallel ./internal/kde ./internal/population
+	GOMAXPROCS=1 $(GO) test -run 'Deterministic' ./internal/parallel ./internal/kde ./internal/population ./internal/core
+	GOMAXPROCS=4 $(GO) test -run 'Deterministic' -count=1 ./internal/parallel ./internal/kde ./internal/population ./internal/core

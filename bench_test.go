@@ -236,6 +236,22 @@ func BenchmarkPipelineRiskRoutePairLevel3(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineShortestPairLevel3 walks RiskRoutePair's pairs through
+// ShortestPair, the α = 0 baseline of Equations 5 and 6.
+func BenchmarkPipelineShortestPairLevel3(b *testing.B) {
+	lab := benchWorld(b)
+	net := riskroute.BuiltinNetwork("Level3")
+	e, err := lab.EngineFor(net, riskroute.PaperParams(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := len(net.PoPs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ShortestPair(i%n, (i*37+11)%n)
+	}
+}
+
 // BenchmarkFastReroutePlan protects every link of Level3's Houston→Boston
 // RiskRoute path: one detour search per failed link.
 func BenchmarkFastReroutePlan(b *testing.B) {

@@ -236,7 +236,14 @@ func main() {
 	tel.Finish(nil, nil)
 }
 
+// fatal prints err under the binary's name and exits 1. The Lab's errors
+// already carry the name as their package prefix, so it is added only to
+// errors without it.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "experiments: ") {
+		msg = "experiments: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -21,17 +21,29 @@
 // verification (EvaluateExact) and agrees with the quantized path within
 // the bucket width; the property is pinned by tests.
 //
-// An engine is immutable once built, so its query methods are safe for
-// concurrent callers. Reprice derives an engine for a new risk context over
-// the same network: it shares the adjacency's topology and link miles and
-// recomputes only the O(N+E) risk side. WithoutLinks derives one whose
-// searches run on a masked view of the adjacency without failed links.
+// The α = 0 geographic path behind ShortestPair and ExplainShortest (the
+// baseline of Equations 5 and 6) depends only on topology and link miles.
+// So instead of searching per pair they walk a per-source α = 0 tree: the
+// first query from a source runs one full sweep and keeps its Via slice
+// (4·N bytes), and later queries walk it. Every source of all 23 built-in
+// networks comes to about 0.3 MiB.
+//
+// An engine's answers never change once built, so its query methods are
+// safe for concurrent callers. Reprice derives an engine for a new risk
+// context over the same network: it shares the adjacency's topology, the
+// link miles and the α = 0 trees, and recomputes only the O(N+E) risk
+// side. New and WithLink start a store of their own. WithoutLinks derives
+// one whose searches run on a masked view of the adjacency without failed
+// links; it keeps no trees and searches each shortest path with an early
+// exit.
 package core
 
 import (
 	"fmt"
 	"log/slog"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"riskroute/internal/graph"
@@ -121,8 +133,9 @@ func newEngineObs(r *obs.Registry) engineObs {
 	}
 }
 
-// Engine answers RiskRoute queries for one risk context. It is immutable
-// once built, so its query methods are safe for concurrent callers.
+// Engine answers RiskRoute queries for one risk context. Its answers never
+// change once built (only its lineage's α = 0 tree store fills), so its
+// query methods are safe for concurrent callers.
 type Engine struct {
 	// Ctx is the context the engine was built for. The engine snapshots
 	// the context's risk vectors (ρ per PoP, span and r_e per link) at
@@ -134,9 +147,10 @@ type Engine struct {
 	lg   *slog.Logger // never nil (LoggerOrNop at build)
 
 	// Topology-invariant state, shared by every engine Reprice derives.
-	miles       []float64 // line-of-sight miles m_e, index-aligned with Net.Links
-	components  int       // connected components of the topology (1 when whole)
-	unreachable int       // unordered PoP pairs split across components
+	miles       []float64      // line-of-sight miles m_e, index-aligned with Net.Links
+	components  int            // connected components of the topology (1 when whole)
+	unreachable int            // unordered PoP pairs split across components
+	trees       *shortestTrees // α = 0 trees per source; nil on a WithoutLinks view
 
 	// Risk state, recomputed per context.
 	adj  *graph.Affine // Net.Links as CSR: base m_e, slope r_e
@@ -211,6 +225,7 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 	}
 	if shared != nil {
 		e.miles, e.components, e.unreachable = shared.miles, shared.components, shared.unreachable
+		e.trees = shared.trees
 		e.adj = shared.adj.WithSlopes(r)
 	} else {
 		e.miles = make([]float64, len(links))
@@ -221,6 +236,7 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 		}
 		e.adj = graph.NewAffine(n, edges, r)
 		e.components, e.unreachable = census(e.adj)
+		e.trees = new(shortestTrees)
 	}
 
 	// Fragmented topologies (a lenient parse can keep them) still route
@@ -272,9 +288,10 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 
 // WithoutLinks returns an engine with the given links (indices into
 // Ctx.Net.Links) failed, in O(N+E): it shares everything with e but a
-// masked adjacency and its component census. Its searches and census, and
-// those of engines Reprice derives from it, see only the surviving links;
-// what reads Ctx.Net itself (ExportOSPFWeights, WithLink and so
+// masked adjacency and its component census, and it keeps no α = 0 trees,
+// since e's may cross a failed link. Its searches and census, and those of
+// engines Reprice derives from it, see only the surviving links; what
+// reads Ctx.Net itself (ExportOSPFWeights, WithLink and so
 // GreedyAdditionalLinks) still sees every link.
 func (e *Engine) WithoutLinks(disabled []int) (*Engine, error) {
 	for _, li := range disabled {
@@ -285,6 +302,7 @@ func (e *Engine) WithoutLinks(disabled []int) (*Engine, error) {
 	c := *e
 	c.adj = e.adj.Without(disabled, nil)
 	c.components, c.unreachable = census(c.adj)
+	c.trees = nil
 	return &c, nil
 }
 
@@ -380,9 +398,9 @@ func (e *Engine) bucketOf(alpha float64) int {
 	return b
 }
 
-// Prebuild is a no-op, kept so existing callers compile. An engine is
-// immutable from construction, so its query methods are safe for
-// concurrent callers without any preparation.
+// Prebuild is a no-op, kept so existing callers compile. An engine's query
+// methods are safe for concurrent callers from construction, without any
+// preparation.
 func (e *Engine) Prebuild() {}
 
 // PairResult describes one routed pair.
@@ -399,9 +417,15 @@ func (e *Engine) RiskRoutePair(i, j int) PairResult {
 }
 
 // ShortestPair routes i to j by pure geographic shortest path (α = 0) and
-// prices it in bit-risk miles — the baseline of Equations 5 and 6.
+// prices it in bit-risk miles — the baseline of Equations 5 and 6. It walks
+// the lineage's α = 0 tree for i, which the first query from i sweeps; a
+// WithoutLinks view, which has no trees, searches i→j with an early exit.
 func (e *Engine) ShortestPair(i, j int) PairResult {
-	return e.route(i, j, 0)
+	if e.trees == nil {
+		return e.route(i, j, 0)
+	}
+	via := e.shortestTree(i)
+	return e.price(i, j, e.treePath(via, i, j), via)
 }
 
 // route searches i→j under weights m_e + alpha·r_e and prices the path at
@@ -409,7 +433,12 @@ func (e *Engine) ShortestPair(i, j int) PairResult {
 func (e *Engine) route(i, j int, alpha float64) PairResult {
 	s := e.adj.Route(i, j, alpha)
 	defer s.Release()
-	path := s.PathTo(j)
+	return e.price(i, j, s.PathTo(j), s.Via)
+}
+
+// price prices path, which enters each node v after the first by link
+// via[v], at the pair (i, j)'s own α.
+func (e *Engine) price(i, j int, path []int, via []int32) PairResult {
 	if path == nil {
 		return PairResult{BitRiskMiles: math.Inf(1), Miles: math.Inf(1)}
 	}
@@ -418,12 +447,69 @@ func (e *Engine) route(i, j int, alpha float64) PairResult {
 	// PathCost's and PathMiles's exact accumulation, with each hop's miles
 	// and span risk read from the link the search arrived by.
 	for _, v := range path[1:] {
-		l := s.Via[v]
+		l := via[v]
 		cost += e.miles[l]
 		cost += pairAlpha * (e.rho[v] + e.span[l])
 		miles += e.miles[l]
 	}
 	return PairResult{Path: path, BitRiskMiles: cost, Miles: miles}
+}
+
+// shortestTrees holds an engine lineage's α = 0 shortest-path trees, one
+// per source, each swept on its first query. The α = 0 tree depends only on
+// topology and link miles, which Reprice keeps, so every engine Reprice
+// derives shares the store of the engine New built. A tree is kept as its
+// search's Via alone, 4·N bytes; the slot array is allocated on first use,
+// so an engine that never answers ShortestPair holds none of it.
+type shortestTrees struct {
+	once  sync.Once
+	slots []atomic.Pointer[[]int32] // slot i: source i's Via, nil until swept
+}
+
+// shortestTree returns source i's tree from the lineage's store, sweeping
+// it on the first query from i: the link each node's α = 0 path arrives by,
+// -1 at i and at the nodes i cannot reach. Concurrent first queries from i
+// may each sweep; their trees are identical.
+func (e *Engine) shortestTree(i int) []int32 {
+	t := e.trees
+	t.once.Do(func() { t.slots = make([]atomic.Pointer[[]int32], e.N()) })
+	slot := &t.slots[i]
+	if via := slot.Load(); via != nil {
+		return *via
+	}
+	s := e.adj.Sweep(i, 0)
+	via := append([]int32(nil), s.Via...)
+	s.Release()
+	slot.Store(&via)
+	return via
+}
+
+// treePath walks source i's tree via back from j and returns the path
+// i → j, nil when j is unreachable: a hop's predecessor is the other
+// endpoint of the link it arrives by. The full sweep settles j exactly as
+// Route(i, j, 0)'s early exit does, so the path is Route's.
+func (e *Engine) treePath(via []int32, i, j int) []int {
+	if j != i && via[j] < 0 {
+		return nil
+	}
+	links := e.Ctx.Net.Links
+	pred := func(v int) int {
+		l := links[via[v]]
+		if l.A == v {
+			return l.B
+		}
+		return l.A
+	}
+	hops := 0
+	for v := j; v != i; v = pred(v) {
+		hops++
+	}
+	path := make([]int, hops+1)
+	for v, x := j, hops; x > 0; v, x = pred(v), x-1 {
+		path[x] = v
+	}
+	path[0] = i
+	return path
 }
 
 // describe prices an arbitrary path for the pair (i, j) through the

@@ -93,8 +93,7 @@ func (e *Engine) Explain(i, j int) Explanation {
 // ExplainShortest prices the pure geographic shortest path between i and j
 // (ShortestPair's route) with the same decomposition.
 func (e *Engine) ExplainShortest(i, j int) Explanation {
-	path, _ := e.adj.ShortestPath(i, j, 0)
-	return e.ExplainPath(path, i, j)
+	return e.ExplainPath(e.ShortestPair(i, j).Path, i, j)
 }
 
 // ExplainPath decomposes an arbitrary path priced for the endpoint pair

@@ -620,10 +620,12 @@ func (s *Server) Boot() BootInfo { return s.boot }
 
 // buildSnapshot constructs the immutable world for one generation: the
 // forecast layer for adv (nil for none) and one engine per network, fanned
-// over internal/parallel. Booting builds each engine from scratch, with an
-// engine-build span under span and a health event per network; a swap
-// reprices the serving snapshot's engine for the network, which shares its
-// adjacency and refreshes only the O(N+E) risk side, and records neither.
+// over internal/parallel. Each served engine is a reprice, which shares its
+// source's adjacency and α = 0 trees and refreshes only the O(N+E) risk
+// side. A swap reprices the serving snapshot's engine and records nothing.
+// Booting builds each engine from scratch, with an engine-build span under
+// span and a health event per network, and serves a reprice of it without
+// either, so generation 1's ratio misses open no spans under boot's.
 func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Span) (*snapshot, error) {
 	cur := s.snap.Load() // nil while booting; states align with s.bases
 	type stateOrErr struct {
@@ -649,13 +651,17 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		// components and unreachable count, so its span and health event
 		// would repeat boot's: a swap stays one record, not twenty-four.
 		opts := core.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics}
-		var eng *core.Engine
+		var from, eng *core.Engine
 		var err error
 		if cur != nil {
-			eng, err = cur.states[i].engine.Reprice(ctx, opts)
+			from = cur.states[i].engine
 		} else {
-			opts.Health, opts.Trace = s.cfg.Health, span
-			eng, err = core.New(ctx, opts)
+			boot := opts
+			boot.Health, boot.Trace = s.cfg.Health, span
+			from, err = core.New(ctx, boot)
+		}
+		if err == nil {
+			eng, err = from.Reprice(ctx, opts)
 		}
 		if err != nil {
 			return stateOrErr{err: fmt.Errorf("serve: engine for %q: %w", base.net.Name, err)}

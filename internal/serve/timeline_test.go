@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -190,5 +192,66 @@ func TestSwapTelemetryIsOneRecord(t *testing.T) {
 	}
 	if got := engineEvents(); got != nets {
 		t.Errorf("engine health events now %d, want boot's %d", got, nets)
+	}
+}
+
+// TestGenerationOneServesUntraced pins that generation 1 serves engines
+// without boot's trace or health, as every later generation does: 100
+// explained routes and ratio misses at generation 1 leave the run's span
+// tree and health events as boot left them, boot's per-network
+// engine-build spans included.
+func TestGenerationOneServesUntraced(t *testing.T) {
+	trace := obs.NewTrace("riskrouted")
+	health := resilience.NewHealth()
+	nets := []*topology.Network{datasets.NetworkByName("Sprint"), datasets.NetworkByName("Abilene")}
+	s, err := New(Config{
+		Networks:   nets,
+		Blocks:     4000,
+		EventScale: 0.03,
+		Seed:       1,
+		CacheSize:  -1, // every ratio read misses and evaluates
+		Trace:      trace,
+		Health:     health,
+	})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	var count func(obs.SpanSnapshot) int
+	count = func(sp obs.SpanSnapshot) int {
+		n := 1
+		for _, c := range sp.Children {
+			n += count(c)
+		}
+		return n
+	}
+	spans, events := count(trace.Snapshot()), len(health.Events())
+	for k := 0; k < 100; k++ {
+		net := nets[k%2]
+		q := url.Values{"network": {net.Name}}
+		path := "/v1/ratio?"
+		if k%4 < 2 {
+			q.Set("from", net.PoPs[k%len(net.PoPs)].Name)
+			q.Set("to", net.PoPs[len(net.PoPs)-1-k%3].Name)
+			q.Set("explain", "1")
+			path = "/v1/route?"
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path+q.Encode(), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s%s: %d %s", path, q.Encode(), rec.Code, rec.Body.Bytes())
+		}
+	}
+	if g := s.Generation(); g != 1 {
+		t.Fatalf("generation %d, want 1", g)
+	}
+	if got := count(trace.Snapshot()); got != spans {
+		t.Errorf("requests at generation 1 took the trace from %d spans to %d", spans, got)
+	}
+	if got := len(health.Events()); got != events {
+		t.Errorf("requests at generation 1 took health from %d events to %d", events, got)
+	}
+	snap := trace.Snapshot()
+	if build := snap.Find("serve-warmup").Find("engine-build"); build == nil || len(build.Children) != len(nets) {
+		t.Fatal("boot's engine-build stage does not hold one span per network")
 	}
 }
