@@ -14,15 +14,16 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# tier2 adds the gofmt check, static analysis, the race detector, and short
+# tier2 adds the gofmt check, static analysis, the race detector, short
 # fuzz smokes over the input parsers (the corrupt-input seed corpora run even
 # at -fuzztime=0, so regressions in rejected-input handling surface here
-# first).
+# first), and the perfbench module, which the root ./... never compiles.
 tier2: tier1
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs every benchmark three times and distills the text output into
 # $(BENCH_NEW) (per-benchmark min/mean ns/op plus the gates below). The

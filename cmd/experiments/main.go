@@ -10,10 +10,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"riskroute"
+	"riskroute/internal/experiments"
 	"riskroute/internal/runtel"
 )
 
@@ -91,125 +93,59 @@ func main() {
 	runOne := func(id string) error {
 		switch id {
 		case "table1":
-			r, err := lab.Table1()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderTable1(r)
+			return render(lab.Table1, experiments.RenderTable1)
 		case "table2":
-			r, err := lab.Table2()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderTable2(r)
+			return render(lab.Table2, experiments.RenderTable2)
 		case "table3":
-			r, err := lab.Table3()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderTable3(r)
+			return render(lab.Table3, experiments.RenderTable3)
 		case "figure1":
-			r, err := lab.Figure1()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure1(r)
+			return render(lab.Figure1, experiments.RenderFigure1)
 		case "figure2":
-			r, err := lab.Figure2()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure2(r)
+			return render(lab.Figure2, experiments.RenderFigure2)
 		case "figure3":
-			r, err := lab.Figure3()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure3(r)
+			return render(lab.Figure3, experiments.RenderFigure3)
 		case "figure4":
-			r, err := lab.Figure4()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure4(r)
+			return render(lab.Figure4, experiments.RenderFigure4)
 		case "figure5":
-			r, err := lab.Figure5()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure5(r)
+			return render(lab.Figure5, experiments.RenderFigure5)
 		case "figure6":
-			r, err := lab.Figure6()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure6(r)
+			return render(lab.Figure6, experiments.RenderFigure6)
 		case "figure7":
-			r, err := lab.Figure7()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure7(r)
+			return render(lab.Figure7, experiments.RenderFigure7)
 		case "figure8":
-			r, err := lab.Figure8()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure8(r)
+			return render(lab.Figure8, experiments.RenderFigure8)
 		case "figure9":
 			for _, name := range []string{"Level3", "AT&T", "Tinet"} {
-				r, err := lab.Figure9(name, 10)
-				if err != nil {
-					return err
-				}
-				if err := experimentsRenderFigure9(r); err != nil {
+				fig := func() (*experiments.Figure9Result, error) { return lab.Figure9(name, 10) }
+				if err := render(fig, experiments.RenderFigure9); err != nil {
 					return err
 				}
 				fmt.Println()
 			}
 			return nil
 		case "figure10":
-			r, err := lab.Figure10(8)
-			if err != nil {
-				return err
-			}
-			return experimentsRenderFigure10(r)
+			return render(func() (*experiments.Figure10Result, error) { return lab.Figure10(8) },
+				experiments.RenderFigure10)
 		case "figure11":
-			r, err := lab.Figure11()
-			if err != nil {
-				return err
+			return render(lab.Figure11, experiments.RenderFigure11)
+		case "figure12", "figure13":
+			figure, title := lab.Figure12, "Figure 12"
+			if id == "figure13" {
+				figure, title = lab.Figure13, "Figure 13"
 			}
-			return experimentsRenderFigure11(r)
-		case "figure12":
 			for _, s := range storms {
-				r, err := lab.Figure12(s)
+				r, err := figure(s)
 				if err != nil {
 					return err
 				}
-				if err := experimentsRenderReplay("Figure 12", r); err != nil {
+				if err := experiments.RenderReplay(os.Stdout, title, r); err != nil {
 					return err
 				}
 				fmt.Println()
 			}
 			return nil
 		case "extras":
-			r, err := lab.Extras()
-			if err != nil {
-				return err
-			}
-			return experimentsRenderExtras(r)
-		case "figure13":
-			for _, s := range storms {
-				r, err := lab.Figure13(s)
-				if err != nil {
-					return err
-				}
-				if err := experimentsRenderReplay("Figure 13", r); err != nil {
-					return err
-				}
-				fmt.Println()
-			}
-			return nil
+			return render(lab.Extras, experiments.RenderExtras)
 		default:
 			return fmt.Errorf("unknown experiment %q", id)
 		}
@@ -234,6 +170,15 @@ func main() {
 		fmt.Println()
 	}
 	tel.Finish(nil, nil)
+}
+
+// render computes one experiment's result and writes it to stdout.
+func render[R any](compute func() (R, error), write func(io.Writer, R) error) error {
+	r, err := compute()
+	if err != nil {
+		return err
+	}
+	return write(os.Stdout, r)
 }
 
 // fatal prints err under the binary's name and exits 1. The Lab's errors

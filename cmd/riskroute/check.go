@@ -120,7 +120,6 @@ func checkPipeline(w *worldFlags, network string, dropLayer int, seed uint64) er
 		Params:    riskroute.PaperParams(),
 	}
 	opts := telOptions()
-	opts.Injector = inj
 	opts.Health = health
 	e, err := riskroute.NewEngine(ctx, opts)
 	if err != nil {

@@ -214,6 +214,14 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("replay -stride %s: %.2000s", stride, out)
 		}
 	}
+	// A NaN radius would count every PoP pair as co-located, and one at or
+	// below 0 measures no co-location: both are refused before the fit.
+	for _, radius := range []string{"NaN", "-5"} {
+		out = runExpectError(t, append([]string{"sharedrisk", "-radius", radius}, tiny...)...)
+		if !strings.Contains(out, "-radius must be a finite positive number") || strings.Contains(out, "overlap") {
+			t.Errorf("sharedrisk -radius %s: %.2000s", radius, out)
+		}
+	}
 }
 
 func TestCLIFIB(t *testing.T) {

@@ -130,6 +130,9 @@ func cmdSharedRisk(args []string) error {
 	radius := fs.Float64("radius", 50, "co-location radius in miles")
 	top := fs.Int("top", 15, "show the top-N overlapping pairs")
 	fs.Parse(args)
+	if !(*radius > 0) || math.IsInf(*radius, 1) {
+		return fmt.Errorf("-radius must be a finite positive number of miles, got %v", *radius)
+	}
 
 	model, _, err := w.build()
 	if err != nil {

@@ -20,6 +20,12 @@ import (
 // status-code breakdown. 429s are counted separately from errors: shedding
 // load under pressure is the admission controller working, not a failure.
 func runLoadgen(w io.Writer, o *options) error {
+	if o.clients < 1 {
+		return fmt.Errorf("loadgen: -clients must be at least 1, got %d", o.clients)
+	}
+	if o.duration <= 0 {
+		return fmt.Errorf("loadgen: -duration must be positive, got %s", o.duration)
+	}
 	base, err := url.Parse(o.target)
 	if err != nil {
 		return fmt.Errorf("loadgen: bad -target: %w", err)

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -64,67 +61,9 @@ func TestEngineDisconnectedTopology(t *testing.T) {
 	}
 }
 
-func TestEngineBuildInjectedFault(t *testing.T) {
-	inj := resilience.NewInjector(3).
-		EnableKeys(resilience.PointEngineBuild, resilience.ForceError, 0)
-	_, err := New(gridNet(3, 3, 1), Options{Injector: inj})
-	if !errors.Is(err, resilience.ErrInjected) {
-		t.Errorf("New returned %v, want ErrInjected", err)
-	}
-}
-
-// TestSweepSkipDeterministic knocks out one source PoP's Dijkstra sweep and
-// checks the evaluation degrades identically at any worker count.
-func TestSweepSkipDeterministic(t *testing.T) {
-	mk := func(workers int) (Ratios, *resilience.Health) {
-		ctx := gridNet(4, 4, 3)
-		inj := resilience.NewInjector(7).
-			EnableKeys(resilience.PointDijkstraSweep, resilience.ForceError, 5)
-		h := resilience.NewHealth()
-		e := mustEngine(t, ctx, Options{Workers: workers, Injector: inj, Health: h})
-		return e.Evaluate(), h
-	}
-	whole := mustEngine(t, gridNet(4, 4, 3), Options{}).Evaluate()
-
-	seq, hSeq := mk(1)
-	par, hPar := mk(4)
-	if seq != par {
-		t.Errorf("sweep-skip evaluation differs by worker count: %+v vs %+v", seq, par)
-	}
-	if want := whole.Pairs - 15; seq.Pairs != want {
-		t.Errorf("faulted evaluation aggregated %d pairs, want %d", seq.Pairs, want)
-	}
-	if !hSeq.Degraded() || !hPar.Degraded() {
-		t.Error("sweep skip not recorded in health")
-	}
-	if lost := hSeq.Lost("engine"); len(lost) != 1 {
-		t.Errorf("health lost %v, want one engine degradation", lost)
-	}
-}
-
-// TestTotalBitRiskSweepSkip checks the robustness objective also degrades
-// deterministically under a sweep fault.
-func TestTotalBitRiskSweepSkip(t *testing.T) {
-	ctx := gridNet(3, 4, 5)
-	whole := mustEngine(t, ctx, Options{}).TotalBitRisk()
-
-	inj := resilience.NewInjector(7).
-		EnableKeys(resilience.PointDijkstraSweep, resilience.ForceError, 2)
-	e := mustEngine(t, gridNet(3, 4, 5), Options{Injector: inj})
-	faulted := e.TotalBitRisk()
-	if !(faulted < whole) || faulted <= 0 {
-		t.Errorf("faulted total %v, whole %v: want 0 < faulted < whole", faulted, whole)
-	}
-	again := e.TotalBitRisk()
-	if faulted != again {
-		t.Errorf("faulted total not deterministic: %v vs %v", faulted, again)
-	}
-}
-
 // serialTotalBitRiskSubset is the serial TotalBitRiskSubset the per-source
-// pass replaced, kept as its oracle: sources in order, a sweep fault
-// skipping its source before it claims any pair, each pair claimed once in
-// a map, and destinations sorted within their bucket.
+// pass replaced, kept as its oracle: sources in order, each pair claimed once
+// in a map, and destinations sorted within their bucket.
 func serialTotalBitRiskSubset(e *Engine, sources, dests []int) float64 {
 	inDest := make(map[int]bool, len(dests))
 	for _, d := range dests {
@@ -133,9 +72,6 @@ func serialTotalBitRiskSubset(e *Engine, sources, dests []int) float64 {
 	seen := make(map[[2]int]bool)
 	total := 0.0
 	for _, i := range sources {
-		if e.skipSweep(i) {
-			continue
-		}
 		sMiles, sEntered := e.sweep(i, 0)
 		byBucket := make(map[int][]int)
 		for j := range inDest {
@@ -162,22 +98,9 @@ func serialTotalBitRiskSubset(e *Engine, sources, dests []int) float64 {
 }
 
 // TestTotalBitRiskSubsetMatchesSerialLoop holds the parallel
-// TotalBitRiskSubset to the serial loop under injected sweep faults, a
-// repeated source and overlapping destinations: the bits, the number of
-// faults fired and the health record must match at any worker count.
+// TotalBitRiskSubset to the serial loop with repeated sources and
+// overlapping destinations: the bits must match at any worker count.
 func TestTotalBitRiskSubsetMatchesSerialLoop(t *testing.T) {
-	faults := map[string]func() *resilience.Injector{
-		"none": func() *resilience.Injector { return nil },
-		"keys 3,8": func() *resilience.Injector {
-			return resilience.NewInjector(7).EnableKeys(resilience.PointDijkstraSweep, resilience.ForceError, 3, 8)
-		},
-		"keys 0,7,11": func() *resilience.Injector {
-			return resilience.NewInjector(7).EnableKeys(resilience.PointDijkstraSweep, resilience.Drop, 0, 7, 11)
-		},
-		"rate 0.4": func() *resilience.Injector {
-			return resilience.NewInjector(11).Enable(resilience.PointDijkstraSweep, resilience.ForceError, 0.4)
-		},
-	}
 	subsets := []struct{ sources, dests []int }{
 		{[]int{0, 3, 7, 8, 3, 11}, []int{3, 5, 8, 10, 11, 8, 0}},
 		{[]int{11, 8, 7, 8, 0}, []int{0, 1, 2, 3, 7, 7, 8, 11}},
@@ -185,27 +108,14 @@ func TestTotalBitRiskSubsetMatchesSerialLoop(t *testing.T) {
 	}
 	contexts := map[string]*risk.Context{"grid": gridNet(5, 5, 41), "fragmented": fragmentedGrid(43)}
 	for cname, ctx := range contexts {
-		for fname, mk := range faults {
-			for si, sub := range subsets {
-				sources, dests := sub.sources, sub.dests
-				label := fmt.Sprintf("%s/%s/subset %d", cname, fname, si)
-				inj, h := mk(), resilience.NewHealth()
-				want := serialTotalBitRiskSubset(mustEngine(t, ctx, Options{Injector: inj, Health: h}), sources, dests)
-				if fired := inj.Fired(resilience.PointDijkstraSweep); (fname == "none") != (fired == 0) {
-					t.Fatalf("%s: %d faults fired", label, fired)
-				}
-				for _, workers := range []int{1, 2, 3, 8} {
-					gotInj, gotH := mk(), resilience.NewHealth()
-					e := mustEngine(t, ctx, Options{Workers: workers, Injector: gotInj, Health: gotH})
-					if got := e.TotalBitRiskSubset(sources, dests); !sameBits(got, want) {
-						t.Fatalf("%s, workers %d: TotalBitRiskSubset = %v, serial loop %v", label, workers, got, want)
-					}
-					if got, want := gotInj.Fired(resilience.PointDijkstraSweep), inj.Fired(resilience.PointDijkstraSweep); got != want {
-						t.Fatalf("%s, workers %d: %d faults fired, serial loop %d", label, workers, got, want)
-					}
-					if got, want := gotH.Lost("engine"), h.Lost("engine"); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s, workers %d: health lost %v, serial loop %v", label, workers, got, want)
-					}
+		for si, sub := range subsets {
+			sources, dests := sub.sources, sub.dests
+			want := serialTotalBitRiskSubset(mustEngine(t, ctx, Options{}), sources, dests)
+			for _, workers := range []int{1, 2, 3, 8} {
+				e := mustEngine(t, ctx, Options{Workers: workers})
+				if got := e.TotalBitRiskSubset(sources, dests); !sameBits(got, want) {
+					t.Fatalf("%s/subset %d, workers %d: TotalBitRiskSubset = %v, serial loop %v",
+						cname, si, workers, got, want)
 				}
 			}
 		}

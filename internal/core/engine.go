@@ -71,12 +71,8 @@ type Options struct {
 	// sequential execution. Results are identical at any worker count: each
 	// source's partial sums are reduced in source order.
 	Workers int
-	// Injector, when non-nil, is consulted at PointEngineBuild (key 0) and
-	// at PointDijkstraSweep keyed by source PoP index: a faulted source's
-	// sweep is skipped and recorded rather than aborting the evaluation.
-	Injector *resilience.Injector
 	// Health receives build checkpoints (component count, unreachable
-	// pairs on fragmented topologies) and sweep degradations.
+	// pairs on fragmented topologies).
 	Health *resilience.Health
 	// Metrics, when non-nil, receives engine telemetry under core.engine.*
 	// and core.sweep.* (build timings, per-source sweep durations,
@@ -110,7 +106,6 @@ type engineObs struct {
 	buildSeconds  *obs.Histogram // core.engine.build_seconds
 	sourceSeconds *obs.Histogram // core.sweep.source_seconds (one sweep per source)
 	pairs         *obs.Counter   // core.sweep.pairs_total
-	skippedSweeps *obs.Counter   // core.sweep.skipped_total
 	evaluations   *obs.Counter   // core.engine.evaluations_total
 	workers       *obs.Gauge     // core.sweep.workers
 	unreachable   *obs.Gauge     // core.engine.unreachable_pairs
@@ -125,7 +120,6 @@ func newEngineObs(r *obs.Registry) engineObs {
 		buildSeconds:  r.Histogram("core.engine.build_seconds", obs.LatencyBuckets()),
 		sourceSeconds: r.Histogram("core.sweep.source_seconds", obs.LatencyBuckets()),
 		pairs:         r.Counter("core.sweep.pairs_total"),
-		skippedSweeps: r.Counter("core.sweep.skipped_total"),
 		evaluations:   r.Counter("core.engine.evaluations_total"),
 		workers:       r.Gauge("core.sweep.workers"),
 		unreachable:   r.Gauge("core.engine.unreachable_pairs"),
@@ -182,9 +176,6 @@ func (e *Engine) Reprice(ctx *risk.Context, opts Options) (*Engine, error) {
 
 // build is New (shared == nil) and Reprice (shared != nil).
 func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
-	if err := opts.Injector.ForcedError(resilience.PointEngineBuild, 0); err != nil {
-		return nil, err
-	}
 	start := time.Now() // the span is nil when untraced; time the build apart
 	span := opts.Trace.Child("engine-build")
 	defer span.End()
@@ -361,18 +352,6 @@ func (e *Engine) Components() int { return e.components }
 // UnreachablePairs returns the number of unordered PoP pairs split across
 // components (0 for a whole network). The all-pairs evaluations skip them.
 func (e *Engine) UnreachablePairs() int { return e.unreachable }
-
-// skipSweep reports whether an injected fault knocks out source i's Dijkstra
-// sweep. Evaluations have no error return, so a faulted sweep degrades: the
-// source's pairs drop out of the aggregate and health records the loss.
-func (e *Engine) skipSweep(i int) bool {
-	if err := e.opts.Injector.Fail(resilience.PointDijkstraSweep, uint64(i)); err != nil {
-		e.opts.Health.Degrade("engine", err, "sweep from PoP %d skipped", i)
-		e.tel.skippedSweeps.Inc()
-		return true
-	}
-	return false
-}
 
 // bucketOf maps an impact value to its quantization bucket.
 func (e *Engine) bucketOf(alpha float64) int {
@@ -649,9 +628,6 @@ func (e *Engine) EvaluateSubset(sources, dests []int) Ratios {
 		started := time.Now()
 		i := sources[si]
 		var p partial
-		if e.skipSweep(i) {
-			return p
-		}
 		e.pass(i, dests, func(c pairCost) {
 			// Skip zero-cost pairs (co-located PoPs in composite
 			// interdomain graphs have zero miles).
@@ -735,9 +711,7 @@ func (e *Engine) TotalBitRisk() float64 {
 	e.tel.workers.Set(float64(workers))
 	partials := parallel.Map(n, workers, func(i int) float64 {
 		sub := 0.0
-		if !e.skipSweep(i) {
-			e.pass(i, all[i+1:], func(c pairCost) { sub += c.cost })
-		}
+		e.pass(i, all[i+1:], func(c pairCost) { sub += c.cost })
 		return sub
 	})
 	total := 0.0
@@ -759,12 +733,12 @@ func (e *Engine) TotalBitRiskSubset(sources, dests []int) float64 {
 	for _, j := range dests {
 		inDest[j] = true
 	}
-	// first[v] is one past v's position in sources where it first sweeps
-	// (0: never). That source counts each pair {v, j} unless j swept
-	// earlier with v among its destinations.
+	// first[v] is one past v's first position in sources (0: absent). That
+	// source counts each pair {v, j} unless j swept earlier with v among its
+	// destinations.
 	first := make([]int, n)
 	for si, i := range sources {
-		if !e.skipSweep(i) && first[i] == 0 {
+		if first[i] == 0 {
 			first[i] = si + 1
 		}
 	}
@@ -773,7 +747,7 @@ func (e *Engine) TotalBitRiskSubset(sources, dests []int) float64 {
 	costs := parallel.Map(len(sources), workers, func(si int) []float64 {
 		i := sources[si]
 		if first[i] != si+1 {
-			return nil // faulted, or a repeat
+			return nil // a repeat
 		}
 		var js []int
 		for j, ok := range inDest {

@@ -38,9 +38,6 @@ type SharedRiskResult struct {
 // SharedRisk computes the overlap between two networks under the given
 // hazard model, counting PoP pairs within radiusMiles of each other.
 func SharedRisk(a, b *topology.Network, model *hazard.Model, radiusMiles float64) SharedRiskResult {
-	if radiusMiles <= 0 {
-		radiusMiles = 50
-	}
 	riskA := model.PoPRisks(a)
 	riskB := model.PoPRisks(b)
 	raw, pairs := overlap(a, riskA, b, riskB, radiusMiles)
@@ -106,10 +103,13 @@ func RegionalImpact(nets []*topology.Network, center geo.Point, radiusMiles floa
 
 // SharedRiskMatrix scores every unordered pair among the networks, sorted
 // by descending normalized overlap. It returns an error with fewer than two
-// networks.
+// networks or a radius that is not finite and positive.
 func SharedRiskMatrix(nets []*topology.Network, model *hazard.Model, radiusMiles float64) ([]SharedRiskResult, error) {
 	if len(nets) < 2 {
 		return nil, fmt.Errorf("interdomain: shared risk needs at least two networks")
+	}
+	if !(radiusMiles > 0) || math.IsInf(radiusMiles, 1) {
+		return nil, fmt.Errorf("interdomain: shared-risk radius %v miles is not finite and positive", radiusMiles)
 	}
 	var out []SharedRiskResult
 	for i := range nets {

@@ -87,6 +87,13 @@ func TestSharedRiskMatrix(t *testing.T) {
 	if _, err := SharedRiskMatrix(nets[:1], model, 50); err == nil {
 		t.Error("single-network matrix accepted")
 	}
+	// A NaN radius would count every PoP pair as co-located, and one at or
+	// below 0 or infinite measures no co-location.
+	for _, radius := range []float64{math.NaN(), -5, 0, math.Inf(1)} {
+		if m, err := SharedRiskMatrix(nets, model, radius); err == nil {
+			t.Errorf("radius %v accepted: %+v", radius, m)
+		}
+	}
 }
 
 func TestSharedRiskSymmetry(t *testing.T) {

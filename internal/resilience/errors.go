@@ -3,7 +3,7 @@
 // PipelineHealth report that stages append to as they lose fidelity, and a
 // deterministic seeded fault Injector that can corrupt, truncate, or drop
 // inputs and force errors at named injection points (topology parse, advisory
-// parse, KDE bandwidth fit, engine build, per-source Dijkstra sweep).
+// parse, KDE bandwidth fit, and the advisory poller's poll, journal and swap).
 //
 // The package is a leaf: it imports only the standard library, so every other
 // internal package can depend on it without cycles. All Injector and Health

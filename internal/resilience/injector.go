@@ -21,20 +21,6 @@ const (
 	PointAdvisoryParse Point = "advisory-parse"
 	// PointKDEFit fires inside hazard.Fit, keyed by source index.
 	PointKDEFit Point = "kde-fit"
-	// PointEngineBuild fires at core.New entry, key 0.
-	PointEngineBuild Point = "engine-build"
-	// PointDijkstraSweep fires per source of the engine's all-pairs sweeps,
-	// keyed by source PoP index.
-	PointDijkstraSweep Point = "dijkstra-sweep"
-	// PointServeParse fires in the serving daemon's advisory-ingest handler
-	// before the bulletin text is parsed, keyed by ingest sequence number.
-	PointServeParse Point = "serve-parse"
-	// PointServeSwap fires between a successful advisory parse and the
-	// snapshot rebuild/publish, keyed by the generation being built.
-	PointServeSwap Point = "serve-swap"
-	// PointServeRoute fires on the serving daemon's route hot path after a
-	// cache miss, keyed by request sequence number.
-	PointServeRoute Point = "serve-route"
 	// PointIngestPoll fires in the continuous advisory poller at two
 	// granularities: ForceError rules, keyed by poll attempt number, fail
 	// the whole attempt (a feed timeout or 5xx); Corrupt/Truncate/Drop
@@ -210,8 +196,8 @@ func (in *Injector) markFired(p Point) {
 
 // Fail returns an *InjectedError when a ForceError or Drop fault fires for
 // (p, key), nil otherwise. Stages that consume whole items (a hazard source,
-// a Dijkstra sweep source, one advisory) treat both modes as "this item
-// fails"; Corrupt/Truncate rules are left for Transform.
+// one advisory) treat both modes as "this item fails"; Corrupt/Truncate rules
+// are left for Transform.
 func (in *Injector) Fail(p Point, key uint64) error {
 	_, ok := in.firing(p, key, func(m Mode) bool { return m == ForceError || m == Drop })
 	if !ok {
@@ -221,8 +207,8 @@ func (in *Injector) Fail(p Point, key uint64) error {
 }
 
 // ForcedError is Fail restricted to ForceError rules — for points like a
-// whole-parse or engine-build entry where a Drop rule aimed at per-item keys
-// must not abort the entire stage.
+// whole-parse entry where a Drop rule aimed at per-item keys must not abort
+// the entire stage.
 func (in *Injector) ForcedError(p Point, key uint64) error {
 	_, ok := in.firing(p, key, func(m Mode) bool { return m == ForceError })
 	if !ok {

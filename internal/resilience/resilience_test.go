@@ -67,7 +67,7 @@ func TestInjectorKeyTargeting(t *testing.T) {
 
 func TestInjectorPointIsolation(t *testing.T) {
 	in := NewInjector(1).Enable(PointTopologyParse, ForceError, 1)
-	if err := in.Fail(PointEngineBuild, 0); err != nil {
+	if err := in.Fail(PointAdvisoryParse, 0); err != nil {
 		t.Errorf("fault leaked to another point: %v", err)
 	}
 	if err := in.Fail(PointTopologyParse, 0); err == nil {
@@ -77,7 +77,7 @@ func TestInjectorPointIsolation(t *testing.T) {
 
 func TestNilInjectorInert(t *testing.T) {
 	var in *Injector
-	if err := in.Fail(PointEngineBuild, 0); err != nil {
+	if err := in.Fail(PointKDEFit, 0); err != nil {
 		t.Errorf("nil injector failed: %v", err)
 	}
 	if out, dropped := in.Transform(PointAdvisoryParse, 0, "text"); out != "text" || dropped {

@@ -115,16 +115,9 @@ func pointGeom(p geo.Point) geoGeometry {
 
 // edgeProps is the per-segment attribution payload of an explain feature.
 type edgeProps struct {
-	Leg          string  `json:"leg"`
-	Seq          int     `json:"seq"`
-	From         string  `json:"from"`
-	To           string  `json:"to"`
-	Miles        float64 `json:"miles"`
-	BaseRisk     float64 `json:"base_risk"`
-	ForecastRisk float64 `json:"forecast_risk"`
-	SpanRisk     float64 `json:"span_risk"`
-	RiskCost     float64 `json:"risk_cost"`
-	Cost         float64 `json:"cost"`
+	Leg string `json:"leg"`
+	Seq int    `json:"seq"`
+	explainEdge
 }
 
 // explainTotals carries both legs' totals (edge lists elided) as a foreign
@@ -157,14 +150,9 @@ func (s *Server) legFeatures(st *netState, legName string, leg explainLeg, path 
 		a := st.net.PoPs[path[i]].Location
 		b := st.net.PoPs[path[i+1]].Location
 		out = append(out, geoFeature{
-			Type:     "Feature",
-			Geometry: lineGeom(a, b),
-			Properties: edgeProps{
-				Leg: legName, Seq: i,
-				From: ed.From, To: ed.To,
-				Miles: ed.Miles, BaseRisk: ed.BaseRisk, ForecastRisk: ed.ForecastRisk,
-				SpanRisk: ed.SpanRisk, RiskCost: ed.RiskCost, Cost: ed.Cost,
-			},
+			Type:       "Feature",
+			Geometry:   lineGeom(a, b),
+			Properties: edgeProps{Leg: legName, Seq: i, explainEdge: ed},
 		})
 	}
 	return out
@@ -255,43 +243,35 @@ type edgeTopEntry struct {
 	Risk         float64 `json:"risk"`
 }
 
+// edgesTopHeader is the report context both shapes of /v1/edges/top carry.
+type edgesTopHeader struct {
+	Generation uint64  `json:"generation"`
+	Network    string  `json:"network"`
+	LambdaH    float64 `json:"lambda_h"`
+	LambdaF    float64 `json:"lambda_f"`
+	Storm      string  `json:"storm,omitempty"`
+	Advisory   int     `json:"advisory,omitempty"`
+	K          int     `json:"k"`
+	Links      int     `json:"links"`
+}
+
 // edgesTopResponse answers /v1/edges/top.
 type edgesTopResponse struct {
-	Generation uint64         `json:"generation"`
-	Network    string         `json:"network"`
-	LambdaH    float64        `json:"lambda_h"`
-	LambdaF    float64        `json:"lambda_f"`
-	Storm      string         `json:"storm,omitempty"`
-	Advisory   int            `json:"advisory,omitempty"`
-	K          int            `json:"k"`
-	Links      int            `json:"links"`
-	Edges      []edgeTopEntry `json:"edges"`
+	edgesTopHeader
+	Edges []edgeTopEntry `json:"edges"`
 }
 
 // edgesTopFC is the GeoJSON shape of the top-k report.
 type edgesTopFC struct {
-	Type       string       `json:"type"`
-	Generation uint64       `json:"generation"`
-	Network    string       `json:"network"`
-	LambdaH    float64      `json:"lambda_h"`
-	LambdaF    float64      `json:"lambda_f"`
-	Storm      string       `json:"storm,omitempty"`
-	Advisory   int          `json:"advisory,omitempty"`
-	K          int          `json:"k"`
-	Links      int          `json:"links"`
-	Features   []geoFeature `json:"features"`
+	Type string `json:"type"`
+	edgesTopHeader
+	Features []geoFeature `json:"features"`
 }
 
 // edgeTopProps is the per-edge payload of a top-k feature.
 type edgeTopProps struct {
-	Rank         int     `json:"rank"`
-	From         string  `json:"from"`
-	To           string  `json:"to"`
-	Miles        float64 `json:"miles"`
-	BaseRisk     float64 `json:"base_risk"`
-	ForecastRisk float64 `json:"forecast_risk"`
-	SpanRisk     float64 `json:"span_risk"`
-	Risk         float64 `json:"risk"`
+	Rank int `json:"rank"`
+	edgeTopEntry
 }
 
 // edgesTopDoc serves GET /v1/edges/top?network=..&k=N: the network-wide
@@ -328,47 +308,35 @@ func (s *Server) edgesTopDoc(r *http.Request) (any, int) {
 		return errorDoc("engine build failed: %v", err), http.StatusInternalServerError
 	}
 	reports := eng.TopRiskEdges(k)
-	storm, advNum := "", 0
-	if snap.advisory != nil {
-		storm, advNum = snap.advisory.Storm, snap.advisory.Number
-	}
-	if q.Get("format") == "geojson" {
-		fc := edgesTopFC{
-			Type: "FeatureCollection", Generation: snap.gen, Network: st.net.Name,
-			LambdaH: params.LambdaH, LambdaF: params.LambdaF,
-			Storm: storm, Advisory: advNum,
-			K: len(reports), Links: len(st.net.Links),
-			Features: make([]geoFeature, len(reports)),
-		}
-		for i, rep := range reports {
-			fc.Features[i] = geoFeature{
-				Type:     "Feature",
-				Geometry: lineGeom(st.net.PoPs[rep.A].Location, st.net.PoPs[rep.B].Location),
-				Properties: edgeTopProps{
-					Rank: i + 1,
-					From: st.net.PoPs[rep.A].Name, To: st.net.PoPs[rep.B].Name,
-					Miles: rep.Miles, BaseRisk: rep.BaseRisk, ForecastRisk: rep.ForecastRisk,
-					SpanRisk: rep.SpanRisk, Risk: rep.Risk,
-				},
-			}
-		}
-		return fc, http.StatusOK
-	}
-	resp := edgesTopResponse{
+	head := edgesTopHeader{
 		Generation: snap.gen, Network: st.net.Name,
 		LambdaH: params.LambdaH, LambdaF: params.LambdaF,
-		Storm: storm, Advisory: advNum,
 		K: len(reports), Links: len(st.net.Links),
-		Edges: make([]edgeTopEntry, len(reports)),
 	}
+	if snap.advisory != nil {
+		head.Storm, head.Advisory = snap.advisory.Storm, snap.advisory.Number
+	}
+	entries := make([]edgeTopEntry, len(reports))
 	for i, rep := range reports {
-		resp.Edges[i] = edgeTopEntry{
+		entries[i] = edgeTopEntry{
 			From: st.net.PoPs[rep.A].Name, To: st.net.PoPs[rep.B].Name,
 			Miles: rep.Miles, BaseRisk: rep.BaseRisk, ForecastRisk: rep.ForecastRisk,
 			SpanRisk: rep.SpanRisk, Risk: rep.Risk,
 		}
 	}
-	return resp, http.StatusOK
+	if q.Get("format") != "geojson" {
+		return edgesTopResponse{edgesTopHeader: head, Edges: entries}, http.StatusOK
+	}
+	fc := edgesTopFC{Type: "FeatureCollection", edgesTopHeader: head,
+		Features: make([]geoFeature, len(reports))}
+	for i, rep := range reports {
+		fc.Features[i] = geoFeature{
+			Type:       "Feature",
+			Geometry:   lineGeom(st.net.PoPs[rep.A].Location, st.net.PoPs[rep.B].Location),
+			Properties: edgeTopProps{Rank: i + 1, edgeTopEntry: entries[i]},
+		}
+	}
+	return fc, http.StatusOK
 }
 
 // hazardSource is one catalog's contribution in a hazard probe response.
@@ -389,35 +357,32 @@ type hazardForecast struct {
 	Risk       float64 `json:"risk"` // o_f at the point
 }
 
-// hazardProbeResponse answers /debug/hazard: what the fitted field says at
-// a point and which catalog/advisory contributed.
+// hazardProbe is what the fitted field says at a point and which
+// catalog/advisory contributed, shared by both shapes of /debug/hazard.
+type hazardProbe struct {
+	LambdaH  float64         `json:"lambda_h"`
+	LambdaF  float64         `json:"lambda_f"`
+	Hist     float64         `json:"hist"`     // o_h, bit-identical to hazard.Model.RiskAt
+	Forecast float64         `json:"forecast"` // o_f (0 with no advisory)
+	NodeRisk float64         `json:"node_risk"`
+	Renorm   float64         `json:"renorm"`
+	Lost     []string        `json:"lost,omitempty"`
+	Sources  []hazardSource  `json:"sources"`
+	Advisory *hazardForecast `json:"advisory,omitempty"`
+}
+
+// hazardProbeResponse answers /debug/hazard.
 type hazardProbeResponse struct {
-	Generation uint64          `json:"generation"`
-	Lat        float64         `json:"lat"`
-	Lon        float64         `json:"lon"`
-	LambdaH    float64         `json:"lambda_h"`
-	LambdaF    float64         `json:"lambda_f"`
-	Hist       float64         `json:"hist"`     // o_h, bit-identical to hazard.Model.RiskAt
-	Forecast   float64         `json:"forecast"` // o_f (0 with no advisory)
-	NodeRisk   float64         `json:"node_risk"`
-	Renorm     float64         `json:"renorm"`
-	Lost       []string        `json:"lost,omitempty"`
-	Sources    []hazardSource  `json:"sources"`
-	Advisory   *hazardForecast `json:"advisory,omitempty"`
+	Generation uint64  `json:"generation"`
+	Lat        float64 `json:"lat"`
+	Lon        float64 `json:"lon"`
+	hazardProbe
 }
 
 // hazardProbeProps is the Point-feature payload of a GeoJSON probe.
 type hazardProbeProps struct {
-	Generation uint64          `json:"generation"`
-	LambdaH    float64         `json:"lambda_h"`
-	LambdaF    float64         `json:"lambda_f"`
-	Hist       float64         `json:"hist"`
-	Forecast   float64         `json:"forecast"`
-	NodeRisk   float64         `json:"node_risk"`
-	Renorm     float64         `json:"renorm"`
-	Lost       []string        `json:"lost,omitempty"`
-	Sources    []hazardSource  `json:"sources"`
-	Advisory   *hazardForecast `json:"advisory,omitempty"`
+	Generation uint64 `json:"generation"`
+	hazardProbe
 }
 
 // hazardProbeFC is the GeoJSON shape of a probe: one Point feature.
@@ -449,6 +414,9 @@ func (s *Server) hazardProbeDoc(r *http.Request) (any, int) {
 	if coords[0] < -90 || coords[0] > 90 {
 		return errorDoc("lat %v out of range [-90, 90]", coords[0]), http.StatusBadRequest
 	}
+	if coords[1] < -180 || coords[1] > 180 {
+		return errorDoc("lon %v out of range [-180, 180]", coords[1]), http.StatusBadRequest
+	}
 	p := geo.Point{Lat: coords[0], Lon: coords[1]}
 	probe := s.model.Probe(p)
 	var of float64
@@ -461,17 +429,15 @@ func (s *Server) hazardProbeDoc(r *http.Request) (any, int) {
 	}
 	s.tel.probes.Inc()
 
-	resp := hazardProbeResponse{
-		Generation: snap.gen,
-		Lat:        p.Lat,
-		Lon:        p.Lon,
-		LambdaH:    params.LambdaH,
-		LambdaF:    params.LambdaF,
-		Hist:       probe.Risk,
-		Renorm:     probe.Renorm,
-		Lost:       probe.Lost,
-		Sources:    make([]hazardSource, len(probe.Sources)),
-	}
+	resp := hazardProbeResponse{Generation: snap.gen, Lat: p.Lat, Lon: p.Lon,
+		hazardProbe: hazardProbe{
+			LambdaH: params.LambdaH,
+			LambdaF: params.LambdaF,
+			Hist:    probe.Risk,
+			Renorm:  probe.Renorm,
+			Lost:    probe.Lost,
+			Sources: make([]hazardSource, len(probe.Sources)),
+		}}
 	for i, sp := range probe.Sources {
 		resp.Sources[i] = hazardSource{
 			Name: sp.Name, Bandwidth: sp.Bandwidth, Events: sp.Events,
@@ -499,15 +465,9 @@ func (s *Server) hazardProbeDoc(r *http.Request) (any, int) {
 		return hazardProbeFC{
 			Type: "FeatureCollection",
 			Features: []geoFeature{{
-				Type:     "Feature",
-				Geometry: pointGeom(p),
-				Properties: hazardProbeProps{
-					Generation: resp.Generation,
-					LambdaH:    resp.LambdaH, LambdaF: resp.LambdaF,
-					Hist: resp.Hist, Forecast: resp.Forecast, NodeRisk: resp.NodeRisk,
-					Renorm: resp.Renorm, Lost: resp.Lost,
-					Sources: resp.Sources, Advisory: resp.Advisory,
-				},
+				Type:       "Feature",
+				Geometry:   pointGeom(p),
+				Properties: hazardProbeProps{Generation: resp.Generation, hazardProbe: resp.hazardProbe},
 			}},
 		}, http.StatusOK
 	}

@@ -403,6 +403,8 @@ func TestHazardProbeEndpoint(t *testing.T) {
 		{"/debug/hazard?lat=1", http.StatusBadRequest},
 		{"/debug/hazard?lat=abc&lon=0", http.StatusBadRequest},
 		{"/debug/hazard?lat=95&lon=0", http.StatusBadRequest},
+		{"/debug/hazard?lat=30&lon=1e308", http.StatusBadRequest},
+		{"/debug/hazard?lat=30&lon=-180.5", http.StatusBadRequest},
 		{"/debug/hazard?lat=1&lon=2&lambda_f=NaN", http.StatusBadRequest},
 		{"/debug/hazard?" + overflow.Encode(), http.StatusBadRequest},
 	} {
@@ -490,32 +492,39 @@ func goldenExplainURL() string {
 	return "/v1/route?" + v.Encode()
 }
 
-// TestExplainGoldenGeoJSON pins the generation-1 Atlanta→Seattle explanation
-// byte for byte. Regenerate with: go test ./internal/serve -run Golden -update-golden
-func TestExplainGoldenGeoJSON(t *testing.T) {
-	s := goldenServer(t)
-	req := httptest.NewRequest(http.MethodGet, goldenExplainURL(), nil)
+// checkGolden serves target on the golden world and requires the body to match
+// the fixture at path byte for byte; -update-golden rewrites the fixture.
+func checkGolden(t *testing.T, target, path string) []byte {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, target, nil)
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	goldenServer(t).Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("golden explain: %d: %s", rec.Code, rec.Body.Bytes())
+		t.Fatalf("GET %s: %d: %s", target, rec.Code, rec.Body.Bytes())
 	}
 	got := rec.Body.Bytes()
 	if *updateGolden {
-		if err := os.WriteFile(goldenExplainPath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", goldenExplainPath, len(got))
-		return
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return got
 	}
-	want, err := os.ReadFile(goldenExplainPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (run with -update-golden to create): %v", err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("explain GeoJSON drifted from golden fixture (%d vs %d bytes);\n"+
-			"if intentional, regenerate with -update-golden\ngot:\n%s", len(got), len(want), got)
+		t.Fatalf("GET %s drifted from golden fixture %s (%d vs %d bytes);\n"+
+			"if intentional, regenerate with -update-golden\ngot:\n%s", target, path, len(got), len(want), got)
 	}
+	return want
+}
+
+// TestExplainGoldenGeoJSON pins the generation-1 Atlanta→Seattle explanation
+// byte for byte. Regenerate with: go test ./internal/serve -run Golden -update-golden
+func TestExplainGoldenGeoJSON(t *testing.T) {
+	want := checkGolden(t, goldenExplainURL(), goldenExplainPath)
 	// The fixture must itself be valid GeoJSON that reconciles.
 	var fc gjExplain
 	if err := json.Unmarshal(want, &fc); err != nil {
@@ -524,5 +533,19 @@ func TestExplainGoldenGeoJSON(t *testing.T) {
 	if fc.Type != "FeatureCollection" || fc.Generation != 1 || !fc.Totals.RiskRoute.Reconciled {
 		t.Fatalf("golden fixture header: type=%q gen=%d reconciled=%v",
 			fc.Type, fc.Generation, fc.Totals.RiskRoute.Reconciled)
+	}
+}
+
+// TestAttributionGolden pins the generation-1 /v1/edges/top and /debug/hazard
+// bodies, JSON and GeoJSON, byte for byte. Regenerate with:
+// go test ./internal/serve -run Golden -update-golden
+func TestAttributionGolden(t *testing.T) {
+	for _, tc := range []struct{ target, path string }{
+		{"/v1/edges/top?network=Sprint&k=3", "testdata/edges_top_golden.json"},
+		{"/v1/edges/top?network=Sprint&k=3&format=geojson", "testdata/edges_top_golden.geojson"},
+		{"/debug/hazard?lat=33.749&lon=-84.388", "testdata/hazard_probe_golden.json"},
+		{"/debug/hazard?lat=33.749&lon=-84.388&format=geojson", "testdata/hazard_probe_golden.geojson"},
+	} {
+		checkGolden(t, tc.target, tc.path)
 	}
 }

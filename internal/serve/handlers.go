@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 
 	"riskroute/internal/forecast"
 	"riskroute/internal/obs"
-	"riskroute/internal/resilience"
 	"riskroute/internal/risk"
 )
 
@@ -261,12 +259,6 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 		}
 		s.tel.cacheMisses.Inc()
 	}
-	if err := s.cfg.Injector.Fail(resilience.PointServeRoute, s.routeSeq.Add(1)); err != nil {
-		s.cfg.Health.Degrade("serve", err, "route %s %s->%s failed", st.net.Name, from, to)
-		s.writeError(w, http.StatusInternalServerError, "route computation failed: %v", err)
-		return
-	}
-
 	eng, err := s.engineAt(st, params)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "engine build failed: %v", err)
@@ -477,14 +469,11 @@ func (s *Server) handleAdvisory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		adv, gen, err := s.ApplyAdvisory(string(body))
-		switch {
-		case err == nil:
-			s.writeJSON(w, http.StatusOK, advisoryInfoOf(gen, adv))
-		case errors.Is(err, resilience.ErrInjected):
-			s.writeError(w, http.StatusServiceUnavailable, "advisory ingest failed: %v", err)
-		default:
+		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "advisory rejected: %v", err)
+			return
 		}
+		s.writeJSON(w, http.StatusOK, advisoryInfoOf(gen, adv))
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		s.writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)

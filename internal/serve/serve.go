@@ -111,12 +111,11 @@ type Config struct {
 	// use it to price the middleware; production keeps it on.
 	DisableTracing bool
 
-	// Observability and fault injection (all optional, nil-safe).
-	Metrics  *obs.Registry
-	Trace    *obs.Span
-	Logger   *slog.Logger
-	Health   *resilience.Health
-	Injector *resilience.Injector
+	// Observability (all optional, nil-safe).
+	Metrics *obs.Registry
+	Trace   *obs.Span
+	Logger  *slog.Logger
+	Health  *resilience.Health
 }
 
 func (c Config) withDefaults() Config {
@@ -307,7 +306,6 @@ type Server struct {
 	swapMu    sync.Mutex // serializes advisory ingestion; readers never take it
 	prev      *snapshot  // snapshot before the last swap (under swapMu); rollback target
 	ingestSeq atomic.Uint64
-	routeSeq  atomic.Uint64
 
 	sem      chan struct{}
 	inflight atomic.Int64 // admitted requests currently executing
@@ -694,9 +692,6 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 // untouched. Concurrent calls serialize; readers are never blocked.
 func (s *Server) ApplyAdvisory(text string) (*forecast.Advisory, uint64, error) {
 	seq := s.ingestSeq.Add(1)
-	if err := s.cfg.Injector.ForcedError(resilience.PointServeParse, seq); err != nil {
-		return nil, s.Generation(), err
-	}
 	parseStart := time.Now()
 	adv, err := forecast.ParseAdvisory(text)
 	parseDur := time.Since(parseStart)
@@ -723,10 +718,6 @@ func (s *Server) ApplyParsed(adv *forecast.Advisory, parseDur time.Duration) (ui
 	defer s.swapMu.Unlock()
 	cur := s.snap.Load()
 	gen := cur.gen + 1
-	if err := s.cfg.Injector.ForcedError(resilience.PointServeSwap, gen); err != nil {
-		s.cfg.Health.Degrade("serve", err, "swap to generation %d aborted", gen)
-		return cur.gen, err
-	}
 	span := s.cfg.Trace.Child("advisory-swap")
 	swapStart := time.Now()
 	rebuildStart := swapStart
