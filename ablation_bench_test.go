@@ -184,15 +184,14 @@ func BenchmarkAblationCandidateThreshold(b *testing.B) {
 	}
 	for _, rule := range []float64{0.5, 0.35, 0.25} {
 		b.Run(fmt.Sprintf("reduction=%.2f", rule), func(b *testing.B) {
-			e, err := riskroute.NewEngine(ctx, riskroute.Options{CandidateReduction: rule})
+			e, err := riskroute.NewEngine(ctx, riskroute.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cands := e.CandidateLinks()
-				if len(cands) > 0 {
-					e.ScoreCandidates(cands)
+				if _, err := e.BestAdditionalLink(rule); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

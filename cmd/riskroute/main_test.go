@@ -5,6 +5,7 @@ package main
 // formatting, and cross-package plumbing that unit tests can't.
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"os/exec"
@@ -94,10 +95,27 @@ func TestCLIRatios(t *testing.T) {
 	}
 }
 
+// provisionRuns are the provision invocations behind
+// testdata/provision.golden, in order.
+var provisionRuns = [][]string{
+	{"-network", "AT&T", "-links", "12"},               // the paper's rule runs dry after 2 links
+	{"-network", "Tinet", "-links", "12"},              // and after 6
+	{"-network", "Tinet", "-links", "4", "-span-risk"}, // span risk priced at every step
+}
+
+// TestCLIProvision diffs the greedy's stdout for provisionRuns against
+// testdata/provision.golden byte for byte (regeneration: testdata/README.md).
 func TestCLIProvision(t *testing.T) {
-	out := run(t, append([]string{"provision", "-network", "Tinet", "-links", "2"}, tiny...)...)
-	if !strings.Contains(out, "best additional links") || !strings.Contains(out, "bit-risk fraction") {
-		t.Errorf("provision output:\n%s", out)
+	want, err := os.ReadFile("testdata/provision.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, args := range provisionRuns {
+		got = append(got, runStdout(t, append(append([]string{"provision"}, args...), tiny...)...)...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("provision stdout differs from testdata/provision.golden:\n%s", got)
 	}
 }
 

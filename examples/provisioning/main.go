@@ -54,27 +54,13 @@ func main() {
 
 	// Effect on routing quality: ratios before and after the additions.
 	before := engine.Evaluate()
-	augmented := net.Clone()
+	augmented := engine
 	for _, a := range adds {
-		if err := augmented.AddLink(a.Link.A, a.Link.B); err != nil {
+		if augmented, err = augmented.WithLink(a.Link); err != nil {
 			log.Fatal(err)
 		}
 	}
-	asg2, err := riskroute.AssignPopulation(census, augmented)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx2 := &riskroute.Context{
-		Net:       augmented,
-		Hist:      model.PoPRisks(augmented),
-		Fractions: asg2.Fractions,
-		Params:    riskroute.Params{LambdaH: 1e5},
-	}
-	engine2, err := riskroute.NewEngine(ctx2, riskroute.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	after := engine2.Evaluate()
+	after := augmented.Evaluate()
 	fmt.Printf("\nrisk reduction ratio vs shortest path: %.3f before, %.3f after provisioning\n",
 		before.RiskReduction, after.RiskReduction)
 }

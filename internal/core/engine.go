@@ -61,11 +61,6 @@ type Options struct {
 	// robustness scoring builds one all-pairs table per bucket in use. More
 	// buckets cost more sweeps but track per-pair optima more closely.
 	AlphaBuckets int
-	// CandidateReduction is the bit-mile reduction a direct link must
-	// achieve for its PoP pair to enter the robustness candidate set E_C.
-	// The paper's rule is "more than 50% reduction" (0.5, the default),
-	// which excludes impractical cross-country links.
-	CandidateReduction float64
 	// Workers bounds the goroutines used by the all-pairs evaluations
 	// (Evaluate, TotalBitRisk and friends). Zero means GOMAXPROCS; 1 forces
 	// sequential execution. Results are identical at any worker count: each
@@ -92,9 +87,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.AlphaBuckets == 0 {
 		o.AlphaBuckets = 16
-	}
-	if o.CandidateReduction == 0 {
-		o.CandidateReduction = 0.5
 	}
 	return o
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"math"
+	"slices"
 	"testing"
 
 	"riskroute/internal/geo"
@@ -416,6 +417,87 @@ func TestGreedyKeepsRiskContext(t *testing.T) {
 		}
 		if adds[0].Fraction >= 1 {
 			t.Errorf("%s: first link's fraction %v, want < 1", name, adds[0].Fraction)
+		}
+	}
+}
+
+// sameAdditions reports whether two greedy sweeps added the same links
+// under the same rules with Float64bits-equal totals and fractions.
+func sameAdditions(a, b []Addition) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Link != b[i].Link || !sameBits(a[i].Rule, b[i].Rule) ||
+			!sameBits(a[i].TotalAfter, b[i].TotalAfter) || !sameBits(a[i].Fraction, b[i].Fraction) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGreedyRuleLadder holds the one greedy loop to both behaviours it
+// serves. With no rules, or the paper's 0.5 alone, it is the paper's greedy,
+// which stops when E_C runs dry. With the provisioning experiments' ladder
+// it follows that sweep while the paper's rule has candidates, then goes on
+// under looser rules. Every step takes the first rule whose E_C (computed
+// here on the materialized graph) is non-empty, so the rule never loosens
+// back, and every added link is an unlinked candidate under it.
+func TestGreedyRuleLadder(t *testing.T) {
+	ladder := []float64{0.5, 0.35, 0.25, 0.15}
+	const k = 8
+	for _, arms := range []int{3, 5} {
+		e := mustEngine(t, horseshoeNet(arms, 31), Options{})
+		paper, err := e.GreedyAdditionalLinks(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if explicit, err := e.GreedyAdditionalLinks(k, paperRule); err != nil || !sameAdditions(explicit, paper) {
+			t.Fatalf("arms %d: GreedyAdditionalLinks(k, 0.5) = %+v, %v; without rules %+v", arms, explicit, err, paper)
+		}
+		if len(paper) >= k {
+			t.Fatalf("arms %d: the paper's rule lasted all %d steps; the fixture must run it dry", arms, k)
+		}
+		laddered, err := e.GreedyAdditionalLinks(k, ladder...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(laddered) != k || !sameAdditions(laddered[:len(paper)], paper) {
+			t.Fatalf("arms %d: ladder sweep %+v does not extend the paper's %+v to %d links", arms, laddered, paper, k)
+		}
+		if r := laddered[len(paper)].Rule; !(r < paperRule) {
+			t.Errorf("arms %d: step %d after the paper's rule ran dry used rule %v", arms, len(paper)+1, r)
+		}
+		cur := e
+		for step, a := range laddered {
+			if step > 0 && a.Rule > laddered[step-1].Rule {
+				t.Errorf("arms %d: step %d loosened back from %v to %v", arms, step+1, laddered[step-1].Rule, a.Rule)
+			}
+			net := cur.Ctx.Net
+			dist := net.Graph().AllPairs()
+			candidate := func(l topology.Link, rule float64) bool {
+				return !net.HasLink(l.A, l.B) && net.LinkMiles(l) < (1-rule)*dist[l.A][l.B]
+			}
+			if !candidate(a.Link, a.Rule) {
+				t.Errorf("arms %d: step %d added %v, not a candidate under rule %v", arms, step+1, a.Link, a.Rule)
+			}
+			r := slices.Index(ladder, a.Rule)
+			if r < 0 {
+				t.Fatalf("arms %d: step %d rule %v is not on the ladder", arms, step+1, a.Rule)
+			}
+			for _, rule := range ladder[:r] {
+				for x := range net.PoPs {
+					for y := x + 1; y < len(net.PoPs); y++ {
+						if candidate(topology.Link{A: x, B: y}, rule) {
+							t.Errorf("arms %d: step %d used rule %v though rule %v has candidate %d-%d",
+								arms, step+1, a.Rule, rule, x, y)
+						}
+					}
+				}
+			}
+			if cur, err = cur.WithLink(a.Link); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

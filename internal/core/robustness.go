@@ -17,25 +17,30 @@ import (
 // α-bucket all-pairs tables with the exact single-added-edge identity, so
 // each candidate costs O(N²) lookups instead of a full re-route.
 
+// paperRule is the paper's E_C rule: a direct link must cut its pair's
+// bit-miles by more than half.
+const paperRule = 0.5
+
 // Candidate is one potential new link with its scored objective.
 type Candidate struct {
 	Link topology.Link
 	// Total is Equation 4's objective if this link were added (α-bucket
 	// approximation, lower is better).
 	Total float64
-	// DirectMiles is the line-of-sight length of the new link.
-	DirectMiles float64
-	// ShortestMiles is the current shortest-path distance between the
-	// endpoints, for reference.
-	ShortestMiles float64
 }
 
 // CandidateLinks returns E_C sorted by endpoint indices: unlinked PoP pairs
 // whose direct connection would reduce the pair's bit-miles by more than
 // half.
 func (e *Engine) CandidateLinks() []topology.Link {
+	return e.candidates(e.adj.AllPairs(0), paperRule)
+}
+
+// candidates returns the unlinked PoP pairs whose direct link is shorter
+// than (1−rule) of their shortest-path distance in dist, sorted by
+// endpoint indices.
+func (e *Engine) candidates(dist [][]float64, rule float64) []topology.Link {
 	n := e.N()
-	dist := e.adj.AllPairs(0)
 	var out []topology.Link
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -43,7 +48,7 @@ func (e *Engine) CandidateLinks() []topology.Link {
 				continue
 			}
 			direct := e.Ctx.Net.LinkMiles(topology.Link{A: a, B: b})
-			if direct < (1-e.opts.CandidateReduction)*dist[a][b] {
+			if direct < (1-rule)*dist[a][b] {
 				out = append(out, topology.Link{A: a, B: b})
 			}
 		}
@@ -56,7 +61,6 @@ func (e *Engine) CandidateLinks() []topology.Link {
 // endpoint indices for determinism.
 func (e *Engine) ScoreCandidates(candidates []topology.Link) []Candidate {
 	n := e.N()
-	dist := e.adj.AllPairs(0)
 
 	// Each pair's α bucket, found once (row-major over i < j), and one
 	// all-pairs table per bucket some pair uses.
@@ -90,12 +94,7 @@ func (e *Engine) ScoreCandidates(candidates []topology.Link) []Candidate {
 				}
 			}
 		}
-		out = append(out, Candidate{
-			Link:          c,
-			Total:         total,
-			DirectMiles:   e.Ctx.Net.LinkMiles(c),
-			ShortestMiles: dist[c.A][c.B],
-		})
+		out = append(out, Candidate{Link: c, Total: total})
 	}
 	sort.Slice(out, func(x, y int) bool {
 		if out[x].Total != out[y].Total {
@@ -109,21 +108,36 @@ func (e *Engine) ScoreCandidates(candidates []topology.Link) []Candidate {
 	return out
 }
 
-// BestAdditionalLink solves Equation 4: the single candidate link whose
-// addition minimizes the total aggregated bit-risk miles. It returns an
-// error if the candidate set is empty.
-func (e *Engine) BestAdditionalLink() (Candidate, error) {
-	cands := e.CandidateLinks()
-	if len(cands) == 0 {
-		return Candidate{}, fmt.Errorf("core: network %q has no candidate links", e.Ctx.Net.Name)
+// BestAdditionalLink solves Equation 4: the candidate link whose addition
+// minimizes the total aggregated bit-risk miles. Its candidates are E_C
+// under the first of rules whose set is non-empty, each rule being the
+// bit-mile reduction a direct link must beat; no rules means the paper's
+// 0.5. It returns an error if every rule's set is empty.
+func (e *Engine) BestAdditionalLink(rules ...float64) (Candidate, error) {
+	best, _, err := e.bestLink(rules)
+	return best, err
+}
+
+// bestLink is BestAdditionalLink that also returns the rule whose E_C the
+// link came from.
+func (e *Engine) bestLink(rules []float64) (Candidate, float64, error) {
+	if len(rules) == 0 {
+		rules = []float64{paperRule}
 	}
-	scored := e.ScoreCandidates(cands)
-	return scored[0], nil
+	dist := e.adj.AllPairs(0)
+	for _, rule := range rules {
+		if cands := e.candidates(dist, rule); len(cands) > 0 {
+			return e.ScoreCandidates(cands)[0], rule, nil
+		}
+	}
+	return Candidate{}, 0, fmt.Errorf("core: network %q has no candidate links", e.Ctx.Net.Name)
 }
 
 // Addition records one step of the greedy link-addition sweep.
 type Addition struct {
 	Link topology.Link
+	// Rule is the candidate rule whose E_C the link came from.
+	Rule float64
 	// TotalAfter is the network's exact total bit-risk miles after adding
 	// this and all earlier links.
 	TotalAfter float64
@@ -150,9 +164,11 @@ func (e *Engine) WithLink(l topology.Link) (*Engine, error) {
 
 // GreedyAdditionalLinks adds k links one at a time, each chosen by Equation
 // 4 against the network as augmented so far (the paper's greedy
-// methodology), and reports the exact objective after each addition. It
-// stops early if a step has no candidates left.
-func (e *Engine) GreedyAdditionalLinks(k int) ([]Addition, error) {
+// methodology), and reports the exact objective after each addition. Each
+// step is BestAdditionalLink(rules...), so a ladder of looser rules keeps
+// the sweep going where a tighter rule's E_C runs dry. It stops early when
+// a step finds no candidates under any rule.
+func (e *Engine) GreedyAdditionalLinks(k int, rules ...float64) ([]Addition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: GreedyAdditionalLinks needs k >= 1")
 	}
@@ -164,7 +180,7 @@ func (e *Engine) GreedyAdditionalLinks(k int) ([]Addition, error) {
 	cur := e
 	var out []Addition
 	for step := 0; step < k; step++ {
-		best, err := cur.BestAdditionalLink()
+		best, rule, err := cur.bestLink(rules)
 		if err != nil {
 			break // no candidates left; return what we have
 		}
@@ -174,6 +190,7 @@ func (e *Engine) GreedyAdditionalLinks(k int) ([]Addition, error) {
 		total := cur.TotalBitRisk()
 		out = append(out, Addition{
 			Link:       best.Link,
+			Rule:       rule,
 			TotalAfter: total,
 			Fraction:   total / base,
 		})

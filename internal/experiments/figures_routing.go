@@ -106,10 +106,10 @@ type SuggestedLink struct {
 type Figure9Result struct {
 	Network string
 	Links   []SuggestedLink
-	// CandidateRule records the bit-mile reduction threshold used. The
-	// paper's rule is 0.5; our synthetic maps are denser than the Topology
-	// Zoo originals, so the rule relaxes stepwise until the candidate set
-	// is non-empty (EXPERIMENTS.md discusses this adaptation).
+	// CandidateRule records the loosest bit-mile reduction threshold used.
+	// The paper's rule is 0.5; our synthetic maps are denser than the
+	// Topology Zoo originals, so the rule relaxes stepwise until the
+	// candidate set is non-empty (EXPERIMENTS.md discusses this adaptation).
 	CandidateRule float64
 }
 
@@ -124,7 +124,7 @@ func (l *Lab) Figure9(network string, k int) (*Figure9Result, error) {
 	if k <= 0 {
 		k = 10
 	}
-	adds, rule, err := l.greedyLinksAdaptive(n, k)
+	adds, rule, err := l.greedyLinks(n, k)
 	if err != nil {
 		return nil, err
 	}
@@ -139,53 +139,23 @@ func (l *Lab) Figure9(network string, k int) (*Figure9Result, error) {
 	return out, nil
 }
 
-// greedyLinksAdaptive runs the greedy Equation 4 sweep one step at a time,
-// relaxing the candidate threshold (0.5 → 0.35 → 0.25 → 0.15) whenever the
-// current step has no candidates left. The paper's synthetic-map candidate
-// sets are small for the sparser backbones, so without relaxation the sweep
-// would stop after one or two additions; the loosest rule used is reported.
-func (l *Lab) greedyLinksAdaptive(n *topology.Network, k int) ([]core.Addition, float64, error) {
-	rules := []float64{0.5, 0.35, 0.25, 0.15}
-	cur, err := l.EngineFor(n, risk.Params{LambdaH: 1e5}, nil)
+// candidateRules is the provisioning experiments' E_C ladder. The paper's
+// synthetic-map candidate sets are small for the sparser backbones, so
+// without relaxation the sweep would stop after one or two additions.
+var candidateRules = []float64{0.5, 0.35, 0.25, 0.15}
+
+// greedyLinks runs the greedy Equation 4 sweep for n at λ_h = 10⁵ under
+// candidateRules and returns the additions with the loosest rule used.
+func (l *Lab) greedyLinks(n *topology.Network, k int) ([]core.Addition, float64, error) {
+	e, err := l.EngineFor(n, risk.Params{LambdaH: 1e5}, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	base := cur.TotalBitRisk()
-	loosest := rules[0]
-	var out []core.Addition
-	for step := 0; step < k; step++ {
-		var best core.Candidate
-		found := false
-		for _, rule := range rules {
-			opts := l.opts
-			opts.CandidateReduction = rule
-			e, err := cur.Reprice(cur.Ctx, opts)
-			if err != nil {
-				return nil, 0, err
-			}
-			if best, err = e.BestAdditionalLink(); err == nil {
-				found = true
-				loosest = min(loosest, rule)
-				break
-			}
-		}
-		if !found {
-			break // nothing left even at the loosest rule
-		}
-		if cur, err = cur.WithLink(best.Link); err != nil {
-			return nil, 0, fmt.Errorf("experiments: greedy step %d: %w", step, err)
-		}
-		total := cur.TotalBitRisk()
-		out = append(out, core.Addition{
-			Link:       best.Link,
-			TotalAfter: total,
-			Fraction:   total / base,
-		})
+	adds, err := e.GreedyAdditionalLinks(k, candidateRules...)
+	if err != nil {
+		return nil, 0, err
 	}
-	if len(out) == 0 {
-		return nil, 0, fmt.Errorf("experiments: network %q has no candidate links at any threshold", n.Name)
-	}
-	return out, loosest, nil
+	return adds, adds[len(adds)-1].Rule, nil // a step's rule never loosens back
 }
 
 // Figure10Result reproduces Figure 10: total bit-risk miles decay as links
@@ -211,7 +181,7 @@ func (l *Lab) Figure10(k int) (*Figure10Result, error) {
 		Steps:     k,
 	}
 	for _, n := range l.Tier1 {
-		adds, rule, err := l.greedyLinksAdaptive(n, k)
+		adds, rule, err := l.greedyLinks(n, k)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure10 %s: %w", n.Name, err)
 		}

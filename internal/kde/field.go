@@ -210,37 +210,26 @@ func (s *splatter) splatRows(fields [][]float64, fieldOf []int, events []geo.Poi
 // At returns the bilinearly interpolated density at p. Points outside the
 // grid clamp to the boundary cells.
 func (f *Field) At(p geo.Point) float64 {
+	v, _, _, _, _ := f.stencil(p)
+	return v
+}
+
+// stencil is the bilinear interpolation behind At and Sample: the density
+// at p, the four cells it blends — (r0,c0), (r0,c0+1), (r0+1,c0),
+// (r0+1,c0+1), each clamped to the grid — and the offsets tr, tc of p from
+// the first cell's center, clamped to [0, 1].
+func (f *Field) stencil(p geo.Point) (v float64, rows, cols [4]int, tr, tc float64) {
 	g := f.Grid
 	// Continuous cell coordinates relative to cell centers.
 	fr := (p.Lat-g.Bounds.MinLat)/g.CellHeight() - 0.5
 	fc := (p.Lon-g.Bounds.MinLon)/g.CellWidth() - 0.5
 	r0 := int(math.Floor(fr))
 	c0 := int(math.Floor(fc))
-	tr := fr - float64(r0)
-	tc := fc - float64(c0)
-
-	clampR := func(r int) int {
-		if r < 0 {
-			return 0
-		}
-		if r >= g.Rows {
-			return g.Rows - 1
-		}
-		return r
-	}
-	clampC := func(c int) int {
-		if c < 0 {
-			return 0
-		}
-		if c >= g.Cols {
-			return g.Cols - 1
-		}
-		return c
-	}
-	v00 := f.Values[g.Index(clampR(r0), clampC(c0))]
-	v01 := f.Values[g.Index(clampR(r0), clampC(c0+1))]
-	v10 := f.Values[g.Index(clampR(r0+1), clampC(c0))]
-	v11 := f.Values[g.Index(clampR(r0+1), clampC(c0+1))]
+	tr = fr - float64(r0)
+	tc = fc - float64(c0)
+	r1, c1 := clampIndex(r0+1, g.Rows), clampIndex(c0+1, g.Cols)
+	r0, c0 = clampIndex(r0, g.Rows), clampIndex(c0, g.Cols)
+	rows, cols = [4]int{r0, r0, r1, r1}, [4]int{c0, c1, c0, c1}
 	if tr < 0 {
 		tr = 0
 	}
@@ -253,7 +242,21 @@ func (f *Field) At(p geo.Point) float64 {
 	if tc > 1 {
 		tc = 1
 	}
-	return v00*(1-tr)*(1-tc) + v01*(1-tr)*tc + v10*tr*(1-tc) + v11*tr*tc
+	v00, v01 := f.Values[g.Index(r0, c0)], f.Values[g.Index(r0, c1)]
+	v10, v11 := f.Values[g.Index(r1, c0)], f.Values[g.Index(r1, c1)]
+	v = v00*(1-tr)*(1-tc) + v01*(1-tr)*tc + v10*tr*(1-tc) + v11*tr*tc
+	return v, rows, cols, tr, tc
+}
+
+// clampIndex clamps a row or column index i to [0, n).
+func clampIndex(i, n int) int {
+	if i < 0 {
+		return 0
+	}
+	if i >= n {
+		return n - 1
+	}
+	return i
 }
 
 // CellSample is one raster cell of a bilinear interpolation stencil: its
@@ -269,51 +272,13 @@ type CellSample struct {
 // PointSample explains one Field.At lookup: the interpolated value plus the
 // four-cell stencil it was blended from (weights sum to 1; clamped lookups
 // at the grid boundary may repeat a cell). Value is bit-identical to
-// At(p) — the same expressions in the same order — which a property test
-// pins, so probes can be trusted as explanations of the routing surface.
+// At(p), since both come from one stencil, and a property test pins it, so
+// probes can be trusted as explanations of the routing surface.
 func (f *Field) Sample(p geo.Point) PointSample {
 	g := f.Grid
-	fr := (p.Lat-g.Bounds.MinLat)/g.CellHeight() - 0.5
-	fc := (p.Lon-g.Bounds.MinLon)/g.CellWidth() - 0.5
-	r0 := int(math.Floor(fr))
-	c0 := int(math.Floor(fc))
-	tr := fr - float64(r0)
-	tc := fc - float64(c0)
-
-	clampR := func(r int) int {
-		if r < 0 {
-			return 0
-		}
-		if r >= g.Rows {
-			return g.Rows - 1
-		}
-		return r
-	}
-	clampC := func(c int) int {
-		if c < 0 {
-			return 0
-		}
-		if c >= g.Cols {
-			return g.Cols - 1
-		}
-		return c
-	}
-	rows := [4]int{clampR(r0), clampR(r0), clampR(r0 + 1), clampR(r0 + 1)}
-	cols := [4]int{clampC(c0), clampC(c0 + 1), clampC(c0), clampC(c0 + 1)}
-	if tr < 0 {
-		tr = 0
-	}
-	if tr > 1 {
-		tr = 1
-	}
-	if tc < 0 {
-		tc = 0
-	}
-	if tc > 1 {
-		tc = 1
-	}
+	v, rows, cols, tr, tc := f.stencil(p)
 	weights := [4]float64{(1 - tr) * (1 - tc), (1 - tr) * tc, tr * (1 - tc), tr * tc}
-	var s PointSample
+	s := PointSample{Value: v}
 	for i := 0; i < 4; i++ {
 		s.Cells[i] = CellSample{
 			Row:    rows[i],
@@ -323,9 +288,6 @@ func (f *Field) Sample(p geo.Point) PointSample {
 			Weight: weights[i],
 		}
 	}
-	// The exact expression At evaluates, term order included.
-	s.Value = s.Cells[0].Value*(1-tr)*(1-tc) + s.Cells[1].Value*(1-tr)*tc +
-		s.Cells[2].Value*tr*(1-tc) + s.Cells[3].Value*tr*tc
 	return s
 }
 

@@ -9,22 +9,26 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"riskroute/internal/forecast"
 )
 
 // FuzzAdvisoryIngest throws arbitrary bytes at POST /v1/advisory — the one
 // endpoint that feeds untrusted network input into the NLP parser and the
 // snapshot-swap machinery. Invariants: the handler never panics, answers
-// only 200 (parsed and swapped), 400 (rejected), or 413 (oversized), and
-// the generation counter moves forward exactly on success, never backward.
+// only 200 (parsed and swapped), 400 (rejected), or 413 (oversized), the
+// generation counter moves forward exactly on success, never backward, and
+// every body that gets 200 passes the advisory feed's gate.
 func FuzzAdvisoryIngest(f *testing.F) {
 	s := testServer(f)
 	replay := sandyReplay(f)
 	valid := replay.Advisories[0].Text()
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                                   // truncated
-	f.Add(strings.Replace(valid, "LATITUDE", "LATITUDE JUNK", 1)) // corrupted field
-	f.Add("")                                                     // empty
-	f.Add("BULLETIN\nHURRICANE X ADVISORY NUMBER ONE\n")          // non-numeric
+	f.Add(valid[:len(valid)/2])                                              // truncated
+	f.Add(strings.Replace(valid, "LATITUDE", "LATITUDE JUNK", 1))            // corrupted field
+	f.Add("")                                                                // empty
+	f.Add("BULLETIN\nHURRICANE X ADVISORY NUMBER ONE\n")                     // non-numeric
+	f.Add(strings.Replace(valid, "ADVISORY NUMBER", "ADVISORY NUMBER 0", 1)) // implausible
 
 	f.Fuzz(func(t *testing.T, body string) {
 		before := s.Generation()
@@ -37,6 +41,9 @@ func FuzzAdvisoryIngest(f *testing.F) {
 		case http.StatusOK:
 			if after <= before {
 				t.Fatalf("200 response but generation %d -> %d", before, after)
+			}
+			if _, err := forecast.ValidateAdvisory(body); err != nil {
+				t.Fatalf("200 response for a bulletin the feed's gate rejects: %v", err)
 			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 			if after < before {

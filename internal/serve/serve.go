@@ -302,10 +302,9 @@ type Server struct {
 	bases []*netBase
 	boot  BootInfo
 
-	snap      atomic.Pointer[snapshot]
-	swapMu    sync.Mutex // serializes advisory ingestion; readers never take it
-	prev      *snapshot  // snapshot before the last swap (under swapMu); rollback target
-	ingestSeq atomic.Uint64
+	snap   atomic.Pointer[snapshot]
+	swapMu sync.Mutex // serializes advisory ingestion; readers never take it
+	prev   *snapshot  // snapshot before the last swap (under swapMu); rollback target
 
 	sem      chan struct{}
 	inflight atomic.Int64 // admitted requests currently executing
@@ -686,17 +685,19 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 	return snap, nil
 }
 
-// ApplyAdvisory parses NHC bulletin text, rebuilds the forecast risk layer,
-// and publishes the next generation. It returns the parsed advisory and the
-// generation now serving. Parse failures leave the current snapshot
-// untouched. Concurrent calls serialize; readers are never blocked.
+// ApplyAdvisory validates NHC bulletin text with the advisory feed's gate
+// (forecast.ValidateAdvisory: a strict parse plus plausibility bounds),
+// rebuilds the forecast risk layer, and publishes the next generation. It
+// returns the parsed advisory and the generation now serving. A rejected
+// bulletin leaves the current snapshot untouched and is logged, not
+// recorded in Health, so rejections retain nothing. Concurrent calls
+// serialize; readers are never blocked.
 func (s *Server) ApplyAdvisory(text string) (*forecast.Advisory, uint64, error) {
-	seq := s.ingestSeq.Add(1)
 	parseStart := time.Now()
-	adv, err := forecast.ParseAdvisory(text)
+	adv, err := forecast.ValidateAdvisory(text)
 	parseDur := time.Since(parseStart)
 	if err != nil {
-		s.cfg.Health.Degrade("serve", err, "advisory ingest %d rejected", seq)
+		s.lg.Warn("advisory rejected", "err", err)
 		return nil, s.Generation(), err
 	}
 	gen, err := s.ApplyParsed(adv, parseDur)

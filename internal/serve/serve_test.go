@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"riskroute/internal/datasets"
 	"riskroute/internal/forecast"
 	"riskroute/internal/obs"
+	"riskroute/internal/resilience"
 	"riskroute/internal/topology"
 )
 
@@ -344,6 +347,93 @@ func TestAdvisorySwap(t *testing.T) {
 	s.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/advisory", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE advisory: %d, want 405", rec.Code)
+	}
+}
+
+// postAdvisory POSTs body to /v1/advisory and returns the recorder.
+func postAdvisory(s *Server, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/advisory", strings.NewReader(body)))
+	return rec
+}
+
+// healthServer boots a Sprint-only server of its own with a Health report
+// and a registry, for tests that count what a request leaves behind.
+func healthServer(t *testing.T) (*Server, *resilience.Health) {
+	t.Helper()
+	health := resilience.NewHealth()
+	s, err := New(Config{
+		Networks:   []*topology.Network{datasets.NetworkByName("Sprint")},
+		Blocks:     4000,
+		EventScale: 0.03,
+		Seed:       1,
+		Metrics:    obs.NewRegistry(),
+		Health:     health,
+	})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	return s, health
+}
+
+// TestAdvisoryPlausibilityGate pins that POST /v1/advisory applies the
+// advisory feed's gate (forecast.ValidateAdvisory), not only the parser:
+// a bulletin edited to an implausible value parses, yet answers 400 naming
+// the field and leaves the generation, the swap timeline and
+// serve.swaps_total as they were. The unedited bulletin then swaps.
+func TestAdvisoryPlausibilityGate(t *testing.T) {
+	s, _ := healthServer(t)
+	valid := sandyReplay(t).Advisories[10].Text()
+	swaps := s.cfg.Metrics.Counter("serve.swaps_total")
+	for _, tc := range []struct {
+		name, pattern, repl, field string
+	}{
+		{"900 mph winds", `WINDS ARE NEAR \d+ MPH`, "WINDS ARE NEAR 900 MPH", "maximum winds"},
+		{"99,999-mile tropical radius", `TROPICAL-STORM-FORCE WINDS EXTEND OUTWARD UP TO \d+ MILES`,
+			"TROPICAL-STORM-FORCE WINDS EXTEND OUTWARD UP TO 99999 MILES", "tropical radius"},
+		{"advisory number 0", `ADVISORY NUMBER \d+`, "ADVISORY NUMBER 0", "advisory number"},
+	} {
+		re := regexp.MustCompile(tc.pattern)
+		if !re.MatchString(valid) {
+			t.Fatalf("%s: pattern %q not in the bulletin", tc.name, tc.pattern)
+		}
+		body := re.ReplaceAllString(valid, tc.repl)
+		if _, err := forecast.ParseAdvisory(body); err != nil {
+			t.Fatalf("%s: edited bulletin does not parse: %v", tc.name, err)
+		}
+		gen, events, swapped := s.Generation(), len(s.Timeline()), swaps.Value()
+		rec := postAdvisory(s, body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.field) {
+			t.Errorf("%s: %d %s, want 400 naming %q", tc.name, rec.Code, rec.Body.Bytes(), tc.field)
+		}
+		if s.Generation() != gen || len(s.Timeline()) != events || swaps.Value() != swapped {
+			t.Errorf("%s: generation %d -> %d, timeline %d -> %d, swaps_total %d -> %d, want unchanged",
+				tc.name, gen, s.Generation(), events, len(s.Timeline()), swapped, swaps.Value())
+		}
+	}
+	gen := s.Generation()
+	if rec := postAdvisory(s, valid); rec.Code != http.StatusOK || s.Generation() != gen+1 {
+		t.Fatalf("unedited bulletin: %d %s, generation %d -> %d", rec.Code, rec.Body.Bytes(), gen, s.Generation())
+	}
+}
+
+// TestRejectedAdvisoriesRetainNothing pins that a rejected POST
+// /v1/advisory leaves no health event behind: the 400 is counted in
+// serve.errors_total and logged, so a client posting junk cannot grow the
+// daemon's memory.
+func TestRejectedAdvisoriesRetainNothing(t *testing.T) {
+	s, health := healthServer(t)
+	valid := sandyReplay(t).Advisories[10].Text()
+	junk := []string{"", "NOT A BULLETIN", valid[:len(valid)/2],
+		strings.Replace(valid, "LATITUDE", "LATITUDE JUNK", 1)}
+	events := health.Events()
+	for k := 0; k < 50; k++ {
+		if rec := postAdvisory(s, junk[k%len(junk)]); rec.Code != http.StatusBadRequest {
+			t.Fatalf("rejected POST %d: %d %s, want 400", k, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if got := health.Events(); !reflect.DeepEqual(got, events) {
+		t.Errorf("50 rejected POSTs took health from %d events to %d", len(events), len(got))
 	}
 }
 
