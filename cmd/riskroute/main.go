@@ -418,6 +418,10 @@ func cmdProvision(args []string) error {
 		fmt.Printf("  %2d. %-20s -- %-20s  bit-risk fraction %.4f\n",
 			i+1, net.PoPs[a.Link.A].Name, net.PoPs[a.Link.B].Name, a.Fraction)
 	}
+	if len(adds) < *links {
+		fmt.Printf("  added %d of %d links: the >%g%% bit-mile reduction rule left no candidates\n",
+			len(adds), *links, adds[len(adds)-1].Rule*100)
+	}
 	return nil
 }
 

@@ -99,7 +99,7 @@ func run(args []string) error {
 	fs.StringVar(&o.worldSnap, "world-snapshot", "", "boot the world from a baked snapshot file (`riskroute bake`) instead of fitting; a rejected snapshot falls back to a full fit")
 	fs.IntVar(&o.maxInFlight, "max-inflight", 64, "max concurrently executing compute requests")
 	fs.DurationVar(&o.queueTO, "queue-timeout", 100*time.Millisecond, "max wait for an admission slot before 429")
-	fs.DurationVar(&o.requestTO, "request-timeout", 15*time.Second, "per-request deadline")
+	fs.DurationVar(&o.requestTO, "request-timeout", 15*time.Second, "max time from arrival to the start of engine work, queue wait included")
 	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
 	fs.IntVar(&o.cacheSize, "cache-size", 4096, "result cache entries (negative disables)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve pprof/expvar/metrics on a second listener (host:port; empty disables)")

@@ -61,6 +61,10 @@ func TestFitLenientEachLayerKnockedOut(t *testing.T) {
 			if got := m.RiskAt(p); math.Abs(got-sum*m.Renorm()) > 1e-9 {
 				t.Errorf("RiskAt = %v, want renormalized survivor sum %v", got, sum*m.Renorm())
 			}
+			// Unit weights are the same aggregate, renorm included, bit for bit.
+			if got, want := m.WeightedRiskAt(p, nil), m.RiskAt(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("WeightedRiskAt(p, nil) = %v, want RiskAt %v", got, want)
+			}
 			if !h.Degraded() {
 				t.Error("layer loss not recorded in health")
 			}

@@ -337,13 +337,9 @@ func Fit(sources []Source, cfg FitConfig) (*Model, error) {
 
 // RiskAt returns the aggregate historical outage risk o_h at p: the sum of
 // all source densities, in calibrated risk units, re-normalized when a
-// lenient fit lost layers.
+// lenient fit lost layers. It is WeightedRiskAt with every weight 1.
 func (m *Model) RiskAt(p geo.Point) float64 {
-	sum := 0.0
-	for i := range m.Sources {
-		sum += m.Sources[i].Field.At(p)
-	}
-	return sum * RiskScale * m.Renorm()
+	return m.WeightedRiskAt(p, nil)
 }
 
 // SourceRiskAt returns one named source's risk at p (same units as RiskAt).

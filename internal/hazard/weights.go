@@ -35,17 +35,20 @@ func (m *Model) ValidateWeights(w Weights) error {
 }
 
 // WeightedRiskAt returns the weighted aggregate risk at p: each source's
-// density scaled by its weight (default 1), in the model's risk units.
+// density scaled by its weight (default 1), in the model's risk units,
+// re-normalized when a lenient fit lost layers.
 func (m *Model) WeightedRiskAt(p geo.Point, w Weights) float64 {
 	sum := 0.0
 	for i := range m.Sources {
 		factor := 1.0
-		if v, ok := w[m.Sources[i].Name]; ok {
-			factor = v
+		if len(w) > 0 { // RiskAt passes nil: no lookup per source on its hot path
+			if v, ok := w[m.Sources[i].Name]; ok {
+				factor = v
+			}
 		}
 		sum += factor * m.Sources[i].Field.At(p)
 	}
-	return sum * RiskScale
+	return sum * RiskScale * m.Renorm()
 }
 
 // WeightedPoPRisks evaluates WeightedRiskAt for every PoP of a network.

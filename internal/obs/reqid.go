@@ -4,12 +4,11 @@ package obs
 // 16-hex-character IDs from a SplitMix64 stream over an atomic counter:
 // seeded explicitly it is fully deterministic (tests and replay harnesses
 // pin the exact ID sequence), seeded with 0 it draws a random starting
-// point per process. IDs travel through context as a *ReqScope, the
-// mutable per-request record the serving layer fills in as a request moves
-// through admission, cache, and engine stages.
+// point per process. Each ID heads a ReqScope, the mutable per-request
+// record the serving layer carries on its status recorder and fills in as a
+// request moves through admission, cache, and engine stages.
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"sync/atomic"
@@ -61,8 +60,8 @@ func (g *RequestIDs) Next() string {
 	return string(buf[:])
 }
 
-// ReqScope is the per-request trace record carried through context. The
-// serving middleware allocates one per request; downstream stages fill in
+// ReqScope is the per-request trace record. The serving middleware keeps
+// one per request on its pooled status recorder; downstream stages fill in
 // what they know (queue wait at admission, cache hit at lookup, generation
 // at snapshot load). A single goroutine owns the request end to end, so the
 // fields need no locking.
@@ -76,41 +75,4 @@ type ReqScope struct {
 	// Generation is the world snapshot the request was answered from
 	// (0 when the endpoint touches no snapshot).
 	Generation uint64
-}
-
-// reqScopeKey is the context key for the request scope.
-type reqScopeKey struct{}
-
-// ScopeCtx binds a ReqScope to a parent context without the allocation of
-// context.WithValue: hot paths embed one in pooled per-request state and
-// pass its address as the request context. Value answers the scope key in a
-// single comparison before deferring to the parent. A ScopeCtx must not
-// outlive the request it was bound for — callers that pool it are asserting
-// their handlers do not retain the context past return.
-type ScopeCtx struct {
-	context.Context
-	rs *ReqScope
-}
-
-// Bind points the context at a parent and scope, overwriting any prior
-// binding (the pooled-reuse reset).
-func (c *ScopeCtx) Bind(parent context.Context, rs *ReqScope) {
-	c.Context = parent
-	c.rs = rs
-}
-
-// Value returns the bound scope for the scope key, deferring everything
-// else to the parent context.
-func (c *ScopeCtx) Value(key any) any {
-	if _, ok := key.(reqScopeKey); ok {
-		return c.rs
-	}
-	return c.Context.Value(key)
-}
-
-// ReqScopeFrom returns the context's request scope, or nil outside a traced
-// request.
-func ReqScopeFrom(ctx context.Context) *ReqScope {
-	rs, _ := ctx.Value(reqScopeKey{}).(*ReqScope)
-	return rs
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"testing"
 )
@@ -57,34 +56,6 @@ func TestRequestIDsNil(t *testing.T) {
 	var g *RequestIDs
 	if got := g.Next(); got != "" {
 		t.Fatalf("nil generator returned %q", got)
-	}
-}
-
-func TestReqScopeContext(t *testing.T) {
-	if ReqScopeFrom(context.Background()) != nil {
-		t.Fatal("empty context yielded a scope")
-	}
-	type key struct{}
-	parent := context.WithValue(context.Background(), key{}, "parent")
-	rs := &ReqScope{ID: "deadbeefcafef00d"}
-	var ctx ScopeCtx
-	ctx.Bind(parent, rs)
-	if got := ReqScopeFrom(&ctx); got != rs {
-		t.Fatalf("scope round-trip: got %p want %p", got, rs)
-	}
-	if got := ctx.Value(key{}); got != "parent" {
-		t.Fatalf("parent value = %v, want deferred to the parent", got)
-	}
-	// Downstream mutation is visible upstream: one record per request.
-	ReqScopeFrom(&ctx).CacheHit = true
-	if !rs.CacheHit {
-		t.Fatal("scope mutation lost")
-	}
-	// Rebinding (the pooled-reuse reset) replaces the scope.
-	next := &ReqScope{ID: "0123456789abcdef"}
-	ctx.Bind(context.Background(), next)
-	if got := ReqScopeFrom(&ctx); got != next {
-		t.Fatalf("rebound scope: got %p want %p", got, next)
 	}
 }
 

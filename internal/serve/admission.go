@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"time"
-
-	"riskroute/internal/obs"
 )
 
 // admit wraps a compute handler with the admission-control policy:
@@ -16,8 +13,9 @@ import (
 //     cfg.QueueTimeout, then is rejected with 429 Too Many Requests and a
 //     Retry-After hint — the server sheds overload instead of building an
 //     unbounded queue whose every entry times out anyway.
-//   - Admitted requests run with a context deadline of cfg.RequestTimeout;
-//     handlers check the deadline before starting expensive work.
+//   - A request has cfg.RequestTimeout from its arrival, queue wait
+//     included; handlers check it with deadlineExceeded before starting
+//     expensive work.
 func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
 	retryAfter := retryAfterSeconds(s.cfg.QueueTimeout)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -30,7 +28,7 @@ func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
 			select {
 			case s.sem <- struct{}{}:
 				timer.Stop()
-				if rs := obs.ReqScopeFrom(r.Context()); rs != nil {
+				if rs := scopeOf(w); rs != nil {
 					rs.QueueWait = time.Since(waitStart)
 				}
 			case <-timer.C:
@@ -51,10 +49,7 @@ func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
 			s.tel.inflight.Add(-1)
 			<-s.sem
 		}()
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		next(w, r.WithContext(ctx))
+		next(w, r)
 	}
 }
 
@@ -75,16 +70,21 @@ func retryAfterSeconds(queueTimeout time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// deadlineExceeded reports whether the request's context is already done,
-// writing the 503 for the caller when it is. Handlers call this before
-// starting engine work so a request that burned its whole deadline in the
-// admission queue fails fast instead of computing a result nobody reads.
+// deadlineExceeded reports whether a request should stop before engine
+// work, writing its response when it should: 499 when the client's own
+// context is done, 503 once cfg.RequestTimeout has passed since the arrival
+// stamped on w's status recorder, so queue wait counts. Handlers call this
+// before starting engine work so a request nobody will read, or one that
+// burned its deadline in the admission queue, fails fast instead of
+// computing a result.
 func (s *Server) deadlineExceeded(w http.ResponseWriter, r *http.Request) bool {
-	select {
-	case <-r.Context().Done():
+	if r.Context().Err() != nil {
+		s.writeError(w, statusClientClosed, "client gave up before engine work")
+		return true
+	}
+	if sw, ok := w.(*statusWriter); ok && time.Since(sw.start) > s.cfg.RequestTimeout {
 		s.writeError(w, http.StatusServiceUnavailable, "request deadline exceeded")
 		return true
-	default:
-		return false
 	}
+	return false
 }

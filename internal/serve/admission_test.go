@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,29 +109,63 @@ func TestAdmissionClientGivesUpWhileQueued(t *testing.T) {
 	wg.Wait()
 }
 
-func TestAdmissionAppliesRequestDeadline(t *testing.T) {
-	s := admissionServer(1, 20*time.Millisecond)
-	s.cfg.RequestTimeout = 30 * time.Millisecond
-	var deadlineSet bool
-	h := s.admit(func(w http.ResponseWriter, r *http.Request) {
-		_, deadlineSet = r.Context().Deadline()
+// deadlineRoute mounts a stub compute handler as routes() mounts /v1/route,
+// behind instrument and admit; like the real handlers it calls
+// deadlineExceeded first. The returned func reads serve.errors_total.
+func deadlineRoute(s *Server) (http.HandlerFunc, func() int64) {
+	reg := obs.NewRegistry()
+	s.tel = newServeObs(reg)
+	s.cfg.Metrics = reg
+	h := s.instrument("route", s.admit(func(w http.ResponseWriter, r *http.Request) {
+		if s.deadlineExceeded(w, r) {
+			return
+		}
 		w.WriteHeader(http.StatusOK)
-	})
-	h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/route", nil))
-	if !deadlineSet {
-		t.Fatal("admitted request ran without a context deadline")
-	}
+	}))
+	return h, func() int64 { return reg.Snapshot().Counters["serve.errors_total"] }
+}
 
-	// deadlineExceeded fails fast once the context is burned.
+// TestAdmissionAppliesRequestDeadline pins that RequestTimeout runs from
+// arrival: a request that spends its deadline queued for the only slot gets
+// 503 once admitted, before any engine work.
+func TestAdmissionAppliesRequestDeadline(t *testing.T) {
+	s := admissionServer(1, 200*time.Millisecond)
+	s.cfg.RequestTimeout = 30 * time.Millisecond
+	h, _ := deadlineRoute(s)
+
+	s.sem <- struct{}{} // the only slot, held for 60ms
+	go func() {
+		time.Sleep(60 * time.Millisecond)
+		<-s.sem
+	}()
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodGet, "/v1/route", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request admitted after 60ms in the queue: %d, want 503 (30ms deadline from arrival)", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), "request deadline exceeded") {
+		t.Fatalf("deadline body: %s", rec.Body.Bytes())
+	}
+}
+
+// TestAdmittedClientHangUpIs499 pins that a client that hangs up after
+// admission gets 499, not a 503 deadline: its own cancellation is not a
+// serving fault, so serve.errors_total stays put.
+func TestAdmittedClientHangUpIs499(t *testing.T) {
+	s := admissionServer(1, 20*time.Millisecond)
+	h, errs := deadlineRoute(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodGet, "/v1/route", nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
-	if !s.deadlineExceeded(rec, req) {
-		t.Fatal("deadlineExceeded false for a done context")
+	h(rec, httptest.NewRequest(http.MethodGet, "/v1/route", nil).WithContext(ctx))
+	if rec.Code != statusClientClosed {
+		t.Fatalf("cancelled request: %d, want %d", rec.Code, statusClientClosed)
 	}
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("deadline response: %d, want 503", rec.Code)
+	if n := errs(); n != 0 {
+		t.Fatalf("client hang-up counted as serving error (errors_total=%d)", n)
+	}
+	if len(s.sem) != 0 {
+		t.Fatalf("semaphore occupancy %d after the request, want 0", len(s.sem))
 	}
 }
 

@@ -80,10 +80,10 @@ func BenchmarkRouteWithTracingOn(b *testing.B) {
 // benchjson picks the overhead-pct metric up (Makefile/CI pass
 // -overhead-paired RouteTracingPaired) and records it as
 // telemetry_overhead.overhead_pct in BENCH_PR7.json. Measured this way the
-// all-in cost of tracing a full-compute route — ID, context clone, response
-// header, SLO recording, and the GC amortization of the ~384B those
-// allocate — is stable run to run, while the ratio of separately-invoked
-// Off/On minima swings between -1% and +8% on the same machine.
+// all-in cost of tracing a full-compute route — ID, response header, SLO
+// recording, and the GC amortization of the 32 B those allocate — is
+// stable run to run, while the ratio of separately-invoked Off/On minima
+// swings between -1% and +8% on the same machine.
 func BenchmarkRouteTracingPaired(b *testing.B) {
 	s := testServer(b)
 	net := s.bases[0].net

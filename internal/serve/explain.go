@@ -279,9 +279,9 @@ type edgeTopProps struct {
 // (a pair with impact α pays α·risk to traverse the edge). Routed through
 // statusHandler like every status endpoint, so it shares the JSON encoding
 // path and echoes X-Request-Id via the traced middleware.
-func (s *Server) edgesTopDoc(r *http.Request) (any, int) {
+func (s *Server) edgesTopDoc(w http.ResponseWriter, r *http.Request) (any, int) {
 	snap := s.snap.Load()
-	scopeGeneration(r, snap.gen)
+	scopeGeneration(w, snap.gen)
 	q := r.URL.Query()
 	name := q.Get("network")
 	if name == "" {
@@ -395,9 +395,9 @@ type hazardProbeFC struct {
 // against the fitted hazard field and the active advisory, with per-catalog
 // attribution. The aggregate hist figure is bit-identical to the
 // hazard.Model.RiskAt value the serving world was built from.
-func (s *Server) hazardProbeDoc(r *http.Request) (any, int) {
+func (s *Server) hazardProbeDoc(w http.ResponseWriter, r *http.Request) (any, int) {
 	snap := s.snap.Load()
-	scopeGeneration(r, snap.gen)
+	scopeGeneration(w, snap.gen)
 	q := r.URL.Query()
 	var coords [2]float64
 	for i, name := range []string{"lat", "lon"} {

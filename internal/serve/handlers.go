@@ -35,21 +35,33 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// statusWriter records the status code a handler wrote. The traced
-// middleware and instrument share it, along with one wall-clock pair per
-// request: traced stamps start on the way in, instrument stamps end on the
-// way out, and each reuses the other's reading instead of calling time.Now
-// again.
+// statusWriter is the one per-request state: the status code a handler
+// wrote, one wall-clock pair, and the trace scope. The traced middleware
+// pools one per request; instrument shares it, or makes one for an untraced
+// request. start is the arrival, stamped by traced or else by instrument,
+// and deadlineExceeded measures RequestTimeout from it, so queue wait
+// counts; instrument stamps end on the way out, and traced reuses it
+// instead of calling time.Now again.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
-	start  time.Time // stamped by traced; zero when the request skipped it
-	end    time.Time // stamped by instrument; zero when the endpoint is uninstrumented
+	start  time.Time     // arrival: stamped by traced, else by instrument
+	end    time.Time     // stamped by instrument; zero when the endpoint is uninstrumented
+	scope  *obs.ReqScope // nil when untraced
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
+}
+
+// scopeOf returns the trace scope riding w, or nil when the request is
+// untraced.
+func scopeOf(w http.ResponseWriter) *obs.ReqScope {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw.scope
+	}
+	return nil
 }
 
 // instrument wraps a handler with its per-endpoint request counter and
@@ -70,15 +82,14 @@ func (s *Server) instrument(name string, next http.HandlerFunc) http.HandlerFunc
 		if !ok {
 			sw = &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		}
-		start := sw.start
-		if start.IsZero() {
-			start = time.Now()
+		if sw.start.IsZero() {
+			sw.start = time.Now()
 		}
 		next(sw, r)
 		end := time.Now()
 		sw.end = end
 		requests.Inc()
-		seconds.Observe(end.Sub(start).Seconds())
+		seconds.Observe(end.Sub(sw.start).Seconds())
 		// 429 (load shed) and 499 (client abandoned its own request) are
 		// shaped by the client or the admission policy, not by a serving
 		// fault — counting them in errors_total would page operators for
@@ -126,12 +137,12 @@ func errorDoc(format string, args ...any) map[string]string {
 
 // statusHandler adapts a status-document source into a handler: the shared
 // JSON encoding path for every endpoint that reports subsystem state
-// (/v1/ingest, /v1/generations, /v1/slo). The doc callback returns the
-// document and its HTTP status; error documents use the same
-// {"error": ...} shape as writeError.
-func (s *Server) statusHandler(doc func(r *http.Request) (any, int)) http.HandlerFunc {
+// (/v1/ingest, /v1/generations, /v1/slo). The doc callback gets w only to
+// stamp the trace scope, and returns the document and its HTTP status;
+// error documents use the same {"error": ...} shape as writeError.
+func (s *Server) statusHandler(doc func(w http.ResponseWriter, r *http.Request) (any, int)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		v, status := doc(r)
+		v, status := doc(w, r)
 		s.writeJSON(w, status, v)
 	}
 }
@@ -226,7 +237,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 		return
 	}
 	snap := s.snap.Load()
-	scopeGeneration(r, snap.gen)
+	scopeGeneration(w, snap.gen)
 	q := r.URL.Query()
 	st := s.lookupNet(w, q, snap)
 	if st == nil {
@@ -253,7 +264,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	if !explain {
 		if body, ok := s.cache.Get(key); ok {
 			s.tel.cacheHits.Inc()
-			scopeCacheHit(r, true)
+			scopeCacheHit(w, true)
 			writeBody(w, body)
 			return
 		}
@@ -324,7 +335,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.snap.Load()
-	scopeGeneration(r, snap.gen)
+	scopeGeneration(w, snap.gen)
 	q := r.URL.Query()
 	st := s.lookupNet(w, q, snap)
 	if st == nil {
@@ -339,7 +350,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		src: -1, dst: -1, lambdaH: params.LambdaH, lambdaF: params.LambdaF}
 	if body, ok := s.cache.Get(key); ok {
 		s.tel.cacheHits.Inc()
-		scopeCacheHit(r, true)
+		scopeCacheHit(w, true)
 		writeBody(w, body)
 		return
 	}
@@ -355,7 +366,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePoPs(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap.Load()
-	scopeGeneration(r, snap.gen)
+	scopeGeneration(w, snap.gen)
 	name := r.URL.Query().Get("network")
 	if name == "" {
 		type netInfo struct {
@@ -397,7 +408,7 @@ func (s *Server) handlePoPs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap.Load()
-	scopeGeneration(r, snap.gen)
+	scopeGeneration(w, snap.gen)
 	q := r.URL.Query()
 	st := s.lookupNet(w, q, snap)
 	if st == nil {
@@ -484,7 +495,7 @@ func (s *Server) handleAdvisory(w http.ResponseWriter, r *http.Request) {
 // poller is attached (the daemon was started without an advisory feed or
 // journal), it answers 404 so probes can tell "no ingestion configured"
 // from "ingestion stuck".
-func (s *Server) ingestDoc(r *http.Request) (any, int) {
+func (s *Server) ingestDoc(w http.ResponseWriter, r *http.Request) (any, int) {
 	fn := s.ingestStatus.Load()
 	if fn == nil {
 		return map[string]string{"error": "no advisory ingestion attached (start with -advisory-feed / -journal-dir)"},
@@ -495,7 +506,7 @@ func (s *Server) ingestDoc(r *http.Request) (any, int) {
 
 // generationsDoc serves the swap timeline: one event per published
 // generation with the parse/rebuild/swap breakdown.
-func (s *Server) generationsDoc(r *http.Request) (any, int) {
+func (s *Server) generationsDoc(w http.ResponseWriter, r *http.Request) (any, int) {
 	return map[string]any{
 		"generation": s.Generation(),
 		"events":     s.timeline.Records(),
@@ -503,7 +514,7 @@ func (s *Server) generationsDoc(r *http.Request) (any, int) {
 }
 
 // sloDoc serves the burn-rate engine's report.
-func (s *Server) sloDoc(r *http.Request) (any, int) {
+func (s *Server) sloDoc(w http.ResponseWriter, r *http.Request) (any, int) {
 	return s.slo.Snapshot(), http.StatusOK
 }
 

@@ -23,13 +23,13 @@
 // bounded-concurrency semaphore: when MaxInFlight requests are already
 // executing, a newcomer waits at most QueueTimeout and is then rejected
 // with 429 and a Retry-After header, so overload sheds load instead of
-// queueing unboundedly. Admitted requests run under a per-request
-// context deadline. Route and ratio answers land, as finished response
-// bodies, in an LRU cache keyed by (generation, network, query), so a
-// repeated query is one write of stored bytes. Because the generation is
-// part of the key, a snapshot swap implicitly invalidates every cached
-// result, and in-flight requests on the old snapshot cannot poison the new
-// generation.
+// queueing unboundedly. A request that reaches engine work more than
+// RequestTimeout after its arrival, queue wait included, gets 503. Route
+// and ratio answers land, as finished response bodies, in an LRU cache
+// keyed by (generation, network, query), so a repeated query is one write
+// of stored bytes. Because the generation is part of the key, a snapshot
+// swap implicitly invalidates every cached result, and in-flight requests
+// on the old snapshot cannot poison the new generation.
 package serve
 
 import (
@@ -87,7 +87,8 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing compute requests
 	// (default 64). QueueTimeout is how long an over-limit request may wait
 	// for a slot before being rejected with 429 (default 100ms).
-	// RequestTimeout is the per-request context deadline (default 15s).
+	// RequestTimeout is the longest a compute request may take from arrival,
+	// queue wait included, to the start of engine work (default 15s).
 	MaxInFlight    int
 	QueueTimeout   time.Duration
 	RequestTimeout time.Duration

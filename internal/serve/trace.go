@@ -4,20 +4,19 @@ package serve
 // an identifier — honored from an inbound X-Request-Id header so IDs survive
 // proxy hops, when it is 1–128 bytes of visible ASCII, otherwise drawn from
 // the server's generator — carried through admission, cache, and engine
-// stages as a *obs.ReqScope in the context, and echoed back as the
-// X-Request-Id response header on every status. On the way out the
-// middleware emits one structured access-log line, feeds the SLO engine
+// stages as a *obs.ReqScope on the status recorder (scopeOf), and echoed
+// back as the X-Request-Id response header on every status. On the way out
+// the middleware emits one structured access-log line, feeds the SLO engine
 // (which shares the serve.request_seconds.all histogram, so latency is
 // observed once), and tail-samples slow or errored requests into the
 // bounded ring behind /debug/requests.
 //
-// The per-request state — status recorder, scope, and the context that
-// carries it — lives in one pooled struct, so steady-state cost is the ID
-// string, the request clone that context propagation forces, and the
-// response header. Pooling is sound because every handler in this package
-// is synchronous: nothing retains the ResponseWriter or the request context
-// past ServeHTTP's return. Config.DisableTracing removes the middleware
-// entirely.
+// The per-request state — status recorder and the scope it points at —
+// lives in one pooled struct, and the request passes through unchanged, so
+// steady-state cost is the ID string and the response header. Pooling is
+// sound because every handler in this package is synchronous: nothing
+// retains the ResponseWriter past ServeHTTP's return. Config.DisableTracing
+// removes the middleware entirely.
 
 import (
 	"context"
@@ -29,11 +28,11 @@ import (
 	"riskroute/internal/obs"
 )
 
-// traceState is the pooled per-request tracing state.
+// traceState is the pooled per-request tracing state: the status recorder
+// and the scope it points at.
 type traceState struct {
 	statusWriter
-	scope obs.ReqScope
-	ctx   obs.ScopeCtx
+	rs obs.ReqScope
 }
 
 var tracePool = sync.Pool{New: func() any { return new(traceState) }}
@@ -54,11 +53,10 @@ func (s *Server) traced(next http.Handler) http.Handler {
 			id = s.ids.Next()
 		}
 		ts := tracePool.Get().(*traceState)
-		ts.statusWriter = statusWriter{ResponseWriter: w, status: http.StatusOK, start: start}
-		ts.scope = obs.ReqScope{ID: id}
-		ts.ctx.Bind(r.Context(), &ts.scope)
+		ts.rs = obs.ReqScope{ID: id}
+		ts.statusWriter = statusWriter{ResponseWriter: w, status: http.StatusOK, start: start, scope: &ts.rs}
 		w.Header()["X-Request-Id"] = []string{id}
-		next.ServeHTTP(&ts.statusWriter, r.WithContext(&ts.ctx))
+		next.ServeHTTP(&ts.statusWriter, r)
 
 		// instrument stamped its end time on the shared statusWriter; reuse
 		// it (the instant between its stamp and here is a handful of counter
@@ -76,20 +74,19 @@ func (s *Server) traced(next http.Handler) http.Handler {
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.Int("status", status),
-				slog.Uint64("generation", ts.scope.Generation),
-				slog.Bool("cache_hit", ts.scope.CacheHit),
-				slog.Duration("queue_wait", ts.scope.QueueWait),
+				slog.Uint64("generation", ts.rs.Generation),
+				slog.Bool("cache_hit", ts.rs.CacheHit),
+				slog.Duration("queue_wait", ts.rs.QueueWait),
 				slog.Duration("duration", dur))
 		}
 		if status >= 400 || dur >= s.cfg.SlowRequest {
 			s.reqs.Add(obs.ReqRecord{
 				ID: id, Time: start, Method: r.Method, Path: r.URL.Path,
-				Status: status, Generation: ts.scope.Generation,
-				CacheHit: ts.scope.CacheHit, QueueWait: ts.scope.QueueWait, Duration: dur,
+				Status: status, Generation: ts.rs.Generation,
+				CacheHit: ts.rs.CacheHit, QueueWait: ts.rs.QueueWait, Duration: dur,
 			})
 		}
-		ts.ctx.Bind(nil, nil) // drop request references before pooling
-		ts.ResponseWriter = nil
+		ts.ResponseWriter = nil // drop the response reference before pooling
 		tracePool.Put(ts)
 	})
 }
@@ -116,15 +113,15 @@ func validRequestID(id string) bool {
 
 // scopeGeneration records the snapshot generation a handler answered from
 // into the request scope (no-op outside a traced request).
-func scopeGeneration(r *http.Request, gen uint64) {
-	if rs := obs.ReqScopeFrom(r.Context()); rs != nil {
+func scopeGeneration(w http.ResponseWriter, gen uint64) {
+	if rs := scopeOf(w); rs != nil {
 		rs.Generation = gen
 	}
 }
 
 // scopeCacheHit records the result-cache outcome into the request scope.
-func scopeCacheHit(r *http.Request, hit bool) {
-	if rs := obs.ReqScopeFrom(r.Context()); rs != nil {
+func scopeCacheHit(w http.ResponseWriter, hit bool) {
+	if rs := scopeOf(w); rs != nil {
 		rs.CacheHit = hit
 	}
 }

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"riskroute/internal/obs"
 )
@@ -193,9 +195,12 @@ func TestTracedMiddlewareIsolated(t *testing.T) {
 
 	var seenScope *obs.ReqScope
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seenScope = obs.ReqScopeFrom(r.Context())
-		scopeGeneration(r, 17)
-		scopeCacheHit(r, true)
+		scopeGeneration(w, 17)
+		scopeCacheHit(w, true)
+		if rs := scopeOf(w); rs != nil {
+			seen := *rs
+			seenScope = &seen
+		}
 		w.WriteHeader(http.StatusTeapot)
 	})
 	rec := httptest.NewRecorder()
@@ -221,5 +226,88 @@ func TestTracedMiddlewareIsolated(t *testing.T) {
 	}
 	if w := s.slo.Snapshot().Windows[0]; w.Total != 1 {
 		t.Fatalf("SLO did not record the request: %+v", w)
+	}
+}
+
+// TestRequestStateRidesStatusRecorder pins the one per-request path: a
+// handler behind traced, instrument and admit receives the very request the
+// middleware was given, its scope is the one on the status recorder, and
+// what admission and a real /v1/route stamp there reaches /debug/requests.
+func TestRequestStateRidesStatusRecorder(t *testing.T) {
+	s := &Server{
+		cfg:  Config{MaxInFlight: 1, QueueTimeout: time.Second, RequestTimeout: time.Second, SlowRequest: 1},
+		sem:  make(chan struct{}, 1),
+		ids:  obs.NewRequestIDs(99),
+		slo:  obs.NewSLO(obs.SLOConfig{}),
+		reqs: obs.NewReqRing(8),
+		lg:   obs.NopLogger(),
+	}
+	var seenReq *http.Request
+	var seenID string
+	probe := func(w http.ResponseWriter, r *http.Request) {
+		seenReq = r
+		if rs := scopeOf(w); rs != nil {
+			seenID = rs.ID
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/x", nil)
+	rec := httptest.NewRecorder()
+	s.traced(s.instrument("x", s.admit(probe))).ServeHTTP(rec, req)
+	if seenReq != req {
+		t.Fatal("probe received a clone of the request, not the request itself")
+	}
+	if id := rec.Header().Get("X-Request-Id"); seenID == "" || seenID != id {
+		t.Fatalf("scope id %q, X-Request-Id %q", seenID, id)
+	}
+
+	// A real route through a one-slot admission queue, on the shared server.
+	srv := testServer(t)
+	oldSem, oldCfg := srv.sem, srv.cfg
+	defer func() { srv.sem, srv.cfg = oldSem, oldCfg }()
+	srv.sem = make(chan struct{}, 1)
+	srv.cfg.MaxInFlight = 1
+	srv.cfg.QueueTimeout = time.Minute
+	srv.cfg.SlowRequest = time.Nanosecond // sample every request
+	h := srv.traced(srv.routes())
+	net := srv.bases[0].net
+	path := routeURL(net.PoPs[0].Name, net.PoPs[2].Name)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil)) // warm the cache
+	if rec.Code != http.StatusOK {
+		t.Fatalf("warming route: %d", rec.Code)
+	}
+	const id = "queued-cache-hit"
+	srv.sem <- struct{}{} // hold the only slot until the request queues
+	entered := make(chan struct{})
+	go func() {
+		<-entered
+		time.Sleep(30 * time.Millisecond)
+		<-srv.sem
+	}()
+	req = httptest.NewRequest(http.MethodGet, path, nil)
+	req.Header.Set("X-Request-Id", id)
+	rec = httptest.NewRecorder()
+	close(entered)
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("queued route: %d", rec.Code)
+	}
+	var got *obs.ReqRecord
+	for _, r := range srv.reqs.Records() {
+		if r.ID == id {
+			r := r
+			got = &r
+		}
+	}
+	if got == nil {
+		t.Fatal("queued route not sampled into /debug/requests")
+	}
+	if got.QueueWait < 20*time.Millisecond || got.Generation != srv.Generation() || !got.CacheHit {
+		t.Fatalf("sampled record %+v: want queue wait >= 20ms, generation %d, cache hit", *got, srv.Generation())
+	}
+	page := httptest.NewRecorder()
+	h.ServeHTTP(page, httptest.NewRequest(http.MethodGet, "/debug/requests", nil))
+	if want := fmt.Sprintf("id=%s gen=%d cache=hit queue=", id, srv.Generation()); !strings.Contains(page.Body.String(), want) {
+		t.Fatalf("/debug/requests lacks %q:\n%s", want, page.Body.String())
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // BenchmarkTracedMiddlewareOnly isolates the middleware itself: a stub
 // inner handler, so the measurement is pure tracing cost (ID, scope,
-// context, status capture, SLO record, sampling check). Its NopLogger
-// skips the access line.
+// status capture, SLO record, sampling check). Its NopLogger skips the
+// access line.
 func BenchmarkTracedMiddlewareOnly(b *testing.B) {
 	benchTracedMiddleware(b, obs.NopLogger())
 }
