@@ -95,7 +95,7 @@ func run(args []string) error {
 	fs.IntVar(&o.blocks, "blocks", 20000, "synthetic census blocks")
 	fs.Float64Var(&o.eventScale, "event-scale", 0.2, "disaster catalog scale (1.0 = paper size)")
 	fs.Uint64Var(&o.seed, "seed", 1, "world seed")
-	fs.IntVar(&o.workers, "workers", 0, "max goroutines for warmup and snapshot rebuilds (0 = all cores)")
+	fs.IntVar(&o.workers, "workers", 0, "max goroutines for warmup and engine sweeps (0 = all cores)")
 	fs.StringVar(&o.worldSnap, "world-snapshot", "", "boot the world from a baked snapshot file (`riskroute bake`) instead of fitting; a rejected snapshot falls back to a full fit")
 	fs.IntVar(&o.maxInFlight, "max-inflight", 64, "max concurrently executing compute requests")
 	fs.DurationVar(&o.queueTO, "queue-timeout", 100*time.Millisecond, "max wait for an admission slot before 429")

@@ -186,10 +186,14 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 	e := &Engine{
 		Ctx:     ctx,
 		opts:    opts,
-		tel:     newEngineObs(opts.Metrics),
 		lg:      obs.LoggerOrNop(opts.Logger),
 		alphaLo: alphaLo,
 		alphaHi: alphaHi,
+	}
+	if shared != nil && shared.opts.Metrics == opts.Metrics {
+		e.tel = shared.tel // one registry resolves the same handles
+	} else {
+		e.tel = newEngineObs(opts.Metrics)
 	}
 
 	links := ctx.Net.Links
@@ -201,7 +205,7 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 	r := make([]float64, len(links))
 	for li, l := range links {
 		e.span[li] = ctx.LinkRisk(l.A, l.B)
-		r[li] = ctx.EdgeRisk(l.A, l.B)
+		r[li] = (e.rho[l.A]+e.rho[l.B])/2 + e.span[li] // ctx.EdgeRisk, from the ρ above
 		if !(r[li] >= 0) || math.IsInf(r[li], 1) {
 			return nil, fmt.Errorf("core: network %q link %d has invalid risk %v", ctx.Net.Name, li, r[li])
 		}

@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -285,6 +286,127 @@ func TestPoPRisksAlignment(t *testing.T) {
 	}
 	if risks[2] != 0 {
 		t.Errorf("Denver forecast risk = %v, want 0", risks[2])
+	}
+}
+
+// distanceRisk is the plain classification RiskAt must reproduce: one
+// haversine per point, against each radius.
+func distanceRisk(r RiskModel, a *Advisory, p geo.Point) float64 {
+	d := geo.Distance(a.Center, p)
+	if a.HurricaneRadiusMi > 0 && d <= a.HurricaneRadiusMi {
+		return r.RhoHurricane
+	}
+	if d <= a.TropicalRadiusMi {
+		return r.RhoTropical
+	}
+	return 0
+}
+
+// edgePoints returns points around the latitude band of each radius about
+// c: on c's meridian at exactly the radius (by Destination and by the
+// meridian arc, and one ulp either side), just inside and just outside the
+// bound's 1e-9 margin, and off the meridian at those latitudes; plus a ring
+// of bearings at each radius. Points past a pole are dropped.
+func edgePoints(c geo.Point, radii ...float64) []geo.Point {
+	var lats []float64
+	var pts []geo.Point
+	for _, r := range radii {
+		arc := geo.RadToDeg(r / geo.EarthRadiusMiles)
+		for _, f := range []float64{1 - 2e-9, 1 - 1e-12, 1, 1 + 1e-12, 1 + 2e-9} {
+			for _, lat := range []float64{c.Lat + arc*f, c.Lat - arc*f} {
+				lats = append(lats, math.Nextafter(lat, -90), lat, math.Nextafter(lat, 90))
+			}
+		}
+		for _, brg := range []float64{0, 180} {
+			lats = append(lats, geo.Destination(c, brg, r).Lat)
+		}
+		for brg := 0.0; brg < 360; brg += 15 {
+			for _, f := range []float64{1 - 1e-9, 1, 1 + 1e-9} {
+				pts = append(pts, geo.Destination(c, brg, r*f))
+			}
+		}
+	}
+	for _, lat := range lats {
+		for _, dLon := range []float64{0, 1e-9, 0.5, 3, 180} {
+			pts = append(pts, geo.Point{Lat: lat, Lon: c.Lon + dLon})
+		}
+	}
+	out := pts[:0]
+	for _, p := range pts {
+		if p.Lon > 180 {
+			p.Lon -= 360
+		}
+		if p.Valid() {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestPoPRisksMatchDistanceOracle holds PoPRisks, whose RiskAt skips the
+// haversine for points the latitude bound places beyond both radii,
+// bit-identical to distanceRisk. It covers every bulletin of the three
+// corpora against every built-in network, and constructed cases at the
+// bound's edges: points on the centre's meridian exactly at each radius, a
+// zero hurricane radius, centres at ±89.9°, and points just inside and just
+// outside the latitude band.
+func TestPoPRisksMatchDistanceOracle(t *testing.T) {
+	rm := DefaultRiskModel()
+	check := func(name string, a *Advisory, n *topology.Network) (inside int) {
+		t.Helper()
+		got := rm.PoPRisks(a, n)
+		for i, p := range n.PoPs {
+			want := distanceRisk(rm, a, p.Location)
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: PoP %d at %v: PoPRisks %v, haversine %v (centre %v, radii %v/%v)",
+					name, i, p.Location, got[i], want, a.Center, a.HurricaneRadiusMi, a.TropicalRadiusMi)
+			}
+			if want != 0 {
+				inside++
+			}
+		}
+		return inside
+	}
+
+	nets := datasets.BuildNetworks()
+	pairs, inside := 0, 0
+	for _, track := range datasets.Hurricanes {
+		r, err := LoadReplay(&track)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range r.Advisories {
+			for _, n := range nets {
+				inside += check(fmt.Sprintf("%s advisory %d on %s", r.Storm, a.Number, n.Name), a, n)
+				pairs += len(n.PoPs)
+			}
+		}
+	}
+	if inside == 0 {
+		t.Fatal("no corpus (bulletin, PoP) pair lies inside a wind field")
+	}
+	t.Logf("%d corpus (bulletin, PoP) pairs, %d inside a wind field", pairs, inside)
+
+	for _, c := range []struct {
+		name             string
+		center           geo.Point
+		hurricane, tropo float64
+	}{
+		{"hurricane", geo.Point{Lat: 35.2, Lon: -76.4}, 90, 260},
+		{"tropical storm", geo.Point{Lat: 25.1, Lon: -80.3}, 0, 140},
+		{"equal radii", geo.Point{Lat: -12.5, Lon: 150}, 75, 75},
+		{"north pole", geo.Point{Lat: 89.9, Lon: -40}, 90, 260},
+		{"south pole", geo.Point{Lat: -89.9, Lon: 170}, 0, 260},
+	} {
+		a := sampleAdvisory()
+		a.Center, a.HurricaneRadiusMi, a.TropicalRadiusMi = c.center, c.hurricane, c.tropo
+		n := &topology.Network{Name: c.name}
+		for i, p := range append(edgePoints(c.center, c.hurricane, c.tropo), c.center) {
+			n.PoPs = append(n.PoPs, topology.PoP{Name: fmt.Sprint(i), Location: p})
+		}
+		if in := check(c.name, a, n); in == 0 || in == len(n.PoPs) {
+			t.Errorf("%s: %d of %d edge points inside, want both sides covered", c.name, in, len(n.PoPs))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"riskroute/internal/datasets"
@@ -177,7 +178,19 @@ func DefaultRiskModel() RiskModel { return RiskModel{RhoTropical: 50, RhoHurrica
 
 // RiskAt returns o_f at p under advisory a: ρ_h inside the hurricane-force
 // wind radius, ρ_t inside the tropical-storm radius, 0 outside.
+//
+// A point whose latitude alone puts it beyond both radii returns 0 without
+// a haversine. The meridian arc R·|φ_p − φ_c| is a lower bound on the
+// great-circle distance between points with latitudes in [−90, 90]: the
+// haversine term sin²(Δφ/2) + cos φ_p·cos φ_c·sin²(Δλ/2) is at least
+// sin²(Δφ/2). The bound uses Distance's own Δφ, and it must exceed the
+// larger radius by a relative 1e-9, far above the rounding either side
+// carries, so no point's classification changes.
 func (r RiskModel) RiskAt(a *Advisory, p geo.Point) float64 {
+	dLat := geo.DegToRad(p.Lat) - geo.DegToRad(a.Center.Lat)
+	if geo.EarthRadiusMiles*math.Abs(dLat) > max(a.HurricaneRadiusMi, a.TropicalRadiusMi)*(1+1e-9) {
+		return 0
+	}
 	d := geo.Distance(a.Center, p)
 	if a.HurricaneRadiusMi > 0 && d <= a.HurricaneRadiusMi {
 		return r.RhoHurricane

@@ -113,23 +113,26 @@ func (h *Health) Logger() *slog.Logger {
 
 // Record appends an informational full-fidelity checkpoint.
 func (h *Health) Record(stage, format string, args ...any) {
-	h.add(Event{Stage: stage, Severity: OK, Detail: fmt.Sprintf(format, args...)})
+	h.add(stage, OK, nil, format, args)
 }
 
 // Degrade appends a lost-fidelity event with its underlying cause.
 func (h *Health) Degrade(stage string, err error, format string, args ...any) {
-	h.add(Event{Stage: stage, Severity: Degraded, Detail: fmt.Sprintf(format, args...), Err: err})
+	h.add(stage, Degraded, err, format, args)
 }
 
 // Fail appends a hard-failure event.
 func (h *Health) Fail(stage string, err error, format string, args ...any) {
-	h.add(Event{Stage: stage, Severity: Failed, Detail: fmt.Sprintf(format, args...), Err: err})
+	h.add(stage, Failed, err, format, args)
 }
 
-func (h *Health) add(e Event) {
+// add formats and appends one event. A nil report returns before the
+// format runs, so engines built without a Health format nothing.
+func (h *Health) add(stage string, sev Severity, err error, format string, args []any) {
 	if h == nil {
 		return
 	}
+	e := Event{Stage: stage, Severity: sev, Detail: fmt.Sprintf(format, args...), Err: err}
 	h.mu.Lock()
 	h.events = append(h.events, e)
 	r := h.metrics

@@ -290,3 +290,20 @@ func TestInjectorHashPinned(t *testing.T) {
 		t.Fatalf("hash = %#x, want 0xde311a0fb824d7f0", got)
 	}
 }
+
+// TestNilHealthFormatsNothing pins that a nil report returns before the
+// detail is formatted, so engines built without a Health (every swap
+// reprice and custom-λ request) pay no Sprintf. The arguments are constants
+// and an error, which box without allocating, so any allocation would be
+// the format's.
+func TestNilHealthFormatsNothing(t *testing.T) {
+	var h *Health
+	err := errors.New("cause")
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.Record("engine", "built over %d PoPs, %d links", 809, 1312)
+		h.Degrade("engine", err, "network %q has %d components", "Level3", 2)
+		h.Fail("engine", err, "%s failed", "sweep")
+	}); allocs != 0 {
+		t.Errorf("nil Health allocated %v times per three records, want 0", allocs)
+	}
+}

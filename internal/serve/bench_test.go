@@ -3,8 +3,15 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
+
+	"riskroute/internal/datasets"
+	"riskroute/internal/forecast"
+	"riskroute/internal/obs"
+	"riskroute/internal/resilience"
+	worldsnap "riskroute/internal/snapshot"
 )
 
 // BenchmarkServeRouteCold measures the full serving hot path on a cache
@@ -137,6 +144,46 @@ func BenchmarkServeRouteCached(b *testing.B) {
 		s.mux.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d", rec.Code)
+		}
+	}
+}
+
+// applyWorld is the default serving world (23 networks, 20000 census blocks,
+// event scale 0.2, seed 1), baked once per process for BenchmarkApplyAdvisory.
+var applyWorld = sync.OnceValues(func() (*worldsnap.World, error) {
+	return BakeWorld(Config{})
+})
+
+// BenchmarkApplyAdvisory prices one advisory swap on the default world: the
+// server boots from an in-process bake, with a metrics registry and a
+// health report as riskrouted wires them, and every bulletin of the three
+// embedded storms is fed round-robin through ApplyAdvisory. Each swap
+// parses and validates the bulletin, rebuilds the forecast layer and
+// reprices all 23 engines. The bake and boot run outside the timer.
+func BenchmarkApplyAdvisory(b *testing.B) {
+	world, err := applyWorld()
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	health := resilience.NewHealth()
+	health.AttachMetrics(reg)
+	s, err := New(Config{World: world, Metrics: reg, Health: health})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if boot := s.Boot(); boot.Path != "snapshot" || len(s.bases) != 23 {
+		b.Fatalf("boot = %+v over %d networks, want the snapshot path over 23", boot, len(s.bases))
+	}
+	var texts []string
+	for i := range datasets.Hurricanes {
+		texts = append(texts, forecast.GenerateCorpus(&datasets.Hurricanes[i])...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.ApplyAdvisory(texts[i%len(texts)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

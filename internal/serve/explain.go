@@ -202,7 +202,7 @@ func (s *Server) explainGeoJSON(st *netState, resp *routeResponse, ex *routeExpl
 
 // parseParams resolves lambda_h/lambda_f against the defaults, returning an
 // error document and status on bad input — the form statusHandler docs use;
-// lookupParams writes the error instead. A λ above its limit (lambdaLimits)
+// lookupParams writes the error instead. A λ above its limit (lambdaLimit)
 // is bad input too: its costs would overflow.
 func (s *Server) parseParams(q url.Values, limits risk.Params) (risk.Params, any, int) {
 	p := risk.PaperParams()
@@ -423,7 +423,8 @@ func (s *Server) hazardProbeDoc(w http.ResponseWriter, r *http.Request) (any, in
 	if snap.advisory != nil {
 		of = s.rm.RiskAt(snap.advisory, p)
 	}
-	params, doc, status := s.parseParams(q, lambdaLimits(1, []float64{probe.Risk}, []float64{of}))
+	params, doc, status := s.parseParams(q, risk.Params{
+		LambdaH: lambdaLimit(1, []float64{probe.Risk}), LambdaF: lambdaLimit(1, []float64{of})})
 	if doc != nil {
 		return doc, status
 	}

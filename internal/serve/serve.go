@@ -12,10 +12,11 @@
 // startup world (historical risk only, no forecast layer). POST /v1/advisory
 // parses an NHC bulletin with the existing forecast NLP parser, rebuilds
 // only the forecast risk layer (the hazard model, census assignment, and
-// per-PoP historical risks are reused), constructs fresh engines, and
-// publishes generation g+1. Swaps are serialized by a mutex; readers are
-// never blocked — an in-flight request finishes on the snapshot it loaded,
-// and its response reports that snapshot's generation.
+// per-PoP historical risks are reused), reprices each network's engine in
+// turn on the swapping goroutine, and publishes generation g+1. Swaps are
+// serialized by a mutex; readers are never blocked — an in-flight request
+// finishes on the snapshot it loaded, and its response reports that
+// snapshot's generation.
 //
 // # Admission control and the result cache
 //
@@ -68,8 +69,8 @@ type Config struct {
 	EventScale float64
 	// Seed is the synthetic-world seed (default 1, the CLI default).
 	Seed uint64
-	// Workers bounds the goroutines of warmup, snapshot rebuilds, and
-	// engine sweeps (0 = GOMAXPROCS).
+	// Workers bounds the goroutines of warmup and engine sweeps
+	// (0 = GOMAXPROCS). Snapshot rebuilds run on the calling goroutine.
 	Workers int
 
 	// WorldSnapshotPath, when set, boots the world from a baked snapshot
@@ -177,6 +178,7 @@ type BootInfo struct {
 type netBase struct {
 	net       *topology.Network
 	hist      []float64
+	histLimit float64 // largest λ_h a request may ask (lambdaLimit of hist)
 	fractions []float64
 	pops      map[string]int // PoP name → index
 
@@ -195,8 +197,8 @@ func newNetBase(net *topology.Network, hist, fractions []float64) *netBase {
 		}
 		jsonPoPs[i] = quoteJSON(p.Name)
 	}
-	return &netBase{net: net, hist: hist, fractions: fractions, pops: pops,
-		jsonName: quoteJSON(net.Name), jsonPoPs: jsonPoPs}
+	return &netBase{net: net, hist: hist, histLimit: lambdaLimit(len(net.PoPs), hist),
+		fractions: fractions, pops: pops, jsonName: quoteJSON(net.Name), jsonPoPs: jsonPoPs}
 }
 
 // popIndex returns the index of the PoP with the given name, or -1 — the
@@ -214,27 +216,24 @@ type netState struct {
 	*netBase
 	forecast []float64 // nil when the snapshot has no active advisory
 	engine   *core.Engine
-	limit    risk.Params // largest λ_h, λ_f a request may ask (lambdaLimits)
+	limit    risk.Params // largest λ_h, λ_f a request may ask (lambdaLimit)
 }
 
-// lambdaLimits bounds each λ so that every cost served over an n-PoP network
-// stays finite. A route sums at most n−1 edge weights and a ratio sums fewer
-// than n² routes; each edge charges its miles plus α·ρ with α ≤ 1, and ρ is
-// at most λ_h·max(hist) + λ_f·max(forecast). Capping each λ term at
-// MaxFloat64/(4n³) therefore leaves every sum below MaxFloat64. A layer
-// that is all zeros admits any finite λ.
-func lambdaLimits(n int, hist, forecast []float64) risk.Params {
-	limit := func(layer []float64) float64 {
-		peak := 0.0
-		for _, v := range layer {
-			peak = max(peak, v)
-		}
-		if peak == 0 {
-			return math.MaxFloat64
-		}
-		return math.MaxFloat64 / (4 * float64(n) * float64(n) * float64(n)) / peak
+// lambdaLimit bounds the λ of one risk layer so that every cost served over
+// an n-PoP network stays finite. A route sums at most n−1 edge weights and a
+// ratio sums fewer than n² routes; each edge charges its miles plus α·ρ
+// with α ≤ 1, and ρ is at most λ_h·max(hist) + λ_f·max(forecast). Capping
+// each λ term at MaxFloat64/(4n³) therefore leaves every sum below
+// MaxFloat64. A layer that is all zeros admits any finite λ.
+func lambdaLimit(n int, layer []float64) float64 {
+	peak := 0.0
+	for _, v := range layer {
+		peak = max(peak, v)
 	}
-	return risk.Params{LambdaH: limit(hist), LambdaF: limit(forecast)}
+	if peak == 0 {
+		return math.MaxFloat64
+	}
+	return math.MaxFloat64 / (4 * float64(n) * float64(n) * float64(n)) / peak
 }
 
 // snapshot is one immutable published world. Readers load it once per
@@ -617,21 +616,27 @@ func BakeWorld(cfg Config) (*worldsnap.World, error) {
 func (s *Server) Boot() BootInfo { return s.boot }
 
 // buildSnapshot constructs the immutable world for one generation: the
-// forecast layer for adv (nil for none) and one engine per network, fanned
-// over internal/parallel. Each served engine is a reprice, which shares its
-// source's adjacency and α = 0 trees and refreshes only the O(N+E) risk
-// side. A swap reprices the serving snapshot's engine and records nothing.
-// Booting builds each engine from scratch, with an engine-build span under
-// span and a health event per network, and serves a reprice of it without
-// either, so generation 1's ratio misses open no spans under boot's.
+// forecast layer for adv (nil for none) and one engine per network, built
+// in turn on the calling goroutine. Each served engine is a reprice, which
+// shares its source's adjacency and α = 0 trees and refreshes only the
+// O(N+E) risk side, a few microseconds per network: handing that to other
+// goroutines costs more CPU than it saves wall time (DESIGN §9). A swap
+// reprices the serving snapshot's engine and records nothing. Booting
+// builds each engine from scratch, with an engine-build span under span and
+// a health event per network, and serves a reprice of it without either,
+// so generation 1's ratio misses open no spans under boot's.
 func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Span) (*snapshot, error) {
 	cur := s.snap.Load() // nil while booting; states align with s.bases
-	type stateOrErr struct {
-		st  *netState
-		err error
+	snap := &snapshot{
+		gen:      gen,
+		advisory: adv,
+		states:   make([]*netState, len(s.bases)),
+		byName:   make(map[string]*netState, len(s.bases)),
 	}
-	slots := parallel.Map(len(s.bases), s.cfg.Workers, func(i int) stateOrErr {
-		base := s.bases[i]
+	if adv != nil && adv.Storm != "" { // routeResponse omits an empty storm
+		snap.jsonStorm = quoteJSON(adv.Storm)
+	}
+	for i, base := range s.bases {
 		var fc []float64
 		if adv != nil {
 			fc = s.rm.PoPRisks(adv, base.net)
@@ -647,7 +652,7 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		// snapshot engines take the configured worker bound. Build timings
 		// flow to the registry either way. A reprice shares boot's topology,
 		// components and unreachable count, so its span and health event
-		// would repeat boot's: a swap stays one record, not twenty-four.
+		// would repeat boot's: a swap adds no span or health event per network.
 		opts := core.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics}
 		var from, eng *core.Engine
 		var err error
@@ -662,26 +667,12 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 			eng, err = from.Reprice(ctx, opts)
 		}
 		if err != nil {
-			return stateOrErr{err: fmt.Errorf("serve: engine for %q: %w", base.net.Name, err)}
+			return nil, fmt.Errorf("serve: engine for %q: %w", base.net.Name, err)
 		}
-		return stateOrErr{st: &netState{netBase: base, forecast: fc, engine: eng,
-			limit: lambdaLimits(len(base.net.PoPs), base.hist, fc)}}
-	})
-	snap := &snapshot{
-		gen:      gen,
-		advisory: adv,
-		states:   make([]*netState, len(slots)),
-		byName:   make(map[string]*netState, len(slots)),
-	}
-	if adv != nil && adv.Storm != "" { // routeResponse omits an empty storm
-		snap.jsonStorm = quoteJSON(adv.Storm)
-	}
-	for i, sl := range slots {
-		if sl.err != nil {
-			return nil, sl.err
-		}
-		snap.states[i] = sl.st
-		snap.byName[sl.st.net.Name] = sl.st
+		st := &netState{netBase: base, forecast: fc, engine: eng,
+			limit: risk.Params{LambdaH: base.histLimit, LambdaF: lambdaLimit(len(base.net.PoPs), fc)}}
+		snap.states[i] = st
+		snap.byName[base.net.Name] = st
 	}
 	return snap, nil
 }
@@ -760,7 +751,6 @@ func (s *Server) ApplyParsed(adv *forecast.Advisory, parseDur time.Duration) (ui
 		SwapSeconds:      swapSeconds,
 		CacheInvalidated: invalidated,
 	})
-	s.cfg.Health.Record("serve", "generation %d: %s advisory %d applied", gen, adv.Storm, adv.Number)
 	s.lg.Info("advisory swap", "generation", gen, "storm", adv.Storm,
 		"advisory", adv.Number, "seconds", swapSeconds)
 	return gen, nil
