@@ -84,8 +84,7 @@ func (e *Engine) Explain(i, j int) Explanation {
 	span := e.opts.Trace.Child("explain")
 	defer span.End()
 	alpha := e.Ctx.Alpha(i, j)
-	path, _ := e.adj.ShortestPath(i, j, alpha)
-	ex := e.ExplainPathAlpha(path, i, j, alpha)
+	ex := e.ExplainPathAlpha(e.route(i, j, alpha).Path, i, j, alpha)
 	span.SetAttr("edges", len(ex.Edges))
 	return ex
 }

@@ -22,6 +22,11 @@ import (
 // and nodes removed, which every query treats as the graph of the surviving
 // edges while edge indices keep naming the original edges.
 //
+// A pair search can be goal-directed: RouteGuided takes a lower bound on
+// each node's remaining cost to the target and pops nodes by label plus
+// bound (A*), so it settles fewer nodes than Route, yet returns Route's
+// path, Via chain and target label bit for bit (see guide).
+//
 // An Affine is read-only once built and safe for concurrent searches; each
 // search runs on scratch space drawn from a pool.
 type Affine struct {
@@ -253,8 +258,10 @@ type Search struct {
 	// the edge its shortest path arrives by; -1 elsewhere.
 	Via []int32
 	// Order lists the settled nodes in the order the search settled them,
-	// source first, so every node follows its predecessor.
+	// source first, so every node follows its predecessor. A guided search
+	// lists each node it expands, once per expansion.
 	Order []int32
+	bound []float64 // a guided search's bound per reached node
 	h     heap
 }
 
@@ -272,25 +279,59 @@ func (a *Affine) Route(u, v int, alpha float64) *Search {
 	if v < 0 || v >= a.n {
 		panic("graph: Route target out of range")
 	}
-	return a.search(u, v, alpha)
+	s, _ := a.search(u, v, alpha, nil)
+	return s
+}
+
+// RouteGuided is Route steered toward v by bound, a lower bound on each
+// node's remaining cost: bound(x) must not exceed the weight of any path
+// from x to v (the exact sum of its Base + alpha·Slope weights), so
+// bound(v) <= 0. The search pops nodes by label plus bound (A*) and
+// returns Route's answer: PathTo(v), the Via chain along it and Dist[v]
+// equal Route's bit for bit, while other entries may differ. When a
+// relaxation ties a node's label, the guided search cannot tell which arc
+// Route would keep, so it runs Route instead and reports fellBack. A
+// consistent bound (bound(x) <= w + bound(y) on every edge x–y) expands
+// each node at most once but for rounding.
+func (a *Affine) RouteGuided(u, v int, alpha float64, bound func(node int) float64) (s *Search, fellBack bool) {
+	if v < 0 || v >= a.n {
+		panic("graph: Route target out of range")
+	}
+	s, tied := a.search(u, v, alpha, bound)
+	if !tied {
+		return s, false
+	}
+	s.Release()
+	return a.Route(u, v, alpha), true
 }
 
 // Sweep computes single-source shortest paths from src under weights
 // Base + alpha·Slope — the full sweep of Graph.Dijkstra.
 func (a *Affine) Sweep(src int, alpha float64) *Search {
-	return a.search(src, -1, alpha)
+	s, _ := a.search(src, -1, alpha, nil)
+	return s
 }
 
-// search is the kernel behind Route (dst >= 0) and Sweep (dst = -1). Its
-// heap discipline, strict-improvement test and early exit are exactly
-// Graph.ShortestPath's, and each weight keeps EdgeWeight's shape m + α·r,
-// so answers match the materialized-graph search bit for bit.
-func (a *Affine) search(src, dst int, alpha float64) *Search {
+// closeSlack is the relative margin by which a guided search's close test
+// exceeds the target's label: far above the rounding a float sum along a
+// path of up to millions of hops can lose (about one unit in 2^53 per hop),
+// far below any gap that decides a route.
+const closeSlack = 1e-9
+
+// search is the kernel behind Route (dst >= 0), Sweep (dst = -1) and
+// RouteGuided (a non-nil bound, which guide runs). Its heap discipline,
+// strict-improvement test and early exit are exactly Graph.ShortestPath's,
+// and each weight keeps EdgeWeight's shape m + α·r, so answers match the
+// materialized-graph search bit for bit. tied is guide's report.
+func (a *Affine) search(src, dst int, alpha float64, bound func(int) float64) (s *Search, tied bool) {
 	if src < 0 || src >= a.n {
 		panic("graph: search source out of range")
 	}
-	s := searchPool.Get().(*Search)
+	s = searchPool.Get().(*Search)
 	s.reset(a.n, src)
+	if bound != nil {
+		return s, a.guide(s, dst, alpha, bound)
+	}
 	dist, prev, via := s.Dist, s.Prev, s.Via
 	dist[src] = 0
 	s.h.push(src, 0)
@@ -317,7 +358,76 @@ func (a *Affine) search(src, dst int, alpha float64) *Search {
 			}
 		}
 	}
-	return s
+	return s, false
+}
+
+// guide runs search's relaxations toward dst, popping each node by its
+// label plus bound (the entry's key), and reports whether any relaxation
+// tied a node's finite label. It reopens a node whose label drops after
+// its expansion, so only admissibility, not consistency, matters for the
+// answer, and it closes only once the smallest key left exceeds dst's
+// label by more than closeSlack, never expanding dst itself.
+//
+// Why an untied guided search returns Route's answer bit for bit:
+//   - Every label it assigns is the float sum, left to right, of some
+//     path's weights. Route's labels are the least such sums (adding a
+//     non-negative weight is monotone and never decreases a sum), so no
+//     label here ever falls below Route's.
+//   - Let Q be Route's path to dst; each node on it is expanded at Route's
+//     label. Induction along Q: once a node's predecessor on Q is expanded
+//     at its label, the node holds its own Route label, pushed with key
+//     label + bound. The bound never exceeds Q's remaining weight, and the
+//     float sums along Q round away at most one unit in 2^53 per hop, so
+//     that key is at most dst's label times 1 + closeSlack: it pops before
+//     the search closes, and it is not stale, since no label drops below
+//     Route's. So dst ends at Route's label too.
+//   - Each node on Q thus receives Route's label along Q's arc. Had any
+//     other arc delivered the same value, before or after, the later of
+//     the two relaxations would have tied. With no tie, that arc set the
+//     node's Prev and Via, so the path and its Via chain are Route's.
+//
+// A tie anywhere makes the caller fall back to Route, even where it would
+// not change the answer.
+func (a *Affine) guide(s *Search, dst int, alpha float64, bound func(int) float64) (tied bool) {
+	dist, prev, via, hv := s.Dist, s.Prev, s.Via, s.bound
+	src := s.Source
+	dist[src] = 0
+	hv[src] = bound(src)
+	s.h.push(src, hv[src])
+	for s.h.len() > 0 {
+		u, key := s.h.pop()
+		if key > dist[dst]+dist[dst]*closeSlack {
+			break // every entry left prices above dst's label
+		}
+		d := dist[u]
+		if key > d+hv[u] {
+			continue // stale entry
+		}
+		s.Order = append(s.Order, int32(u))
+		if u == dst {
+			continue // settled; keep closing
+		}
+		lo, hi := a.start[u], a.start[u+1]
+		arcs := a.arcs[lo:hi]
+		slope := a.slope[lo:hi]
+		slope = slope[:len(arcs)]
+		for k, e := range arcs {
+			w := e.base + alpha*slope[k]
+			nd, dv := d+w, dist[e.to]
+			if nd < dv {
+				if dv == Inf {
+					hv[e.to] = bound(int(e.to)) // first reached: dist was reset to Inf
+				}
+				dist[e.to] = nd
+				prev[e.to] = int32(u)
+				via[e.to] = e.edge
+				s.h.push(int(e.to), nd+hv[e.to])
+			} else if nd == dv && dv < Inf {
+				tied = true
+			}
+		}
+	}
+	return tied
 }
 
 // AllPairs returns the N×N shortest-path distance matrix under weights
@@ -340,9 +450,10 @@ func (s *Search) reset(n, src int) {
 		s.Prev = make([]int32, n)
 		s.Via = make([]int32, n)
 		s.Order = make([]int32, 0, n)
+		s.bound = make([]float64, n)
 	}
 	s.Source = src
-	s.Dist, s.Prev, s.Via = s.Dist[:n], s.Prev[:n], s.Via[:n]
+	s.Dist, s.Prev, s.Via, s.bound = s.Dist[:n], s.Prev[:n], s.Via[:n], s.bound[:n]
 	for i := range s.Dist {
 		s.Dist[i] = Inf
 		s.Prev[i] = -1

@@ -320,6 +320,91 @@ func TestAffineViewsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRouteGuidedMatchesRoute holds the guided search to Route on random
+// multigraphs with parallel edges, zero-base edges and masked views, with
+// integer weights (exact ties are common there) or real-valued ones. The
+// bounds are the exact remaining cost (a sweep from the target, which can
+// exceed a path's left-to-right sum by rounding), a fraction of it, or a
+// per-node fraction that is admissible but not consistent, so nodes
+// reopen. Whenever the guided search reports no tie, its path, Via chain
+// and target label must equal Route's bit for bit; RouteGuided must equal
+// Route always.
+func TestRouteGuidedMatchesRoute(t *testing.T) {
+	searches, untied := 0, 0
+	prop := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		n := 2 + rng.Intn(30)
+		edges, slopes := randomAffineEdges(rng, n, seed%3 == 0)
+		for k := range edges {
+			switch {
+			case rng.Intn(6) == 0:
+				edges[k].Weight = 0
+			case seed%4 == 1:
+				edges[k].Weight = 3 * rng.Float64()
+			}
+		}
+		a := NewAffine(n, edges, slopes)
+		if seed%2 == 0 {
+			a = a.Without(randomMask(rng, n, len(edges)))
+		}
+		for _, alpha := range []float64{0, 0.5, 1.0 / 3, 3} {
+			for src := 0; src < n; src++ {
+				dst := rng.Intn(n)
+				exact := a.Sweep(dst, alpha)
+				rest := append([]float64(nil), exact.Dist...)
+				exact.Release()
+				scale, shuffle := float64(rng.Intn(3))/2, rng.Intn(3) == 0
+				bound := func(v int) float64 {
+					if math.IsInf(rest[v], 1) {
+						return rest[v]
+					}
+					if shuffle {
+						return rest[v] * float64((v*7+int(seed))%5) / 4
+					}
+					return scale * rest[v]
+				}
+				want := a.Route(src, dst, alpha)
+				wantPath := want.PathTo(dst)
+				same := func(s *Search) bool {
+					if !reflect.DeepEqual(s.PathTo(dst), wantPath) || !sameBits(s.Dist[dst], want.Dist[dst]) {
+						return false
+					}
+					for _, v := range wantPath {
+						if s.Via[v] != want.Via[v] {
+							return false
+						}
+					}
+					return true
+				}
+				s, tied := a.search(src, dst, alpha, bound)
+				ok := tied || same(s)
+				s.Release()
+				g, fellBack := a.RouteGuided(src, dst, alpha, bound)
+				ok = ok && same(g) && fellBack == tied
+				g.Release()
+				want.Release()
+				if !ok {
+					t.Logf("seed %d α %v: guided route %d→%d differs (tied %v)", seed, alpha, src, dst, tied)
+					return false
+				}
+				searches++
+				if !tied {
+					untied++
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if untied < searches/4 {
+		t.Errorf("only %d of %d guided searches ran without a tie", untied, searches)
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 func TestAffinePanics(t *testing.T) {
 	one := []Edge{{U: 0, V: 1, Weight: 1}}
 	for name, fn := range map[string]func(){
@@ -334,6 +419,7 @@ func TestAffinePanics(t *testing.T) {
 		"inf slope":       func() { NewAffine(2, one, []float64{math.Inf(1)}) },
 		"reslope count":   func() { NewAffine(2, one, []float64{0}).WithSlopes([]float64{0, 1}) },
 		"route target":    func() { NewAffine(2, one, []float64{0}).Route(0, 2, 1) },
+		"guided target":   func() { NewAffine(2, one, []float64{0}).RouteGuided(0, -1, 1, func(int) float64 { return 0 }) },
 		"sweep source":    func() { NewAffine(2, one, []float64{0}).Sweep(-1, 1) },
 	} {
 		func() {
@@ -362,5 +448,41 @@ func BenchmarkAffineRoute233(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Route(i%n, (i+3)%n, 0.5).Release()
+	}
+}
+
+// BenchmarkAffineRouteGuided233 is BenchmarkAffineRoute233's graph, pairs
+// and weights searched by RouteGuided. The graph has no geometry, so the
+// bound is a landmark's: |d(L, x) − d(L, target)| for the node L farthest
+// from node 0, which the triangle inequality makes consistent, shrunk by a
+// relative 1e-9 against rounding.
+func BenchmarkAffineRouteGuided233(b *testing.B) {
+	rng := stats.NewRNG(29)
+	g := randomConnectedGraph(rng, 233, 300)
+	edges := g.Edges()
+	slopes := make([]float64, len(edges))
+	for e := range slopes {
+		slopes[e] = rng.Float64()
+	}
+	n := g.N()
+	a := NewAffine(n, edges, slopes)
+	s := a.Sweep(0, 0.5)
+	far := 0
+	for v, d := range s.Dist {
+		if d > s.Dist[far] {
+			far = v
+		}
+	}
+	s.Release()
+	s = a.Sweep(far, 0.5)
+	landmark := append([]float64(nil), s.Dist...)
+	s.Release()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := landmark[(i+3)%n]
+		s, _ := a.RouteGuided(i%n, (i+3)%n, 0.5, func(v int) float64 {
+			return math.Abs(landmark[v]-t) * (1 - 1e-9)
+		})
+		s.Release()
 	}
 }
