@@ -7,7 +7,7 @@ BENCH_BASELINE ?= BENCH_PR10.json
 BENCH_NEW ?= BENCH_PR13.json
 BENCH_THRESHOLD ?= 10
 
-.PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism experiments-golden ensemble-golden
+.PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism experiments-golden ensemble-golden smoke
 
 # tier1 is the gate every change must keep green: full build + test suite.
 tier1:
@@ -91,3 +91,17 @@ ensemble-golden:
 determinism:
 	GOMAXPROCS=1 $(GO) test -run 'Deterministic' ./internal/parallel ./internal/kde ./internal/population ./internal/core
 	GOMAXPROCS=4 $(GO) test -run 'Deterministic' -count=1 ./internal/parallel ./internal/kde ./internal/population ./internal/core
+
+# smoke builds riskroute and riskrouted and runs CI's three end-to-end
+# daemon smokes (scripts/*-smoke.sh) in .smoke/, which holds the binaries,
+# the explain golden serve-smoke diffs against, and everything the runs
+# write. Each smoke boots riskrouted on a random loopback port.
+smoke:
+	rm -rf .smoke
+	mkdir -p .smoke/internal/serve/testdata
+	cp internal/serve/testdata/explain_golden.geojson .smoke/internal/serve/testdata/
+	$(GO) build -o .smoke/riskroute_cli ./cmd/riskroute
+	$(GO) build -o .smoke/riskrouted ./cmd/riskrouted
+	cd .smoke && bash ../scripts/serve-smoke.sh
+	cd .smoke && bash ../scripts/bake-smoke.sh
+	cd .smoke && bash ../scripts/ingest-crash-smoke.sh

@@ -14,12 +14,12 @@
 // w_e = m_e + α·r_e, so one immutable CSR adjacency holding each link's
 // miles m_e and risk r_e (graph.Affine) serves a search at any α, with the
 // weight computed inline. There are no per-α graphs. Point queries
-// (RiskRoutePair, Explain) search at the pair's exact α, goal-directed (see
-// below). The all-pairs evaluations quantize α into a small number of
-// buckets: each source runs one sweep per bucket its destinations fall in,
-// and each pair's cost is evaluated at its exact α. Exact per-pair search
-// is available for verification (EvaluateExact) and agrees with the
-// quantized path within the bucket width; the property is pinned by tests.
+// (RiskRoutePair) search at the pair's exact α, goal-directed (see below).
+// The all-pairs evaluations quantize α into a small number of buckets: each
+// source runs one sweep per bucket its destinations fall in, and each
+// pair's cost is evaluated at its exact α. Exact per-pair search is
+// available for verification (EvaluateExact) and agrees with the quantized
+// path within the bucket width; the property is pinned by tests.
 //
 // # Goal-directed point queries
 //
@@ -40,11 +40,11 @@
 // per-target table, such as each target's α = 0 distances, would guide as
 // well but grow every engine that answers queries by up to N² floats.
 //
-// The α = 0 geographic path behind ShortestPair and ExplainShortest (the
-// baseline of Equations 5 and 6) depends only on topology and link miles.
-// So instead of searching per pair they walk a per-source α = 0 tree: the
-// first query from a source runs one full sweep and keeps its Via slice
-// (4·N bytes), and later queries walk it. Every source of all 23 built-in
+// The α = 0 geographic path behind ShortestPair (the baseline of Equations
+// 5 and 6) depends only on topology and link miles. So instead of
+// searching per pair it walks a per-source α = 0 tree: the first query
+// from a source runs one full sweep and keeps its Via slice (4·N bytes),
+// and later queries walk it. Every source of all 23 built-in
 // networks comes to about 0.3 MiB.
 //
 // An engine's answers never change once built, so its query methods are
@@ -163,10 +163,9 @@ type Engine struct {
 	trees       *shortestTrees // α = 0 trees per source; nil on a WithoutLinks view
 
 	// Risk state, recomputed per context.
-	adj     *graph.Affine // Net.Links as CSR: base m_e, slope r_e
-	rho     []float64     // ρ(v) per PoP
-	span    []float64     // λ_h-scaled span risk per link
-	negRisk bool          // some ρ(v) < 0, which drops the risk term from the bound
+	adj  *graph.Affine // Net.Links as CSR: base m_e, slope r_e
+	rho  []float64     // ρ(v) per PoP, never negative (risk.Context.Validate)
+	span []float64     // λ_h-scaled span risk per link
 
 	alphaLo, alphaHi float64
 	logBuckets       bool      // log-spaced quantization for skewed α
@@ -228,7 +227,6 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 	e.rho = make([]float64, n)
 	for v := range e.rho {
 		e.rho[v] = ctx.NodeRisk(v)
-		e.negRisk = e.negRisk || e.rho[v] < 0
 	}
 	e.span = make([]float64, len(links))
 	r := make([]float64, len(links))
@@ -486,12 +484,8 @@ type pairBound struct {
 }
 
 func (e *Engine) pairBound(j int, alpha float64) pairBound {
-	b := pairBound{pos: e.pos, rho: e.rho, j: j,
+	return pairBound{pos: e.pos, rho: e.rho, j: j,
 		tx: e.pos[3*j], ty: e.pos[3*j+1], tz: e.pos[3*j+2], half: alpha / 2, rt: e.rho[j]}
-	if e.negRisk {
-		b.half = 0 // a negative ρ inside a path could undercut the risk term
-	}
-	return b
 }
 
 // at returns the bound at node v.

@@ -76,36 +76,13 @@ func (ex *Explanation) Reconcile() float64 {
 	return total
 }
 
-// Explain routes i to j exactly as RiskRoutePair does (the pair's exact α,
-// no quantization) and returns the edge-by-edge decomposition of the
-// minimum bit-risk-mile path. Explanation.Cost is bit-identical to
-// RiskRoutePair(i, j).BitRiskMiles.
-func (e *Engine) Explain(i, j int) Explanation {
-	span := e.opts.Trace.Child("explain")
-	defer span.End()
-	alpha := e.Ctx.Alpha(i, j)
-	ex := e.ExplainPathAlpha(e.route(i, j, alpha).Path, i, j, alpha)
-	span.SetAttr("edges", len(ex.Edges))
-	return ex
-}
-
-// ExplainShortest prices the pure geographic shortest path between i and j
-// (ShortestPair's route) with the same decomposition.
-func (e *Engine) ExplainShortest(i, j int) Explanation {
-	return e.ExplainPath(e.ShortestPair(i, j).Path, i, j)
-}
-
-// ExplainPath decomposes an arbitrary path priced for the endpoint pair
-// (i, j) — α is taken from the pair, as PathCost does. The path's endpoints
-// need not be i and j.
+// ExplainPath decomposes path, priced for the endpoint pair (i, j) at the
+// pair's α as PathCost prices it; the path's endpoints need not be i and j.
+// Explaining RiskRoutePair(i, j).Path gives a Cost bit-identical to its
+// BitRiskMiles. A nil path (disconnected pair) explains to infinite cost
+// with no edges, mirroring PairResult.
 func (e *Engine) ExplainPath(path []int, i, j int) Explanation {
-	return e.ExplainPathAlpha(path, i, j, e.Ctx.Alpha(i, j))
-}
-
-// ExplainPathAlpha is ExplainPath with an explicit impact scaling — the
-// α knob of the attribution algebra. A nil path (disconnected pair)
-// explains to infinite cost with no edges, mirroring PairResult.
-func (e *Engine) ExplainPathAlpha(path []int, i, j int, alpha float64) Explanation {
+	alpha := e.Ctx.Alpha(i, j)
 	ex := Explanation{From: i, To: j, Alpha: alpha, Path: path}
 	if path == nil {
 		ex.Miles = math.Inf(1)

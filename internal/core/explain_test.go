@@ -26,8 +26,9 @@ func explainCtx(seed uint64) *risk.Context {
 }
 
 // TestExplainReconcilesAllPairs is the tentpole invariant: for every
-// ordered pair, the per-edge parts re-sum bit-identically to
-// RiskRoutePair's cost — not approximately, bit for bit.
+// ordered pair, the explanation of RiskRoutePair's path re-sums its
+// per-edge parts bit-identically to RiskRoutePair's cost — not
+// approximately, bit for bit — and so does ShortestPair's.
 func TestExplainReconcilesAllPairs(t *testing.T) {
 	e := mustEngine(t, explainCtx(11), Options{})
 	n := e.N()
@@ -37,9 +38,9 @@ func TestExplainReconcilesAllPairs(t *testing.T) {
 				continue
 			}
 			rr := e.RiskRoutePair(i, j)
-			ex := e.Explain(i, j)
+			ex := e.ExplainPath(rr.Path, i, j)
 			if math.Float64bits(ex.Cost) != math.Float64bits(rr.BitRiskMiles) {
-				t.Fatalf("pair (%d,%d): Explain cost %v != RiskRoutePair %v",
+				t.Fatalf("pair (%d,%d): ExplainPath cost %v != RiskRoutePair %v",
 					i, j, ex.Cost, rr.BitRiskMiles)
 			}
 			if math.Float64bits(ex.Reconcile()) != math.Float64bits(ex.Cost) {
@@ -47,15 +48,11 @@ func TestExplainReconcilesAllPairs(t *testing.T) {
 					i, j, ex.Reconcile(), ex.Cost)
 			}
 			if math.Float64bits(ex.Miles) != math.Float64bits(rr.Miles) {
-				t.Fatalf("pair (%d,%d): Explain miles %v != RiskRoutePair %v",
+				t.Fatalf("pair (%d,%d): ExplainPath miles %v != RiskRoutePair %v",
 					i, j, ex.Miles, rr.Miles)
 			}
-			if !reflect.DeepEqual(ex.Path, rr.Path) {
-				t.Fatalf("pair (%d,%d): Explain path %v != RiskRoutePair path %v",
-					i, j, ex.Path, rr.Path)
-			}
 			sp := e.ShortestPair(i, j)
-			exs := e.ExplainShortest(i, j)
+			exs := e.ExplainPath(sp.Path, i, j)
 			if math.Float64bits(exs.Cost) != math.Float64bits(sp.BitRiskMiles) {
 				t.Fatalf("pair (%d,%d): shortest-leg explain cost %v != %v",
 					i, j, exs.Cost, sp.BitRiskMiles)
@@ -70,7 +67,7 @@ func TestExplainReconcilesAllPairs(t *testing.T) {
 func TestExplainEdgeFields(t *testing.T) {
 	ctx := explainCtx(3)
 	e := mustEngine(t, ctx, Options{})
-	ex := e.Explain(0, e.N()-1)
+	ex := e.ExplainPath(e.RiskRoutePair(0, e.N()-1).Path, 0, e.N()-1)
 	if len(ex.Edges) != len(ex.Path)-1 {
 		t.Fatalf("%d edges for a %d-node path", len(ex.Edges), len(ex.Path))
 	}
@@ -92,13 +89,14 @@ func TestExplainEdgeFields(t *testing.T) {
 	// reconciliation must still hold (the +0.0 identity in the replay).
 	ctx2 := gridNet(4, 5, 3)
 	e2 := mustEngine(t, ctx2, Options{})
-	ex2 := e2.Explain(0, e2.N()-1)
+	rr2 := e2.RiskRoutePair(0, e2.N()-1)
+	ex2 := e2.ExplainPath(rr2.Path, 0, e2.N()-1)
 	for _, ed := range ex2.Edges {
 		if ed.ForecastRisk != 0 {
 			t.Fatalf("forecast risk %v without a forecast layer", ed.ForecastRisk)
 		}
 	}
-	if math.Float64bits(ex2.Cost) != math.Float64bits(e2.RiskRoutePair(0, e2.N()-1).BitRiskMiles) {
+	if math.Float64bits(ex2.Cost) != math.Float64bits(rr2.BitRiskMiles) {
 		t.Fatal("reconciliation broken without a forecast layer")
 	}
 }
@@ -117,7 +115,7 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 				if i == j {
 					continue
 				}
-				got = append(got, e.Explain(i, j))
+				got = append(got, e.ExplainPath(e.RiskRoutePair(i, j).Path, i, j))
 			}
 		}
 		if ref == nil {
@@ -134,7 +132,7 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 // infinite cost with no edges.
 func TestExplainDisconnected(t *testing.T) {
 	e := mustEngine(t, explainCtx(5), Options{})
-	ex := e.ExplainPathAlpha(nil, 0, 1, e.Ctx.Alpha(0, 1))
+	ex := e.ExplainPath(nil, 0, 1)
 	if !math.IsInf(ex.Cost, 1) || !math.IsInf(ex.Miles, 1) || len(ex.Edges) != 0 {
 		t.Fatalf("nil path explanation: %+v", ex)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -95,6 +96,64 @@ func TestGuidedRouteMatchesPlainWorld(t *testing.T) {
 	}
 }
 
+// TestPairPropertiesAcrossLambda checks Eqs. 3, 5 and 6 pair by pair on
+// three Tier-1 networks and one regional network of the test-scale world.
+// At each λ_h, every ordered pair's RiskRoute cost is at most its
+// shortest path's bit-risk cost and its miles at least the shortest
+// path's, so the pair's rr lies in [0, 1) and its dr is at least 0. As
+// λ_h grows, the path RiskRoutePair picks holds no more historical risk
+// and no fewer miles: with cost = miles + α·λ_h·H, optimality at λ₁ and at
+// λ₂ > λ₁ gives α·(λ₂ − λ₁)·(H₂ − H₁) ≤ 0. Comparisons allow a relative
+// 1e-12 for rounding.
+func TestPairPropertiesAcrossLambda(t *testing.T) {
+	world, err := testWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tol = 1e-12
+	atMost := func(a, b float64) bool { return a <= b+tol*math.Abs(b) }
+	for _, w := range world {
+		switch w.net.Name {
+		case "AT&T", "Sprint", "Tinet", "Telepak":
+		default:
+			continue
+		}
+		n := len(w.net.PoPs)
+		// The last λ_h's RiskRoutePair miles and historical-risk content, by i·n+j.
+		prevMiles, prevHist := make([]float64, n*n), make([]float64, n*n)
+		for k, lh := range []float64{1e4, 1e5, 1e6} {
+			e := mustEngine(t, &risk.Context{Net: w.net, Hist: w.hist, Fractions: w.fractions,
+				Params: risk.Params{LambdaH: lh}}, Options{})
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if i == j {
+						continue
+					}
+					rr, sp := e.RiskRoutePair(i, j), e.ShortestPair(i, j)
+					if !(rr.BitRiskMiles > 0 && atMost(rr.BitRiskMiles, sp.BitRiskMiles)) {
+						t.Fatalf("%s λ_h %g (%d,%d): RiskRoute costs %v, shortest path %v",
+							w.net.Name, lh, i, j, rr.BitRiskMiles, sp.BitRiskMiles)
+					}
+					if !atMost(sp.Miles, rr.Miles) {
+						t.Fatalf("%s λ_h %g (%d,%d): RiskRoute runs %v miles, shortest path %v",
+							w.net.Name, lh, i, j, rr.Miles, sp.Miles)
+					}
+					hist := 0.0
+					for _, v := range rr.Path[1:] {
+						hist += w.hist[v]
+					}
+					p := i*n + j
+					if k > 0 && (!atMost(hist, prevHist[p]) || !atMost(prevMiles[p], rr.Miles)) {
+						t.Fatalf("%s (%d,%d): λ_h %g → %g moved the path's historical risk %v → %v and miles %v → %v",
+							w.net.Name, i, j, lh/10, lh, prevHist[p], hist, prevMiles[p], rr.Miles)
+					}
+					prevMiles[p], prevHist[p] = rr.Miles, hist
+				}
+			}
+		}
+	}
+}
+
 // nearNet is a small network with two PoPs 1e-7° apart and two at the
 // same position, each pair joined by a link, inside a ring of ordinary
 // PoPs: the chord between the near pair cancels to a few significant bits.
@@ -124,48 +183,50 @@ func nearNet() *risk.Context {
 // node's true remaining cost (a full sweep from the target; the network is
 // undirected) on the near-co-located fixture, at α = 0, at each pair's α
 // and at a large α, and every pair to route as the unguided search does.
-// A second context gives the interior PoP 5 a negative ρ (a negative
-// forecast layer, which Validate admits while every link's risk stays
-// non-negative), so the path 1–5–2 pays less risk than its endpoints' ρ:
-// the bound must drop its risk term there.
+// The bound's risk term needs every ρ ≥ 0, so New must refuse a context
+// that would give the interior PoP 5 a negative ρ through a negative
+// forecast entry while every link's risk stays non-negative.
 func TestPairBoundAdmissible(t *testing.T) {
 	negative := nearNet()
 	negative.Params = risk.Params{LambdaH: 1e5, LambdaF: 1}
 	negative.Forecast = []float64{10, 0, 0, 0, 0, -25, 0} // ρ = 10, 10, 20, 0, 10, -5, 0
-	for name, ctx := range map[string]*risk.Context{"near": nearNet(), "negative ρ": negative} {
-		e := mustEngine(t, ctx, Options{})
-		if d := e.miles[0]; !(d > 0 && d < 1e-5) {
-			t.Fatalf("%s: near pair is %v miles apart, want (0, 1e-5)", name, d)
-		}
-		if d := e.miles[1]; d != 0 {
-			t.Fatalf("%s: co-located pair is %v miles apart", name, d)
-		}
-		n := e.N()
-		for j := 0; j < n; j++ {
-			for _, alpha := range []float64{0, ctx.Alpha(0, j), 50} {
-				b := e.pairBound(j, alpha)
-				s := e.adj.Sweep(j, alpha)
-				for v := 0; v < n; v++ {
-					if h := b.at(v); h > s.Dist[v] {
-						t.Errorf("%s: bound(%d → %d) at α %g = %v exceeds the remaining cost %v", name, v, j, alpha, h, s.Dist[v])
-					}
+	if _, err := New(negative, Options{}); err == nil {
+		t.Error("New accepted a context with a negative forecast risk")
+	}
+
+	ctx := nearNet()
+	e := mustEngine(t, ctx, Options{})
+	if d := e.miles[0]; !(d > 0 && d < 1e-5) {
+		t.Fatalf("near pair is %v miles apart, want (0, 1e-5)", d)
+	}
+	if d := e.miles[1]; d != 0 {
+		t.Fatalf("co-located pair is %v miles apart", d)
+	}
+	n := e.N()
+	for j := 0; j < n; j++ {
+		for _, alpha := range []float64{0, ctx.Alpha(0, j), 50} {
+			b := e.pairBound(j, alpha)
+			s := e.adj.Sweep(j, alpha)
+			for v := 0; v < n; v++ {
+				if h := b.at(v); h > s.Dist[v] {
+					t.Errorf("bound(%d → %d) at α %g = %v exceeds the remaining cost %v", v, j, alpha, h, s.Dist[v])
 				}
-				s.Release()
 			}
+			s.Release()
 		}
-		for _, p := range allPairs(n) {
-			if got, want := e.RiskRoutePair(p[0], p[1]), plainPair(e, p[0], p[1]); !samePair(got, want) {
-				t.Errorf("%s: RiskRoutePair%v = %+v, unguided %+v", name, p, got, want)
-			}
+	}
+	for _, p := range allPairs(n) {
+		if got, want := e.RiskRoutePair(p[0], p[1]), plainPair(e, p[0], p[1]); !samePair(got, want) {
+			t.Errorf("RiskRoutePair%v = %+v, unguided %+v", p, got, want)
 		}
 	}
 }
 
 // TestGuidedRouteFallsBackOnTies routes the mirrored ladder's tied pair:
 // north and south price bitwise-equal, only adjacency order breaks the tie,
-// and the guided search reaches the tie from the far side. RiskRoutePair,
-// Explain and a masked view's ShortestPair must fall back and count it,
-// answering with the unguided search's path.
+// and the guided search reaches the tie from the far side. RiskRoutePair
+// and a masked view's ShortestPair must fall back and count it, answering
+// with the unguided search's path.
 func TestGuidedRouteFallsBackOnTies(t *testing.T) {
 	mirror, fc, span := mirrorNet()
 	reg := obs.NewRegistry()
@@ -178,15 +239,12 @@ func TestGuidedRouteFallsBackOnTies(t *testing.T) {
 	if got := e.RiskRoutePair(5, 7); !samePair(got, want) || fallbacks.Value() != 1 {
 		t.Fatalf("RiskRoutePair(5,7) = %v after %d fallbacks, want %v after 1", got.Path, fallbacks.Value(), want.Path)
 	}
-	if got := e.Explain(5, 7); !reflect.DeepEqual(got.Path, want.Path) || fallbacks.Value() != 2 {
-		t.Fatalf("Explain(5,7) took %v after %d fallbacks, want %v after 2", got.Path, fallbacks.Value(), want.Path)
-	}
 	masked, err := e.WithoutLinks(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := masked.ShortestPair(5, 7); !samePair(got, e.ShortestPair(5, 7)) || fallbacks.Value() != 3 {
-		t.Fatalf("masked ShortestPair(5,7) = %v after %d fallbacks, want %v after 3",
+	if got := masked.ShortestPair(5, 7); !samePair(got, e.ShortestPair(5, 7)) || fallbacks.Value() != 2 {
+		t.Fatalf("masked ShortestPair(5,7) = %v after %d fallbacks, want %v after 2",
 			got.Path, fallbacks.Value(), e.ShortestPair(5, 7).Path)
 	}
 }

@@ -235,7 +235,8 @@ func sameRatios(got, want Ratios) bool {
 }
 
 // checkPairs compares RiskRoutePair and ShortestPair with the oracle on the
-// given ordered pairs, and Explain / ExplainShortest on every seventh.
+// given ordered pairs, and on every seventh requires ExplainPath of each
+// oracle path to re-sum to the oracle's cost and miles bit for bit.
 func checkPairs(t *testing.T, label string, e *Engine, pairs [][2]int) {
 	t.Helper()
 	ctx := e.Ctx
@@ -254,11 +255,11 @@ func checkPairs(t *testing.T, label string, e *Engine, pairs [][2]int) {
 		if k%7 != 0 {
 			continue
 		}
-		if got, want := e.Explain(i, j), e.ExplainPathAlpha(wantRR.Path, i, j, alpha); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Explain(%d,%d) = %+v, oracle %+v", label, i, j, got, want)
-		}
-		if got, want := e.ExplainShortest(i, j), e.ExplainPath(wantSP.Path, i, j); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: ExplainShortest(%d,%d) = %+v, oracle %+v", label, i, j, got, want)
+		for _, want := range []PairResult{wantRR, wantSP} {
+			if ex := e.ExplainPath(want.Path, i, j); !sameBits(ex.Cost, want.BitRiskMiles) || !sameBits(ex.Miles, want.Miles) {
+				t.Fatalf("%s: ExplainPath(%v, %d, %d) costs %v over %v miles, oracle %v over %v",
+					label, want.Path, i, j, ex.Cost, ex.Miles, want.BitRiskMiles, want.Miles)
+			}
 		}
 	}
 }
@@ -1048,9 +1049,10 @@ func TestSharedEngineConcurrent(t *testing.T) {
 	for k, ctx := range ctxs {
 		e := mustEngine(t, ctx, Options{Workers: 1})
 		for _, p := range pairs {
-			want[k].rr = append(want[k].rr, e.RiskRoutePair(p[0], p[1]))
+			rr := e.RiskRoutePair(p[0], p[1])
+			want[k].rr = append(want[k].rr, rr)
 			want[k].sp = append(want[k].sp, e.ShortestPair(p[0], p[1]))
-			want[k].ex = append(want[k].ex, e.Explain(p[0], p[1]))
+			want[k].ex = append(want[k].ex, e.ExplainPath(rr.Path, p[0], p[1]))
 		}
 		want[k].eval = e.Evaluate()
 	}
@@ -1080,8 +1082,8 @@ func TestSharedEngineConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d: ShortestPair%v = %+v, sequential %+v", g, p, got, want[k].sp[y])
 					return
 				}
-				if got := e.Explain(p[0], p[1]); !reflect.DeepEqual(got, want[k].ex[y]) {
-					t.Errorf("goroutine %d: Explain%v differs from the sequential answer", g, p)
+				if got := e.ExplainPath(want[k].rr[y].Path, p[0], p[1]); !reflect.DeepEqual(got, want[k].ex[y]) {
+					t.Errorf("goroutine %d: ExplainPath%v differs from the sequential answer", g, p)
 					return
 				}
 			}

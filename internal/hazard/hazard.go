@@ -98,7 +98,6 @@ type FittedSource struct {
 	Bandwidth float64
 	Events    int
 	Field     *kde.Field
-	estimator *kde.Estimator
 }
 
 // Model is the aggregate historical outage risk surface.
@@ -124,11 +123,10 @@ func (m *Model) Renorm() float64 {
 
 // Restore reconstructs a fitted Model from previously captured surfaces —
 // the world-snapshot boot path. Evaluation (RiskAt, Probe, PoPRisks) reads
-// only the rasterized fields, bandwidths, and the renorm factor, so a
-// restored model is bit-identical to the model the surfaces were captured
-// from; the per-source estimators exist only during Fit and are not
-// restored. renorm is the captured Renorm() value (pass 1, or 0, at full
-// fidelity).
+// only the rasterized fields, bandwidths, and the renorm factor, and a
+// fitted model keeps nothing else, so a restored model is bit-identical to
+// the model the surfaces were captured from. renorm is the captured
+// Renorm() value (pass 1, or 0, at full fidelity).
 func Restore(sources []FittedSource, lost []string, renorm float64) (*Model, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("hazard: restore with no fitted sources")
@@ -291,9 +289,8 @@ func Fit(sources []Source, cfg FitConfig) (*Model, error) {
 				Observe(time.Since(cvStart).Seconds())
 			src.SetAttr("cv", true)
 		}
-		est := kde.New(s.Events, bw)
 		grid := gridFor(cfg.CellMiles, bw)
-		field := kde.RasterizeWorkers(est, grid, 5, cfg.Workers)
+		field := kde.RasterizeWorkers(kde.New(s.Events, bw), grid, 5, cfg.Workers)
 		if s.Scale != 0 && s.Scale != 1 {
 			field.Scale(s.Scale)
 		}
@@ -302,7 +299,6 @@ func Fit(sources []Source, cfg FitConfig) (*Model, error) {
 			Bandwidth: bw,
 			Events:    len(s.Events),
 			Field:     field,
-			estimator: est,
 		})
 		cfg.Metrics.Counter("hazard.fit.sources_total").Inc()
 		cfg.Metrics.Counter("hazard.fit.events_total").Add(int64(len(s.Events)))

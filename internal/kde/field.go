@@ -56,7 +56,6 @@ func RasterizeWorkers(e *Estimator, grid geo.Grid, cutoff float64, workers int) 
 // haversine (see splatRows).
 type splatter struct {
 	grid    geo.Grid
-	sigma   float64
 	inv2s2  float64
 	radius  float64 // cutoff radius in miles
 	radius2 float64
@@ -72,7 +71,6 @@ func newSplatter(grid geo.Grid, sigma, cutoff float64) splatter {
 	radius := cutoff * sigma
 	s := splatter{
 		grid:    grid,
-		sigma:   sigma,
 		inv2s2:  1 / (2 * sigma * sigma),
 		radius:  radius,
 		radius2: radius * radius,

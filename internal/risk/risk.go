@@ -106,10 +106,11 @@ func (c *Context) LinkRisk(u, v int) float64 {
 }
 
 // Validate checks the context's slices are index-aligned with the network,
-// that every historical risk and population fraction is finite and
-// non-negative, and that parameters are non-negative. A negative fraction
-// would make some α_ij negative, and a search over negative edge weights
-// never settles.
+// that every historical risk, forecast risk and population fraction is
+// finite and non-negative, and that parameters are non-negative. A negative
+// fraction would make some α_ij negative, and a search over negative edge
+// weights never settles; with no negative risk, no node risk ρ is negative
+// either.
 func (c *Context) Validate() error {
 	n := len(c.Net.PoPs)
 	if len(c.Hist) != n {
@@ -127,6 +128,11 @@ func (c *Context) Validate() error {
 	for i := range n {
 		if h := c.Hist[i]; !(h >= 0) || math.IsInf(h, 1) {
 			return fmt.Errorf("risk: invalid historical risk %v at PoP %d", h, i)
+		}
+		if c.Forecast != nil {
+			if f := c.Forecast[i]; !(f >= 0) || math.IsInf(f, 1) {
+				return fmt.Errorf("risk: invalid forecast risk %v at PoP %d", f, i)
+			}
 		}
 		if f := c.Fractions[i]; !(f >= 0) || math.IsInf(f, 1) {
 			return fmt.Errorf("risk: invalid population fraction %v at PoP %d", f, i)

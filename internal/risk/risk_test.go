@@ -65,6 +65,13 @@ func TestValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("negative risk accepted")
 	}
+	for _, f := range []float64{-25, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = *c
+		bad.Forecast = []float64{0, 0, f, 0}
+		if bad.Validate() == nil {
+			t.Errorf("forecast risk %v accepted", f)
+		}
+	}
 }
 
 func TestNodeRiskComposition(t *testing.T) {

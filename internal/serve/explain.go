@@ -287,10 +287,11 @@ func (s *Server) edgesTopDoc(w http.ResponseWriter, r *http.Request) (any, int) 
 	if name == "" {
 		return errorDoc("missing network parameter"), http.StatusBadRequest
 	}
-	st, ok := snap.byName[name]
+	i, ok := s.nets[name]
 	if !ok {
 		return errorDoc("unknown network %q (GET /v1/pops lists the corpus)", name), http.StatusNotFound
 	}
+	st := snap.states[i]
 	params, doc, status := s.parseParams(q, st.limit)
 	if doc != nil {
 		return doc, status

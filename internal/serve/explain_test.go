@@ -201,7 +201,7 @@ func TestExplainHotSwapRegion(t *testing.T) {
 	s := testServer(t)
 	replay := sandyReplay(t)
 	snapPre := s.snap.Load()
-	st := snapPre.byName["Sprint"]
+	st := snapPre.states[s.nets["Sprint"]]
 
 	// Pick an advisory that actually covers part of the network, and aim the
 	// route at the PoP nearest its center so the fixed path ends in-region.
@@ -233,7 +233,7 @@ func TestExplainHotSwapRegion(t *testing.T) {
 	if _, err := s.ApplyParsed(adv, 0); err != nil {
 		t.Fatalf("ApplyParsed: %v", err)
 	}
-	stPost := s.snap.Load().byName["Sprint"]
+	stPost := s.snap.Load().states[s.nets["Sprint"]]
 	exPost := stPost.engine.ExplainPath(path, src, dst)
 
 	if exPre.Alpha != exPost.Alpha {
@@ -285,7 +285,7 @@ func TestExplainHotSwapRegion(t *testing.T) {
 // paths.
 func TestEdgesTop(t *testing.T) {
 	s := testServer(t)
-	st := s.snap.Load().byName["Sprint"]
+	st := s.snap.Load().states[s.nets["Sprint"]]
 	want := st.engine.TopRiskEdges(0)
 
 	var resp edgesTopResponse

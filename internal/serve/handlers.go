@@ -174,12 +174,12 @@ func (s *Server) lookupNet(w http.ResponseWriter, q url.Values, snap *snapshot) 
 		s.writeError(w, http.StatusBadRequest, "missing network parameter")
 		return nil
 	}
-	st, ok := snap.byName[name]
+	i, ok := s.nets[name]
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "unknown network %q (GET /v1/pops lists the corpus)", name)
 		return nil
 	}
-	return st
+	return snap.states[i]
 }
 
 // lookupParams resolves the optional lambda_h / lambda_f query parameters
@@ -385,11 +385,12 @@ func (s *Server) handlePoPs(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	st, ok := snap.byName[name]
+	i, ok := s.nets[name]
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "unknown network %q", name)
 		return
 	}
+	st := snap.states[i]
 	type popInfo struct {
 		Name     string  `json:"name"`
 		Lat      float64 `json:"lat"`

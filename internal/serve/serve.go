@@ -242,8 +242,7 @@ type snapshot struct {
 	gen       uint64
 	advisory  *forecast.Advisory // nil for the startup generation
 	jsonStorm []byte             // advisory.Storm quoted by encoding/json; nil when absent or empty
-	states    []*netState
-	byName    map[string]*netState
+	states    []*netState        // aligned with Server.bases
 }
 
 // serveObs caches the server's metric handles (nil registry = no-ops).
@@ -300,6 +299,7 @@ type Server struct {
 	model *hazard.Model
 	rm    forecast.RiskModel
 	bases []*netBase
+	nets  map[string]int // network name → position in bases and in every snapshot's states
 	boot  BootInfo
 
 	snap   atomic.Pointer[snapshot]
@@ -339,10 +339,20 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: no networks to serve")
 	}
 	s := &Server{
-		cfg: cfg,
-		tel: newServeObs(cfg.Metrics),
-		lg:  obs.LoggerOrNop(cfg.Logger),
-		rm:  forecast.DefaultRiskModel(),
+		cfg:  cfg,
+		tel:  newServeObs(cfg.Metrics),
+		lg:   obs.LoggerOrNop(cfg.Logger),
+		rm:   forecast.DefaultRiskModel(),
+		nets: make(map[string]int, len(cfg.Networks)),
+	}
+	// Requests name networks, so each served name resolves to one position.
+	// The bases below are built in cfg.Networks' order; checking the names
+	// first fails a repeated one before the fit.
+	for i, net := range cfg.Networks {
+		if _, dup := s.nets[net.Name]; dup {
+			return nil, fmt.Errorf("serve: network %q is listed twice", net.Name)
+		}
+		s.nets[net.Name] = i
 	}
 
 	warm := cfg.Trace.Child("serve-warmup")
@@ -403,16 +413,15 @@ func New(cfg Config) (*Server, error) {
 	build := warm.Child("engine-build")
 	buildStart := time.Now()
 	snap, err := s.buildSnapshot(1, nil, build)
-	buildSeconds := time.Since(buildStart).Seconds()
 	build.End()
 	if err != nil {
 		return nil, err
 	}
-	s.snap.Store(snap)
-	s.tel.generation.Set(1)
+	s.cache = newLRU(cfg.CacheSize)
+	s.timeline = obs.NewRing[SwapEvent](timelineSize)
+	s.publish(snap, nil, SwapEvent{RebuildSeconds: time.Since(buildStart).Seconds()}, buildStart)
 
 	s.sem = make(chan struct{}, cfg.MaxInFlight)
-	s.cache = newLRU(cfg.CacheSize)
 	s.ids = obs.NewRequestIDs(cfg.RequestIDSeed)
 	sloCfg := cfg.SLO
 	if sloCfg.Metrics == nil {
@@ -425,13 +434,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.slo = obs.NewSLO(sloCfg)
 	s.reqs = obs.NewReqRing(requestLogSize)
-	s.timeline = obs.NewRing[SwapEvent](timelineSize)
-	s.timeline.Add(SwapEvent{
-		Generation:     1,
-		Time:           time.Now(),
-		RebuildSeconds: buildSeconds,
-		SwapSeconds:    buildSeconds,
-	})
 	s.mux = s.routes()
 	s.handler = http.Handler(s.mux)
 	if !cfg.DisableTracing {
@@ -631,7 +633,6 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		gen:      gen,
 		advisory: adv,
 		states:   make([]*netState, len(s.bases)),
-		byName:   make(map[string]*netState, len(s.bases)),
 	}
 	if adv != nil && adv.Storm != "" { // routeResponse omits an empty storm
 		snap.jsonStorm = quoteJSON(adv.Storm)
@@ -669,10 +670,8 @@ func (s *Server) buildSnapshot(gen uint64, adv *forecast.Advisory, span *obs.Spa
 		if err != nil {
 			return nil, fmt.Errorf("serve: engine for %q: %w", base.net.Name, err)
 		}
-		st := &netState{netBase: base, forecast: fc, engine: eng,
+		snap.states[i] = &netState{netBase: base, forecast: fc, engine: eng,
 			limit: risk.Params{LambdaH: base.histLimit, LambdaF: lambdaLimit(len(base.net.PoPs), fc)}}
-		snap.states[i] = st
-		snap.byName[base.net.Name] = st
 	}
 	return snap, nil
 }
@@ -711,56 +710,54 @@ func (s *Server) ApplyParsed(adv *forecast.Advisory, parseDur time.Duration) (ui
 	defer s.swapMu.Unlock()
 	cur := s.snap.Load()
 	gen := cur.gen + 1
-	span := s.cfg.Trace.Child("advisory-swap")
-	swapStart := time.Now()
-	rebuildStart := swapStart
-	next, err := s.buildSnapshotRecover(gen, adv, span)
+	start := time.Now()
+	next, err := s.buildSnapshotRecover(gen, adv)
 	if err == nil {
 		err = s.verifySnapshot(next, cur)
 	}
-	rebuildSeconds := time.Since(rebuildStart).Seconds()
 	if err != nil {
-		span.End()
 		s.cfg.Health.Degrade("serve", err, "swap to generation %d failed", gen)
 		return cur.gen, err
 	}
+	ev := s.publish(next, cur, SwapEvent{ParseSeconds: parseDur.Seconds(),
+		RebuildSeconds: time.Since(start).Seconds()}, start)
+	s.tel.swaps.Inc()
+	s.tel.swapSeconds.Observe(ev.SwapSeconds)
+	s.lg.Info("advisory swap", "generation", gen, "storm", adv.Storm,
+		"advisory", adv.Number, "seconds", ev.SwapSeconds)
+	return gen, nil
+}
+
+// publish serves next, with prev as the rollback target (nil: none), and
+// records the change, the one step every generation goes through: the
+// cache is emptied, the generation gauge set, and one timeline event
+// added — ev completed with next's generation and bulletin, the entries
+// dropped and the seconds since start. It returns the completed event.
+// Callers hold swapMu, or are booting.
+func (s *Server) publish(next, prev *snapshot, ev SwapEvent, start time.Time) SwapEvent {
 	s.snap.Store(next)
-	s.prev = cur
+	s.prev = prev
 	// Old-generation entries can never hit again (the generation is part of
 	// every cache key); reset eagerly so their memory is reclaimed now
 	// rather than by LRU pressure.
-	invalidated := s.cache.Len()
+	ev.CacheInvalidated = s.cache.Len()
 	s.cache.Reset()
-	s.tel.swaps.Inc()
-	s.tel.generation.Set(float64(gen))
-	span.SetAttr("generation", gen)
-	span.SetAttr("storm", adv.Storm)
-	span.SetAttr("advisory", adv.Number)
-	span.End()
-	// Measured directly (not via the span) so the timeline and the
-	// swap-latency histogram stay populated when tracing is off.
-	swapSeconds := time.Since(swapStart).Seconds()
-	s.tel.swapSeconds.Observe(swapSeconds)
-	s.timeline.Add(SwapEvent{
-		Generation:       gen,
-		Time:             time.Now(),
-		Storm:            adv.Storm,
-		Advisory:         adv.Number,
-		ParseSeconds:     parseDur.Seconds(),
-		RebuildSeconds:   rebuildSeconds,
-		SwapSeconds:      swapSeconds,
-		CacheInvalidated: invalidated,
-	})
-	s.lg.Info("advisory swap", "generation", gen, "storm", adv.Storm,
-		"advisory", adv.Number, "seconds", swapSeconds)
-	return gen, nil
+	s.tel.generation.Set(float64(next.gen))
+	ev.Generation = next.gen
+	if next.advisory != nil {
+		ev.Storm, ev.Advisory = next.advisory.Storm, next.advisory.Number
+	}
+	ev.Time = time.Now()
+	ev.SwapSeconds = ev.Time.Sub(start).Seconds()
+	s.timeline.Add(ev)
+	return ev
 }
 
 // buildSnapshotRecover is buildSnapshot behind a panic guard: a panic in
 // the forecast-layer rebuild or an engine constructor is converted into a
 // typed *resilience.DegradedError instead of unwinding through the swap
 // lock and killing the daemon.
-func (s *Server) buildSnapshotRecover(gen uint64, adv *forecast.Advisory, span *obs.Span) (snap *snapshot, err error) {
+func (s *Server) buildSnapshotRecover(gen uint64, adv *forecast.Advisory) (snap *snapshot, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			snap = nil
@@ -768,7 +765,7 @@ func (s *Server) buildSnapshotRecover(gen uint64, adv *forecast.Advisory, span *
 				Err: fmt.Errorf("snapshot rebuild for generation %d panicked: %v", gen, r)}
 		}
 	}()
-	return s.buildSnapshot(gen, adv, span)
+	return s.buildSnapshot(gen, adv, nil)
 }
 
 // verifySnapshot checks the structural invariants a publishable snapshot
@@ -780,7 +777,7 @@ func (s *Server) verifySnapshot(next, cur *snapshot) error {
 	if next.gen != cur.gen+1 {
 		return fmt.Errorf("serve: torn snapshot: generation %d does not follow %d", next.gen, cur.gen)
 	}
-	if len(next.states) != len(s.bases) || len(next.byName) != len(s.bases) {
+	if len(next.states) != len(s.bases) {
 		return fmt.Errorf("serve: torn snapshot: %d/%d networks present", len(next.states), len(s.bases))
 	}
 	for _, st := range next.states {
@@ -811,30 +808,13 @@ func (s *Server) RevertAdvisory(fromGen uint64) (uint64, error) {
 	if s.prev == nil {
 		return cur.gen, fmt.Errorf("serve: cannot revert generation %d: no prior snapshot retained", fromGen)
 	}
-	gen := cur.gen + 1
-	restored := &snapshot{
-		gen:       gen,
-		advisory:  s.prev.advisory,
-		jsonStorm: s.prev.jsonStorm,
-		states:    s.prev.states,
-		byName:    s.prev.byName,
-	}
-	revertStart := time.Now()
-	s.snap.Store(restored)
-	ev := SwapEvent{Generation: gen, Time: revertStart, Rollback: true,
-		CacheInvalidated: s.cache.Len()}
-	if restored.advisory != nil {
-		ev.Storm = restored.advisory.Storm
-		ev.Advisory = restored.advisory.Number
-	}
-	s.prev = nil // a revert cannot itself be reverted
-	s.cache.Reset()
-	s.tel.generation.Set(float64(gen))
-	ev.SwapSeconds = time.Since(revertStart).Seconds()
-	s.timeline.Add(ev)
-	s.cfg.Health.Record("serve", "generation %d: reverted generation %d to the prior world", gen, fromGen)
-	s.lg.Warn("advisory swap reverted", "bad_generation", fromGen, "generation", gen)
-	return gen, nil
+	restored := *s.prev
+	restored.gen = cur.gen + 1
+	// No rollback target: a revert cannot itself be reverted.
+	ev := s.publish(&restored, nil, SwapEvent{Rollback: true}, time.Now())
+	s.cfg.Health.Record("serve", "generation %d: reverted generation %d to the prior world", ev.Generation, fromGen)
+	s.lg.Warn("advisory swap reverted", "bad_generation", fromGen, "generation", ev.Generation)
+	return ev.Generation, nil
 }
 
 // AttachIngest registers the continuous-ingestion status source; once

@@ -99,6 +99,21 @@ func TestSmallCensusIsConfigError(t *testing.T) {
 	}
 }
 
+// TestRepeatedNetworkIsConfigError: requests name networks, so a corpus
+// listing one name twice is refused at boot with an error naming it,
+// before the hazard fit.
+func TestRepeatedNetworkIsConfigError(t *testing.T) {
+	_, err := New(Config{
+		Networks: []*topology.Network{datasets.NetworkByName("Sprint"),
+			datasets.NetworkByName("Abilene"), datasets.NetworkByName("Sprint")},
+		Blocks:     4000,
+		EventScale: 0.03,
+	})
+	if err == nil || !strings.Contains(err.Error(), `"Sprint"`) {
+		t.Errorf("New with Sprint listed twice: %v, want an error naming it", err)
+	}
+}
+
 func TestReadyAndHealth(t *testing.T) {
 	s := testServer(t)
 	if !s.Ready() {

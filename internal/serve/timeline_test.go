@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -109,11 +110,12 @@ func TestGenerationsEndpoint(t *testing.T) {
 }
 
 // TestSwapTelemetryIsOneRecord pins what an advisory swap leaves in the
-// run's telemetry: one advisory-swap span with no engine-build children and
-// no health event, however many networks it reprices, while boot keeps its
-// per-network build spans and events. The swap timeline, serve.swaps_total
-// and the swap log line already record each swap. Build timings still reach
-// the registry: one positive observation per network per swap.
+// run's telemetry: no span and no health event, however many networks it
+// reprices, while boot keeps its per-network build spans and events. The
+// swap timeline, serve.swaps_total and the swap log line record each swap.
+// Build timings still reach the registry: one positive observation per
+// network per swap. After 50 swaps the root trace holds exactly the spans
+// boot left.
 func TestSwapTelemetryIsOneRecord(t *testing.T) {
 	reg := obs.NewRegistry()
 	trace := obs.NewTrace("riskrouted")
@@ -132,14 +134,14 @@ func TestSwapTelemetryIsOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	const nets = 2
-	bootBuilds := func() int {
-		snap := trace.Snapshot()
-		stage := snap.Find("serve-warmup").Find("engine-build")
-		if stage == nil {
-			t.Fatal("boot engine-build stage missing")
+	const nets, swaps = 2, 50
+	var spans func(ss obs.SpanSnapshot, depth int) []string
+	spans = func(ss obs.SpanSnapshot, depth int) []string {
+		out := []string{strings.Repeat(" ", depth) + ss.Name}
+		for _, c := range ss.Children {
+			out = append(out, spans(c, depth+1)...)
 		}
-		return len(stage.Children)
+		return out
 	}
 	engineEvents := func() (n int) {
 		for _, e := range health.Events() {
@@ -149,8 +151,10 @@ func TestSwapTelemetryIsOneRecord(t *testing.T) {
 		}
 		return n
 	}
-	if got := bootBuilds(); got != nets {
-		t.Fatalf("boot recorded %d engine-build spans, want %d", got, nets)
+	boot := trace.Snapshot()
+	bootSpans := spans(boot, 0)
+	if stage := boot.Find("serve-warmup").Find("engine-build"); stage == nil || len(stage.Children) != nets {
+		t.Fatalf("boot engine-build stage = %+v, want %d engine-build spans", stage, nets)
 	}
 	if got := engineEvents(); got != nets {
 		t.Fatalf("boot recorded %d engine health events, want %d", got, nets)
@@ -159,8 +163,8 @@ func TestSwapTelemetryIsOneRecord(t *testing.T) {
 	events, count, sum := len(health.Events()), builds.Count(), builds.Sum()
 
 	advs := sandyReplay(t).Advisories
-	for k, adv := range advs[:3] {
-		if _, _, err := s.ApplyAdvisory(adv.Text()); err != nil {
+	for k := range swaps {
+		if _, _, err := s.ApplyAdvisory(advs[k%len(advs)].Text()); err != nil {
 			t.Fatalf("swap %d: %v", k, err)
 		}
 		if got := len(health.Events()) - events; got != 0 {
@@ -174,21 +178,15 @@ func TestSwapTelemetryIsOneRecord(t *testing.T) {
 		}
 		count, sum = builds.Count(), builds.Sum()
 	}
-	var swaps int
-	for _, c := range trace.Snapshot().Children {
-		if c.Name != "advisory-swap" {
-			continue
-		}
-		swaps++
-		if len(c.Children) != 0 {
-			t.Errorf("advisory-swap span has %d children, want none", len(c.Children))
-		}
+	if got := spans(trace.Snapshot(), 0); !reflect.DeepEqual(got, bootSpans) {
+		t.Errorf("after %d swaps the trace holds\n%s\nwant boot's\n%s",
+			swaps, strings.Join(got, "\n"), strings.Join(bootSpans, "\n"))
 	}
-	if swaps != 3 {
-		t.Errorf("trace holds %d advisory-swap spans, want 3", swaps)
+	if got := reg.Counter("serve.swaps_total").Value(); got != swaps {
+		t.Errorf("serve.swaps_total = %d, want %d", got, swaps)
 	}
-	if got := bootBuilds(); got != nets {
-		t.Errorf("boot engine-build spans now %d, want %d", got, nets)
+	if got := len(s.Timeline()); got != 1+swaps {
+		t.Errorf("timeline holds %d events, want %d", got, 1+swaps)
 	}
 	if got := engineEvents(); got != nets {
 		t.Errorf("engine health events now %d, want boot's %d", got, nets)
