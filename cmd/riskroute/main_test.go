@@ -240,6 +240,16 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("sharedrisk -radius %s: %.2000s", radius, out)
 		}
 	}
+	// No daemon boots a corpus with a repeated name, so bake refuses it
+	// before the fit and writes nothing.
+	dup := filepath.Join(t.TempDir(), "dup.rrws")
+	out = runExpectError(t, append([]string{"bake", "-networks", "Sprint,Sprint", "-o", dup}, tiny...)...)
+	if !strings.Contains(out, `network "Sprint" is listed twice`) {
+		t.Errorf("bake -networks Sprint,Sprint: %.2000s", out)
+	}
+	if _, err := os.Stat(dup); !os.IsNotExist(err) {
+		t.Errorf("bake -networks Sprint,Sprint left %s (stat: %v)", dup, err)
+	}
 }
 
 func TestCLIFIB(t *testing.T) {

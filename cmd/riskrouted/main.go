@@ -101,7 +101,7 @@ func run(args []string) error {
 	fs.DurationVar(&o.queueTO, "queue-timeout", 100*time.Millisecond, "max wait for an admission slot before 429")
 	fs.DurationVar(&o.requestTO, "request-timeout", 15*time.Second, "max time from arrival to the start of engine work, queue wait included")
 	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
-	fs.IntVar(&o.cacheSize, "cache-size", 4096, "result cache entries (negative disables)")
+	fs.IntVar(&o.cacheSize, "cache-size", 4096, "result cache entries per index: raw query text and parsed query (negative disables)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve pprof/expvar/metrics on a second listener (host:port; empty disables)")
 	fs.Uint64Var(&o.reqIDSeed, "reqid-seed", 0, "request-ID generator seed (non-zero pins the exact ID sequence; 0 randomizes)")
 	fs.DurationVar(&o.slowRequest, "slow-request", 250*time.Millisecond, "tail-sample successful requests at least this slow into /debug/requests")

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"riskroute/internal/obs"
 	"riskroute/internal/resilience"
 	worldsnap "riskroute/internal/snapshot"
+	"riskroute/internal/topology"
 )
 
 // BenchmarkServeRouteCold measures the full serving hot path on a cache
@@ -146,6 +149,80 @@ func BenchmarkServeRouteCached(b *testing.B) {
 			b.Fatalf("status %d", rec.Code)
 		}
 	}
+}
+
+// BenchmarkServeRouteCachedTraced measures a /v1/route hit as riskrouted
+// serves one: through s.Handler(), so the traced middleware writes its
+// access line into the flight recorder riskrouted logs into at -log off,
+// with a metrics registry attached. Each hit is a raw-query index lookup.
+func BenchmarkServeRouteCachedTraced(b *testing.B) {
+	s, _ := flightServer(b)
+	h, req := s.Handler(), tracedHitRequest(b, s)
+	w := newHitWriter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.reset()
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+}
+
+// flightServer boots the Sprint test world with the logger riskrouted
+// builds at -log off (a flight recorder over a discarding handler) and a
+// metrics registry, and returns it with its recorder.
+func flightServer(tb testing.TB) (*Server, *obs.FlightRecorder) {
+	tb.Helper()
+	flight := obs.NewFlightRecorder(0)
+	s, err := New(Config{
+		Networks:      []*topology.Network{datasets.NetworkByName("Sprint")},
+		Blocks:        4000,
+		EventScale:    0.03,
+		Seed:          1,
+		Metrics:       obs.NewRegistry(),
+		Logger:        slog.New(flight.Wrap(nil)),
+		RequestIDSeed: 7,
+	})
+	if err != nil {
+		tb.Fatalf("serve.New: %v", err)
+	}
+	return s, flight
+}
+
+// tracedHitRequest returns a route request that s's handler has answered
+// once, so asking it again is a hit.
+func tracedHitRequest(tb testing.TB, s *Server) *http.Request {
+	tb.Helper()
+	net := s.bases[0].net
+	req := httptest.NewRequest(http.MethodGet, routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name), nil)
+	w := newHitWriter()
+	s.Handler().ServeHTTP(w, req)
+	if w.status != http.StatusOK {
+		tb.Fatalf("warm request: %d %s", w.status, w.body.Bytes())
+	}
+	return req
+}
+
+// hitWriter is a reusable http.ResponseWriter, so a measured hit counts
+// only what the handler allocates.
+type hitWriter struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func newHitWriter() *hitWriter { return &hitWriter{header: make(http.Header), status: http.StatusOK} }
+
+func (w *hitWriter) Header() http.Header         { return w.header }
+func (w *hitWriter) WriteHeader(code int)        { w.status = code }
+func (w *hitWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+func (w *hitWriter) reset() {
+	clear(w.header)
+	w.status = http.StatusOK
+	w.body.Reset()
 }
 
 // applyWorld is the default serving world (23 networks, 20000 census blocks,

@@ -60,7 +60,8 @@ func FuzzAdvisoryIngest(f *testing.F) {
 // untrusted surface of parseParams and the PoP lookup. Invariants: the
 // handler never panics, answers only 200, 400, 404, or 422 with a valid JSON
 // body, and repeating the query answers the same status and bytes apart from
-// "cached". A plain 200 body is byte-identical to writeJSON of its decoded
+// "cached"; the first ask runs on an emptied cache, so a repeated plain 200
+// is the raw-query index's answer to the parsed path's. A plain 200 body is byte-identical to writeJSON of its decoded
 // routeResponse, and the route obeys Equations 3, 5, and 6: both legs' costs
 // are finite and non-negative, RiskRoute's bit-risk miles never exceed the
 // shortest path's (rr ≥ 0), and its miles are never fewer (dr ≥ 0).
@@ -87,6 +88,7 @@ func FuzzRouteQuery(f *testing.F) {
 			"lambda_h": {lambdaH}, "lambda_f": {lambdaF}, "explain": {explain}, "format": {format}}
 		req := httptest.NewRequest(http.MethodGet, "/v1/route?"+q.Encode(), nil)
 		rec := httptest.NewRecorder()
+		s.cache.Reset()
 		s.mux.ServeHTTP(rec, req)
 
 		switch rec.Code {
@@ -97,6 +99,7 @@ func FuzzRouteQuery(f *testing.F) {
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("status %d for %s: body is not JSON: %q", rec.Code, q.Encode(), rec.Body.Bytes())
 		}
+		rawHits, _ := s.cache.raw.Stats()
 		again := httptest.NewRecorder()
 		s.mux.ServeHTTP(again, httptest.NewRequest(http.MethodGet, "/v1/route?"+q.Encode(), nil))
 		uncached := func(b []byte) string { return strings.ReplaceAll(string(b), `"cached": true`, `"cached": false`) }
@@ -109,6 +112,9 @@ func FuzzRouteQuery(f *testing.F) {
 		}
 		if !bytes.HasSuffix(again.Body.Bytes(), []byte(`"cached": `+cachedTrue)) {
 			t.Fatalf("repeated %s missed the cache:\n%s", q.Encode(), again.Body.Bytes())
+		}
+		if h, _ := s.cache.raw.Stats(); h != rawHits+1 {
+			t.Fatalf("repeated %s was not answered from the raw-query index", q.Encode())
 		}
 		var resp routeResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {

@@ -116,13 +116,23 @@ func writeBody(w http.ResponseWriter, body []byte) {
 	w.Write(body)
 }
 
+// writeHit answers from a stored body.
+func (s *Server) writeHit(w http.ResponseWriter, body []byte) {
+	s.tel.cacheHits.Inc()
+	scopeCacheHit(w, true)
+	writeBody(w, body)
+}
+
 // writeMiss completes an appended body (jsonbody.go), stores its cached form
-// under key and writes its miss form. The stored body gets its own backing
-// array: every later hit shares it, so it is never written again.
-func (s *Server) writeMiss(w http.ResponseWriter, key cacheKey, body []byte) {
+// under key, writes its miss form and returns the cached form. The stored
+// body gets its own backing array: every later hit shares it, so it is
+// never written again.
+func (s *Server) writeMiss(w http.ResponseWriter, key cacheKey, body []byte) []byte {
 	hit := make([]byte, 0, len(body)+len(cachedTrue))
-	s.cache.Put(key, append(append(hit, body...), cachedTrue...))
+	hit = append(append(hit, body...), cachedTrue...)
+	s.cache.keyed.Put(key, hit)
 	writeBody(w, append(body, cachedFalse...))
+	return hit
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -232,12 +242,22 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 // routeImpl is the route endpoint body. explainCapable=false serves the
 // explain-free hot path unconditionally — the paired overhead benchmark
 // drives it as the baseline against the production handler.
+//
+// A query text answered before at this generation is served from the raw
+// index without parsing; any other text is parsed, answered from the keyed
+// index or computed, and then filed under its text too, unless it asks for
+// attribution.
 func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapable bool) {
 	if s.deadlineExceeded(w, r) {
 		return
 	}
 	snap := s.snap.Load()
 	scopeGeneration(w, snap.gen)
+	raw := rawKey{gen: snap.gen, kind: kindRoute, query: r.URL.RawQuery}
+	if body, ok := s.cache.raw.Get(raw); ok {
+		s.writeHit(w, body)
+		return
+	}
 	q := r.URL.Query()
 	st := s.lookupNet(w, q, snap)
 	if st == nil {
@@ -254,7 +274,11 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	if !ok {
 		return
 	}
-	explain := explainCapable && wantExplain(q)
+	// An attribution query stays out of the raw index even when the
+	// explain-free variant answers it plainly: the production handler reads
+	// the same index and must explain it.
+	attribution := wantExplain(q)
+	explain := explainCapable && attribution
 
 	key := cacheKey{gen: snap.gen, kind: kindRoute, network: st.net.Name,
 		src: src, dst: dst, lambdaH: params.LambdaH, lambdaF: params.LambdaF}
@@ -262,10 +286,11 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	// carries no attribution, and attribution bodies are too large to be
 	// worth displacing plain routes.
 	if !explain {
-		if body, ok := s.cache.Get(key); ok {
-			s.tel.cacheHits.Inc()
-			scopeCacheHit(w, true)
-			writeBody(w, body)
+		if body, ok := s.cache.keyed.Get(key); ok {
+			if !attribution {
+				s.cache.putRaw(raw, body)
+			}
+			s.writeHit(w, body)
 			return
 		}
 		s.tel.cacheMisses.Inc()
@@ -283,7 +308,10 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 		return
 	}
 	if !explain {
-		s.writeMiss(w, key, appendRouteBody(make([]byte, 0, routeBodyCap), snap, st, src, dst, params, rr, sp))
+		body := s.writeMiss(w, key, appendRouteBody(make([]byte, 0, routeBodyCap), snap, st, src, dst, params, rr, sp))
+		if !attribution {
+			s.cache.putRaw(raw, body)
+		}
 		return
 	}
 	resp := &routeResponse{
@@ -336,6 +364,11 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.snap.Load()
 	scopeGeneration(w, snap.gen)
+	raw := rawKey{gen: snap.gen, kind: kindRatio, query: r.URL.RawQuery}
+	if body, ok := s.cache.raw.Get(raw); ok {
+		s.writeHit(w, body)
+		return
+	}
 	q := r.URL.Query()
 	st := s.lookupNet(w, q, snap)
 	if st == nil {
@@ -348,10 +381,9 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 
 	key := cacheKey{gen: snap.gen, kind: kindRatio, network: st.net.Name,
 		src: -1, dst: -1, lambdaH: params.LambdaH, lambdaF: params.LambdaF}
-	if body, ok := s.cache.Get(key); ok {
-		s.tel.cacheHits.Inc()
-		scopeCacheHit(w, true)
-		writeBody(w, body)
+	if body, ok := s.cache.keyed.Get(key); ok {
+		s.cache.putRaw(raw, body)
+		s.writeHit(w, body)
 		return
 	}
 	s.tel.cacheMisses.Inc()
@@ -361,7 +393,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "engine build failed: %v", err)
 		return
 	}
-	s.writeMiss(w, key, appendRatioBody(make([]byte, 0, ratioBodyCap), snap.gen, st, params, eng.Evaluate()))
+	s.cache.putRaw(raw, s.writeMiss(w, key, appendRatioBody(make([]byte, 0, ratioBodyCap), snap.gen, st, params, eng.Evaluate())))
 }
 
 func (s *Server) handlePoPs(w http.ResponseWriter, r *http.Request) {

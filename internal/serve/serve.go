@@ -26,9 +26,11 @@
 // with 429 and a Retry-After header, so overload sheds load instead of
 // queueing unboundedly. A request that reaches engine work more than
 // RequestTimeout after its arrival, queue wait included, gets 503. Route
-// and ratio answers land, as finished response bodies, in an LRU cache
-// keyed by (generation, network, query), so a repeated query is one write
-// of stored bytes. Because the generation is part of the key, a snapshot
+// and ratio answers land, as finished response bodies, in a result cache
+// indexed twice: by (generation, endpoint, raw query text), so a repeated
+// text is one write of stored bytes before any parsing, and by
+// (generation, network, parsed query), so texts that parse alike share
+// one answer. Because the generation is part of both keys, a snapshot
 // swap implicitly invalidates every cached result, and in-flight requests
 // on the old snapshot cannot poison the new generation.
 package serve
@@ -93,8 +95,8 @@ type Config struct {
 	MaxInFlight    int
 	QueueTimeout   time.Duration
 	RequestTimeout time.Duration
-	// CacheSize is the result cache's entry capacity (default 4096;
-	// negative disables caching).
+	// CacheSize is the entry capacity of each of the result cache's two
+	// indexes (default 4096; negative disables caching).
 	CacheSize int
 
 	// RequestIDSeed seeds the request-ID generator: non-zero pins the exact
@@ -308,7 +310,7 @@ type Server struct {
 
 	sem      chan struct{}
 	inflight atomic.Int64 // admitted requests currently executing
-	cache    *lru
+	cache    resultCache
 	ready    atomic.Bool
 	draining atomic.Bool
 
@@ -338,21 +340,18 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Networks) == 0 {
 		return nil, fmt.Errorf("serve: no networks to serve")
 	}
+	// The bases below are built in cfg.Networks' order; indexing the names
+	// first fails a repeated one before the fit.
+	nets, err := networkIndex(cfg.Networks)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:  cfg,
 		tel:  newServeObs(cfg.Metrics),
 		lg:   obs.LoggerOrNop(cfg.Logger),
 		rm:   forecast.DefaultRiskModel(),
-		nets: make(map[string]int, len(cfg.Networks)),
-	}
-	// Requests name networks, so each served name resolves to one position.
-	// The bases below are built in cfg.Networks' order; checking the names
-	// first fails a repeated one before the fit.
-	for i, net := range cfg.Networks {
-		if _, dup := s.nets[net.Name]; dup {
-			return nil, fmt.Errorf("serve: network %q is listed twice", net.Name)
-		}
-		s.nets[net.Name] = i
+		nets: nets,
 	}
 
 	warm := cfg.Trace.Child("serve-warmup")
@@ -417,7 +416,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cache = newLRU(cfg.CacheSize)
+	s.cache = newResultCache(cfg.CacheSize)
 	s.timeline = obs.NewRing[SwapEvent](timelineSize)
 	s.publish(snap, nil, SwapEvent{RebuildSeconds: time.Since(buildStart).Seconds()}, buildStart)
 
@@ -445,6 +444,20 @@ func New(cfg Config) (*Server, error) {
 		"networks", len(s.bases), "blocks", cfg.Blocks,
 		"event_scale", cfg.EventScale, "seconds", warm.Duration().Seconds())
 	return s, nil
+}
+
+// networkIndex maps each network name to its position in nets. Requests
+// name networks, so a name listed twice is an error: no request could
+// reach the second one, and no daemon boots such a corpus.
+func networkIndex(nets []*topology.Network) (map[string]int, error) {
+	index := make(map[string]int, len(nets))
+	for i, net := range nets {
+		if _, dup := index[net.Name]; dup {
+			return nil, fmt.Errorf("serve: network %q is listed twice", net.Name)
+		}
+		index[net.Name] = i
+	}
+	return index, nil
 }
 
 // fittedWorld is the full-fit pipeline's output: everything a snapshot
@@ -557,6 +570,9 @@ func BakeWorld(cfg Config) (*worldsnap.World, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Networks) == 0 {
 		return nil, fmt.Errorf("serve: no networks to bake")
+	}
+	if _, err := networkIndex(cfg.Networks); err != nil {
+		return nil, err
 	}
 	span := cfg.Trace.Child("world-bake")
 	defer span.End()
@@ -739,8 +755,9 @@ func (s *Server) publish(next, prev *snapshot, ev SwapEvent, start time.Time) Sw
 	s.prev = prev
 	// Old-generation entries can never hit again (the generation is part of
 	// every cache key); reset eagerly so their memory is reclaimed now
-	// rather than by LRU pressure.
-	ev.CacheInvalidated = s.cache.Len()
+	// rather than by LRU pressure. The event counts the distinct results
+	// dropped: the keyed entries.
+	ev.CacheInvalidated = s.cache.keyed.Len()
 	s.cache.Reset()
 	s.tel.generation.Set(float64(next.gen))
 	ev.Generation = next.gen
@@ -855,8 +872,14 @@ func (s *Server) Timeline() []SwapEvent { return s.timeline.Records() }
 // behind /v1/slo.
 func (s *Server) SLOSnapshot() obs.SLOSnapshot { return s.slo.Snapshot() }
 
-// CacheStats returns the result cache's lifetime hit/miss counters.
-func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }
+// CacheStats returns the result cache's lifetime hit/miss counters. A hit
+// in either index is one hit; a miss is a keyed miss, since a raw miss only
+// means the query text is new.
+func (s *Server) CacheStats() (hits, misses uint64) {
+	rawHits, _ := s.cache.raw.Stats()
+	hits, misses = s.cache.keyed.Stats()
+	return rawHits + hits, misses
+}
 
 // engineAt returns the engine answering queries for st at the given
 // parameters: the snapshot's shared engine at the paper's parameters,

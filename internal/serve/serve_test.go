@@ -114,6 +114,29 @@ func TestRepeatedNetworkIsConfigError(t *testing.T) {
 	}
 }
 
+// TestBakeRefusesRepeatedNetwork: a bake of a corpus no daemon can boot
+// fails with New's error, before the fit opens its span.
+func TestBakeRefusesRepeatedNetwork(t *testing.T) {
+	root := obs.NewTrace("bake")
+	world, err := BakeWorld(Config{
+		Networks: []*topology.Network{datasets.NetworkByName("Sprint"),
+			datasets.NetworkByName("Sprint")},
+		Blocks:     4000,
+		EventScale: 0.03,
+		Trace:      root,
+	})
+	if err == nil || !strings.Contains(err.Error(), `network "Sprint" is listed twice`) {
+		t.Errorf("BakeWorld with Sprint listed twice: %v, want an error naming it", err)
+	}
+	if world != nil {
+		t.Errorf("BakeWorld returned a world with %d networks", len(world.Networks))
+	}
+	snap := root.Snapshot()
+	if span := snap.Find("world-bake"); span != nil {
+		t.Errorf("BakeWorld opened %q before refusing the corpus", span.Name)
+	}
+}
+
 func TestReadyAndHealth(t *testing.T) {
 	s := testServer(t)
 	if !s.Ready() {

@@ -6,10 +6,11 @@ package serve
 // the server's generator — carried through admission, cache, and engine
 // stages as a *obs.ReqScope on the status recorder (scopeOf), and echoed
 // back as the X-Request-Id response header on every status. On the way out
-// the middleware emits one structured access-log line, feeds the SLO engine
-// (which shares the serve.request_seconds.all histogram, so latency is
-// observed once), and tail-samples slow or errored requests into the
-// bounded ring behind /debug/requests.
+// the middleware emits one structured access-log line, stamped at the
+// request's end, feeds the SLO engine (which shares the
+// serve.request_seconds.all histogram, so latency is observed once), and
+// tail-samples slow or errored requests into the bounded ring behind
+// /debug/requests.
 //
 // The per-request state — status recorder and the scope it points at —
 // lives in one pooled struct, and the request passes through unchanged, so
@@ -42,6 +43,7 @@ func (s *Server) traced(next http.Handler) http.Handler {
 	// One Enabled probe at construction: the logger's level does not change
 	// over the server's life, and the check is off the per-request path.
 	logAccess := s.lg.Enabled(context.Background(), slog.LevelInfo)
+	access := s.lg.Handler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		// Direct map access skips textproto canonicalization; net/http has
@@ -69,7 +71,12 @@ func (s *Server) traced(next http.Handler) http.Handler {
 		status := ts.status
 		s.slo.RecordAt(end, dur, status >= 500)
 		if logAccess {
-			s.lg.LogAttrs(context.Background(), slog.LevelInfo, "request",
+			// The record is built here rather than by Logger.LogAttrs: it is
+			// stamped at end, which the middleware holds, and carries no PC
+			// (no handler sets AddSource), so the line costs neither a clock
+			// read nor a runtime.Callers walk.
+			rec := slog.NewRecord(end, slog.LevelInfo, "request", 0)
+			rec.AddAttrs(
 				slog.String("id", id),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
@@ -78,6 +85,8 @@ func (s *Server) traced(next http.Handler) http.Handler {
 				slog.Bool("cache_hit", ts.rs.CacheHit),
 				slog.Duration("queue_wait", ts.rs.QueueWait),
 				slog.Duration("duration", dur))
+			// As in Logger.LogAttrs, a handler's error has nowhere to go.
+			_ = access.Handle(context.Background(), rec)
 		}
 		if status >= 400 || dur >= s.cfg.SlowRequest {
 			s.reqs.Add(obs.ReqRecord{

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -310,4 +312,54 @@ func TestRequestStateRidesStatusRecorder(t *testing.T) {
 	if want := fmt.Sprintf("id=%s gen=%d cache=hit queue=", id, srv.Generation()); !strings.Contains(page.Body.String(), want) {
 		t.Fatalf("/debug/requests lacks %q:\n%s", want, page.Body.String())
 	}
+}
+
+// TestAccessLineStampedAtEnd: a traced hit leaves one flight-recorder line
+// with the access line's fields, order and text, stamped at the end that
+// instrument left on the status recorder.
+func TestAccessLineStampedAtEnd(t *testing.T) {
+	s, flight := flightServer(t)
+	req := tracedHitRequest(t, s)
+	s.cfg.SlowRequest = time.Nanosecond // sample the hit too
+	var end time.Time
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.mux.ServeHTTP(w, r)
+		end = w.(*statusWriter).end
+	})
+	before := len(flight.Records())
+	w := newHitWriter()
+	s.traced(inner).ServeHTTP(w, req)
+	lines := flight.Records()
+	if len(lines) != before+1 {
+		t.Fatalf("a traced hit left %d flight-recorder lines, want 1: %q", len(lines)-before, lines[before:])
+	}
+	samples := s.reqs.Records()
+	got := samples[len(samples)-1]
+	if got.ID != w.header.Get("X-Request-Id") || !got.CacheHit {
+		t.Fatalf("sampled %+v, want the hit %s", got, w.header.Get("X-Request-Id"))
+	}
+	want := fmt.Sprintf("%s INFO request id=%s method=GET path=/v1/route status=200 generation=%d cache_hit=true queue_wait=0s duration=%v",
+		end.UTC().Format(time.RFC3339Nano), got.ID, s.Generation(), got.Duration)
+	if line := lines[before]; line != want {
+		t.Errorf("access line\n%s\nwant\n%s", line, want)
+	}
+
+	// The record itself carries end and no PC.
+	capture := &recordCapture{}
+	s.lg = slog.New(capture)
+	s.traced(inner).ServeHTTP(newHitWriter(), req)
+	if len(capture.recs) != 1 || capture.recs[0].PC != 0 || !capture.recs[0].Time.Equal(end) {
+		t.Errorf("access records %+v, want one at %v with PC 0", capture.recs, end)
+	}
+}
+
+// recordCapture is a slog.Handler keeping every record it is handed.
+type recordCapture struct{ recs []slog.Record }
+
+func (c *recordCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (c *recordCapture) WithAttrs([]slog.Attr) slog.Handler       { return c }
+func (c *recordCapture) WithGroup(string) slog.Handler            { return c }
+func (c *recordCapture) Handle(_ context.Context, r slog.Record) error {
+	c.recs = append(c.recs, r.Clone())
+	return nil
 }
