@@ -24,21 +24,40 @@
 // # Goal-directed point queries
 //
 // A point query runs one search toward its target (A*): it pops each PoP
-// by its label plus a lower bound on its remaining cost, the chord between
-// the PoP's and the target's positions on the sphere plus α·(ρ_v + ρ_t)/2
-// (pairBound). Link miles are great-circle distances, never shorter than
-// the chord, and each hop's risk is at least half its endpoints' ρ sum, so
-// the bound is consistent and the search settles fewer PoPs (Level3's mean
-// is 68 of 233 against the plain search's 116). Its answer is the plain
-// early-exit search's bit for bit: it keeps popping until every entry
-// whose priority does not exceed the target's label (widened by a
+// by its label plus a lower bound on its remaining cost (pairBound), built
+// from two rows kept per target j: d0[v], the α = 0 (miles) distance from
+// v to j, and ri[v], the least sum of historical risk o_h over the PoPs
+// strictly between v and j. The bound is
+//
+//	d0[v] + α·(λ_h·ri[v] + (ρ_v + ρ_j)/2)
+//
+// less a relative 1e-9, 0 at j and +Inf where j is unreachable. Each hop's
+// risk r_e is at least half its endpoints' ρ sum, so a path's risk is at
+// least (ρ_v + ρ_j)/2 plus the ρ of its interior PoPs, and each ρ =
+// λ_h·o_h + λ_f·o_f is at least λ_h·o_h; the miles and the interior o_h
+// are each at least their least value over all paths. So the bound never
+// exceeds a path's cost, and since d0 and ri obey the triangle inequality
+// across every link it is consistent too. The search settles far fewer
+// PoPs: on perfbench's world Level3's mean at the paper's λ is 16.6 of 233,
+// against 66.8 for the chord bound it replaced and 52.8 for d0 alone; the
+// interior-risk row is what steers a risk-averse route. Its answer is the
+// plain early-exit search's bit for bit: it keeps popping until every
+// entry whose priority does not exceed the target's label (widened by a
 // relative 1e-9) is settled, and a relaxation that ties a label sends the
 // pair back to the plain search, counted in core.route.fallbacks_total,
 // because only the plain search's settle order says which of two equal
-// arcs it keeps. The bound reads only the lineage's PoP positions (3
-// floats per PoP) and the engine's ρ, so nothing is kept per target: a
-// per-target table, such as each target's α = 0 distances, would guide as
-// well but grow every engine that answers queries by up to N² floats.
+// arcs it keeps.
+//
+// A target's rows are filled on the lineage's first query toward it, by
+// two full sweeps of the lineage's unmasked adjacency (an α = 0 Sweep, and
+// a SweepEntering that charges each PoP's o_h), and kept as float32s
+// rounded toward −∞: 8 bytes per PoP per target, about 0.55 MiB for every
+// target of all 23 built-in networks. Nothing is computed before a query,
+// so building, repricing or swapping an engine fills no row. Every engine
+// Reprice derives over the lineage's own Hist slice shares the rows (d0
+// reads only topology and miles, ri only o_h); a reprice over another
+// Hist starts an empty store. A WithoutLinks view keeps them, since a
+// failed link only lengthens paths. New and WithLink start their own.
 //
 // The α = 0 geographic path behind ShortestPair (the baseline of Equations
 // 5 and 6) depends only on topology and link miles. So instead of
@@ -50,12 +69,12 @@
 // An engine's answers never change once built, so its query methods are
 // safe for concurrent callers. Reprice derives an engine for a new risk
 // context over the same network: it shares the adjacency's topology, the
-// link miles, the PoP positions and the α = 0 trees, and recomputes only
-// the O(N+E) risk side; a context over the lineage's own fractions and no
-// Impact override also keeps its α range and buckets. New and WithLink
-// start a store of their own. WithoutLinks derives one whose searches run
-// on a masked view of the adjacency without failed links; it keeps no
-// trees and routes each shortest path with the guided search at α = 0.
+// link miles and the α = 0 trees, and recomputes only the O(N+E) risk
+// side; a context over the lineage's own fractions and no Impact override
+// also keeps its α range and buckets. New and WithLink start a store of
+// their own. WithoutLinks derives one whose searches run on a masked view
+// of the adjacency without failed links; it keeps no trees and routes each
+// shortest path with the guided search at α = 0.
 package core
 
 import (
@@ -66,7 +85,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"riskroute/internal/geo"
 	"riskroute/internal/graph"
 	"riskroute/internal/obs"
 	"riskroute/internal/parallel"
@@ -143,8 +161,8 @@ func newEngineObs(r *obs.Registry) engineObs {
 }
 
 // Engine answers RiskRoute queries for one risk context. Its answers never
-// change once built (only its lineage's α = 0 tree store fills), so its
-// query methods are safe for concurrent callers.
+// change once built (only its lineage's tree and bound-row stores fill),
+// so its query methods are safe for concurrent callers.
 type Engine struct {
 	// Ctx is the context the engine was built for. The engine snapshots
 	// the context's risk vectors (ρ per PoP, span and r_e per link) at
@@ -157,10 +175,10 @@ type Engine struct {
 
 	// Topology-invariant state, shared by every engine Reprice derives.
 	miles       []float64      // line-of-sight miles m_e, index-aligned with Net.Links
-	pos         []float64      // PoP v's position on the sphere at [3v, 3v+3), for the chord bound
 	components  int            // connected components of the topology (1 when whole)
 	unreachable int            // unordered PoP pairs split across components
 	trees       *shortestTrees // α = 0 trees per source; nil on a WithoutLinks view
+	rows        *boundRows     // per-target bound rows; shared while Hist is the lineage's
 
 	// Risk state, recomputed per context.
 	adj  *graph.Affine // Net.Links as CSR: base m_e, slope r_e
@@ -179,13 +197,14 @@ func New(ctx *risk.Context, opts Options) (*Engine, error) {
 }
 
 // Reprice builds an engine for ctx that shares e's topology-invariant
-// state — the adjacency's structure, the link miles, the PoP positions and
+// state — the adjacency's structure, the link miles, the α = 0 trees and
 // the component census — and recomputes only the risk side, in O(N+E).
 // When neither context has an Impact override, ctx carries e's own
 // Fractions slice and opts the same AlphaBuckets, as every advisory swap
-// and custom-λ query does, the α range and buckets are e's too. ctx.Net
-// must be e's own network (the same *topology.Network, unmodified). The
-// result is identical to New(ctx, opts).
+// and custom-λ query does, the α range and buckets are e's too; when ctx
+// carries e's own Hist slice, as those do, so are the per-target bound
+// rows. ctx.Net must be e's own network (the same *topology.Network,
+// unmodified). The result is identical to New(ctx, opts).
 func (e *Engine) Reprice(ctx *risk.Context, opts Options) (*Engine, error) {
 	if ctx.Net != e.Ctx.Net {
 		return nil, fmt.Errorf("core: Reprice needs the engine's own network %q", e.Ctx.Net.Name)
@@ -238,9 +257,14 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 		}
 	}
 	if shared != nil {
-		e.miles, e.pos, e.components, e.unreachable = shared.miles, shared.pos, shared.components, shared.unreachable
+		e.miles, e.components, e.unreachable = shared.miles, shared.components, shared.unreachable
 		e.trees = shared.trees
 		e.adj = shared.adj.WithSlopes(r)
+		if e.rows = shared.rows; &ctx.Hist[0] != &shared.Ctx.Hist[0] {
+			// The rows sum the lineage's o_h: another Hist starts an empty
+			// store over the same unmasked adjacency.
+			e.rows = &boundRows{adj: shared.rows.adj}
+		}
 	} else {
 		e.miles = make([]float64, len(links))
 		edges := make([]graph.Edge, len(links))
@@ -248,16 +272,10 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 			e.miles[li] = ctx.Net.LinkMiles(l)
 			edges[li] = graph.Edge{U: l.A, V: l.B, Weight: e.miles[li]}
 		}
-		e.pos = make([]float64, 0, 3*n)
-		for _, p := range ctx.Net.PoPs {
-			sinLat, cosLat := math.Sincos(geo.DegToRad(p.Location.Lat))
-			sinLon, cosLon := math.Sincos(geo.DegToRad(p.Location.Lon))
-			ring := geo.EarthRadiusMiles * cosLat // radius of the PoP's circle of latitude
-			e.pos = append(e.pos, ring*cosLon, ring*sinLon, geo.EarthRadiusMiles*sinLat)
-		}
 		e.adj = graph.NewAffine(n, edges, r)
 		e.components, e.unreachable = census(e.adj)
 		e.trees = new(shortestTrees)
+		e.rows = &boundRows{adj: e.adj}
 	}
 
 	// Fragmented topologies (a lenient parse can keep them) still route
@@ -289,11 +307,12 @@ func build(shared *Engine, ctx *risk.Context, opts Options) (*Engine, error) {
 
 // WithoutLinks returns an engine with the given links (indices into
 // Ctx.Net.Links) failed, in O(N+E): it shares everything with e but a
-// masked adjacency and its component census, and it keeps no α = 0 trees,
-// since e's may cross a failed link. Its searches and census, and those of
-// engines Reprice derives from it, see only the surviving links; what
-// reads Ctx.Net itself (ExportOSPFWeights, WithLink and so
-// GreedyAdditionalLinks) still sees every link.
+// masked adjacency and its component census. It keeps no α = 0 trees,
+// since e's may cross a failed link, but keeps e's bound rows, which a
+// failed link cannot invalidate: it only lengthens paths. Its searches and
+// census, and those of engines Reprice derives from it, see only the
+// surviving links; what reads Ctx.Net itself (ExportOSPFWeights, WithLink
+// and so GreedyAdditionalLinks) still sees every link.
 func (e *Engine) WithoutLinks(disabled []int) (*Engine, error) {
 	for _, li := range disabled {
 		if li < 0 || li >= len(e.miles) {
@@ -448,9 +467,12 @@ func (e *Engine) ShortestPair(i, j int) PairResult {
 // route searches i→j under weights m_e + alpha·r_e and prices the path at
 // the pair's own α. The search is goal-directed (graph.Affine.RouteGuided,
 // steered by pairBound), and its answer is the unguided search's bit for
-// bit.
+// bit; a pair the bound rows mark unreachable answers without a search.
 func (e *Engine) route(i, j int, alpha float64) PairResult {
 	b := e.pairBound(j, alpha)
+	if math.IsInf(b.at(i), 1) {
+		return e.price(i, j, nil, nil)
+	}
 	s, fellBack := e.adj.RouteGuided(i, j, alpha, b.at)
 	defer s.Release()
 	if fellBack {
@@ -459,33 +481,27 @@ func (e *Engine) route(i, j int, alpha float64) PairResult {
 	return e.price(i, j, s.PathTo(j), s.Via)
 }
 
-// Margins of pairBound. boundRel absorbs the relative rounding of the
-// chord, the haversine link miles and the risk products; boundAbs absorbs
-// the chord's cancellation between near-co-located PoPs, whose error is a
-// few units in 2^53 of the Earth's radius, not of the chord.
-const (
-	boundRel = 1e-9
-	boundAbs = 1e-9 * geo.EarthRadiusMiles
-)
+// boundRel is pairBound's relative margin: it absorbs the rounding of the
+// float sums along paths and of the bound's own products, each a few units
+// in 2^53.
+const boundRel = 1e-9
 
 // pairBound is a lower bound on node v's remaining cost to target j at
-// impact α: the chord |P_v − P_j| between the PoPs' positions plus
-// α·(ρ_v + ρ_j)/2, less the margins, and 0 at j. Every link's miles are the
-// great-circle distance of its endpoints, never shorter than the chord,
-// and every slope r_e is at least half its endpoints' ρ sum, so the bound
-// is consistent: the chord obeys the triangle inequality, and the ρ of a
-// path's interior nodes only adds. A masked view only lengthens paths, so
-// the bound holds there too. It reads only the lineage's positions and
-// the engine's ρ, so a query keeps no per-target state.
+// impact α, read from j's bound rows: d0[v] + α·(λ_h·ri[v] + (ρ_v + ρ_j)/2)
+// less boundRel, 0 at j and +Inf where j is unreachable (never NaN, which
+// d0 = +Inf would give through Inf − Inf and 0·Inf). See the package
+// comment for why it is admissible and consistent; a masked view only
+// lengthens paths, so the lineage's rows bound there too.
 type pairBound struct {
-	pos, rho             []float64
-	j                    int
-	tx, ty, tz, half, rt float64
+	row                []boundEntry
+	rho                []float64
+	j                  int
+	alpha, lambdaH, rj float64
 }
 
 func (e *Engine) pairBound(j int, alpha float64) pairBound {
-	return pairBound{pos: e.pos, rho: e.rho, j: j,
-		tx: e.pos[3*j], ty: e.pos[3*j+1], tz: e.pos[3*j+2], half: alpha / 2, rt: e.rho[j]}
+	return pairBound{row: e.boundRow(j), rho: e.rho, j: j,
+		alpha: alpha, lambdaH: e.Ctx.Params.LambdaH, rj: e.rho[j]}
 }
 
 // at returns the bound at node v.
@@ -493,9 +509,66 @@ func (b *pairBound) at(v int) float64 {
 	if v == b.j {
 		return 0
 	}
-	dx, dy, dz := b.pos[3*v]-b.tx, b.pos[3*v+1]-b.ty, b.pos[3*v+2]-b.tz
-	h := math.Sqrt(dx*dx+dy*dy+dz*dz) + b.half*(b.rho[v]+b.rt)
-	return h - h*boundRel - boundAbs
+	r := b.row[v]
+	if math.IsInf(float64(r.d0), 1) {
+		return math.Inf(1)
+	}
+	h := float64(r.d0) + b.alpha*(b.lambdaH*float64(r.ri)+(b.rho[v]+b.rj)/2)
+	return h - h*boundRel
+}
+
+// boundRows holds an engine lineage's bound rows, one per target, each
+// filled on the first query toward it. The slot array is allocated on
+// first use, so an engine that routes no pair holds none of it.
+type boundRows struct {
+	adj   *graph.Affine // the lineage's unmasked adjacency, which fills sweep
+	once  sync.Once
+	slots []atomic.Pointer[[]boundEntry] // slot j: target j's row, nil until filled
+}
+
+// boundEntry is one PoP's entry in a target's row: d0, its α = 0 distance
+// to the target, and ri, the least historical risk Σ o_h over the PoPs
+// strictly between, each rounded toward −∞ to float32 (+Inf both where the
+// target is unreachable).
+type boundEntry struct{ d0, ri float32 }
+
+// boundRow returns target j's row from the lineage's store, filling it on
+// the first query toward j with two sweeps from j: one at α = 0, and one
+// that charges each PoP entered its o_h, whose label at v less o_h(v) is
+// ri[v]. Concurrent first queries toward j may each fill; their rows are
+// identical.
+func (e *Engine) boundRow(j int) []boundEntry {
+	r := e.rows
+	r.once.Do(func() { r.slots = make([]atomic.Pointer[[]boundEntry], e.N()) })
+	slot := &r.slots[j]
+	if row := slot.Load(); row != nil {
+		return *row
+	}
+	row := make([]boundEntry, e.N())
+	s := r.adj.Sweep(j, 0)
+	for v, d := range s.Dist {
+		row[v].d0 = down32(d)
+	}
+	s.Release()
+	hist := e.Ctx.Hist
+	s = r.adj.SweepEntering(j, hist)
+	for v, d := range s.Dist {
+		if v != j {
+			row[v].ri = down32(d - hist[v])
+		}
+	}
+	s.Release()
+	slot.Store(&row)
+	return row
+}
+
+// down32 rounds x to the largest float32 not above it.
+func down32(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
 }
 
 // price prices path, which enters each node v after the first by link

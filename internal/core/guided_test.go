@@ -156,7 +156,7 @@ func TestPairPropertiesAcrossLambda(t *testing.T) {
 
 // nearNet is a small network with two PoPs 1e-7° apart and two at the
 // same position, each pair joined by a link, inside a ring of ordinary
-// PoPs: the chord between the near pair cancels to a few significant bits.
+// PoPs: remaining costs of a few millionths of a mile, and of zero.
 func nearNet() *risk.Context {
 	net := &topology.Network{Name: "Near", Tier: topology.Regional}
 	pts := []geo.Point{
@@ -179,10 +179,10 @@ func nearNet() *risk.Context {
 	return &risk.Context{Net: net, Hist: hist, Fractions: fractions, Params: risk.PaperParams()}
 }
 
-// TestPairBoundAdmissible requires the bound to stay at or below every
-// node's true remaining cost (a full sweep from the target; the network is
-// undirected) on the near-co-located fixture, at α = 0, at each pair's α
-// and at a large α, and every pair to route as the unguided search does.
+// TestPairBoundAdmissible requires the bound rows to stay at or below
+// every node's true remaining cost (checkRows) on the near-co-located
+// fixture, at α = 0, at each pair's α and at a large α, and every pair to
+// route as the unguided search does.
 // The bound's risk term needs every ρ ≥ 0, so New must refuse a context
 // that would give the interior PoP 5 a negative ρ through a negative
 // forecast entry while every link's risk stays non-negative.
@@ -202,20 +202,8 @@ func TestPairBoundAdmissible(t *testing.T) {
 	if d := e.miles[1]; d != 0 {
 		t.Fatalf("co-located pair is %v miles apart", d)
 	}
-	n := e.N()
-	for j := 0; j < n; j++ {
-		for _, alpha := range []float64{0, ctx.Alpha(0, j), 50} {
-			b := e.pairBound(j, alpha)
-			s := e.adj.Sweep(j, alpha)
-			for v := 0; v < n; v++ {
-				if h := b.at(v); h > s.Dist[v] {
-					t.Errorf("bound(%d → %d) at α %g = %v exceeds the remaining cost %v", v, j, alpha, h, s.Dist[v])
-				}
-			}
-			s.Release()
-		}
-	}
-	for _, p := range allPairs(n) {
+	checkRows(t, "near", e)
+	for _, p := range allPairs(e.N()) {
 		if got, want := e.RiskRoutePair(p[0], p[1]), plainPair(e, p[0], p[1]); !samePair(got, want) {
 			t.Errorf("RiskRoutePair%v = %+v, unguided %+v", p, got, want)
 		}

@@ -312,6 +312,42 @@ func (a *Affine) Sweep(src int, alpha float64) *Search {
 	return s
 }
 
+// SweepEntering computes single-source shortest paths from src in which an
+// arc costs cost[v] of the node v it enters, whatever its edge's weights:
+// Dist[v] is the least sum of cost over the nodes of a src→v path but src.
+// Masked edges join nothing. cost must hold a finite, non-negative value
+// per node. Like Sweep, it runs on pooled scratch space and allocates
+// nothing once the pool is warm.
+func (a *Affine) SweepEntering(src int, cost []float64) *Search {
+	if src < 0 || src >= a.n {
+		panic("graph: search source out of range")
+	}
+	s := searchPool.Get().(*Search)
+	s.reset(a.n, src)
+	dist, prev, via := s.Dist, s.Prev, s.Via
+	dist[src] = 0
+	s.h.push(src, 0)
+	for s.h.len() > 0 {
+		u, d := s.h.pop()
+		if d > dist[u] {
+			continue // stale entry
+		}
+		s.Order = append(s.Order, int32(u))
+		for _, e := range a.arcs[a.start[u]:a.start[u+1]] {
+			if e.masked() {
+				continue
+			}
+			if nd := d + cost[e.to]; nd < dist[e.to] {
+				dist[e.to] = nd
+				prev[e.to] = int32(u)
+				via[e.to] = e.edge
+				s.h.push(int(e.to), nd)
+			}
+		}
+	}
+	return s
+}
+
 // closeSlack is the relative margin by which a guided search's close test
 // exceeds the target's label: far above the rounding a float sum along a
 // path of up to millions of hops can lose (about one unit in 2^53 per hop),

@@ -405,6 +405,77 @@ func TestRouteGuidedMatchesRoute(t *testing.T) {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// TestSweepEnteringMatchesBruteForce holds SweepEntering to Bellman-Ford
+// over the surviving edges, on random multigraphs with parallel edges and
+// masked views, with node costs that are integers (so equal-cost paths are
+// common) or reals, zeros included: every label bit for bit, each reached
+// node's label its predecessor's plus its own cost, Via naming a surviving
+// edge that joins the two, Order a valid settle order. The edges' weights
+// must play no part.
+func TestSweepEnteringMatchesBruteForce(t *testing.T) {
+	prop := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		n := 2 + rng.Intn(30)
+		edges, slopes := randomAffineEdges(rng, n, seed%3 == 0)
+		deadEdges, deadNodes := randomMask(rng, n, len(edges))
+		if seed%4 == 0 {
+			deadEdges, deadNodes = nil, nil
+		}
+		full := NewAffine(n, edges, slopes)
+		view := full.Without(deadEdges, deadNodes)
+		_, alive := survivorGraph(n, edges, slopes, 0, deadEdges, deadNodes)
+		cost := make([]float64, n)
+		for v := range cost {
+			if seed%2 == 0 {
+				cost[v] = float64(rng.Intn(3))
+			} else {
+				cost[v] = 1e-3 * rng.Float64() * float64(rng.Intn(2))
+			}
+		}
+		reslope := make([]float64, len(edges))
+		for e := range reslope {
+			reslope[e] = 7 * rng.Float64()
+		}
+		for src := 0; src < n; src++ {
+			want := make([]float64, n)
+			for v := range want {
+				want[v] = Inf
+			}
+			want[src] = 0
+			for changed := true; changed; {
+				changed = false
+				for e, ed := range edges {
+					for _, uv := range [][2]int{{ed.U, ed.V}, {ed.V, ed.U}} {
+						if d := want[uv[0]] + cost[uv[1]]; alive[e] && d < want[uv[1]] {
+							want[uv[1]], changed = d, true
+						}
+					}
+				}
+			}
+			s := view.SweepEntering(src, cost)
+			ok := validVia(s, edges) && validOrder(s)
+			for v, d := range s.Dist {
+				ok = ok && sameBits(d, want[v])
+				if p := s.Prev[v]; p >= 0 {
+					ok = ok && alive[s.Via[v]] && sameBits(d, s.Dist[p]+cost[v])
+				}
+			}
+			other := view.WithSlopes(reslope).SweepEntering(src, cost)
+			ok = ok && reflect.DeepEqual(other.ShortestTree, s.ShortestTree) && reflect.DeepEqual(other.Via, s.Via)
+			other.Release()
+			s.Release()
+			if !ok {
+				t.Logf("seed %d: SweepEntering from %d differs", seed, src)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAffinePanics(t *testing.T) {
 	one := []Edge{{U: 0, V: 1, Weight: 1}}
 	for name, fn := range map[string]func(){
@@ -421,6 +492,7 @@ func TestAffinePanics(t *testing.T) {
 		"route target":    func() { NewAffine(2, one, []float64{0}).Route(0, 2, 1) },
 		"guided target":   func() { NewAffine(2, one, []float64{0}).RouteGuided(0, -1, 1, func(int) float64 { return 0 }) },
 		"sweep source":    func() { NewAffine(2, one, []float64{0}).Sweep(-1, 1) },
+		"entering source": func() { NewAffine(2, one, []float64{0}).SweepEntering(2, []float64{0, 0}) },
 	} {
 		func() {
 			defer func() {

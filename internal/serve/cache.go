@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,19 +75,21 @@ func (c resultCache) Reset() {
 
 // lru is a small mutex-guarded LRU from a key to a finished response body.
 // A stored body is shared by every hit that serves it, so nothing may write
-// to it after Put. A nil *lru (caching disabled) is inert.
+// to it after Put. A nil *lru (caching disabled) is inert. The recency list
+// runs through the entries themselves, so a Put allocates one object.
 type lru[K comparable] struct {
 	mu    sync.Mutex
 	max   int
-	ll    *list.List // front = most recent
-	items map[K]*list.Element
+	root  lruEntry[K] // sentinel: root.next is the most recent entry, root.prev the least
+	items map[K]*lruEntry[K]
 
 	hits, misses atomic.Uint64
 }
 
 type lruEntry[K comparable] struct {
-	key K
-	val []byte
+	prev, next *lruEntry[K]
+	key        K
+	val        []byte
 }
 
 // newLRU returns the keyed index: newLRUOf over cacheKey.
@@ -100,7 +101,22 @@ func newLRUOf[K comparable](max int) *lru[K] {
 	if max < 0 {
 		return nil
 	}
-	return &lru[K]{max: max, ll: list.New(), items: make(map[K]*list.Element)}
+	c := &lru[K]{max: max, items: make(map[K]*lruEntry[K])}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
+}
+
+func (el *lruEntry[K]) unlink() { el.prev.next, el.next.prev = el.next, el.prev }
+
+// toFront links el in as the most recent entry, unlinking it first when
+// it is already listed.
+func (c *lru[K]) toFront(el *lruEntry[K]) {
+	if el.next != nil {
+		el.unlink()
+	}
+	el.prev, el.next = &c.root, c.root.next
+	c.root.next.prev = el
+	c.root.next = el
 }
 
 // Get returns the cached value for k, marking it most recently used.
@@ -115,9 +131,9 @@ func (c *lru[K]) Get(k K) ([]byte, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
+	c.toFront(el)
 	c.hits.Add(1)
-	return el.Value.(*lruEntry[K]).val, true
+	return el.val, true
 }
 
 // Put inserts or refreshes k, evicting the least recently used entry when
@@ -129,15 +145,17 @@ func (c *lru[K]) Put(k K, v []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		el.Value.(*lruEntry[K]).val = v
-		c.ll.MoveToFront(el)
+		el.val = v
+		c.toFront(el)
 		return
 	}
-	c.items[k] = c.ll.PushFront(&lruEntry[K]{key: k, val: v})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry[K]).key)
+	el := &lruEntry[K]{key: k, val: v}
+	c.items[k] = el
+	c.toFront(el)
+	for len(c.items) > c.max {
+		oldest := c.root.prev
+		oldest.unlink()
+		delete(c.items, oldest.key)
 	}
 }
 
@@ -149,8 +167,8 @@ func (c *lru[K]) Reset() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[K]*list.Element)
+	c.root.prev, c.root.next = &c.root, &c.root
+	c.items = make(map[K]*lruEntry[K])
 }
 
 // Len returns the current entry count.
@@ -160,7 +178,7 @@ func (c *lru[K]) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.items)
 }
 
 // Stats returns the lifetime hit and miss counts.

@@ -100,8 +100,13 @@ func (s *Server) instrument(name string, next http.HandlerFunc) http.HandlerFunc
 	}
 }
 
+// jsonContentType is the Content-Type of every JSON answer, one slice the
+// header maps share instead of a fresh one per answer. Nothing writes to
+// it, and its len equals its cap, so a Header.Add appending to it copies.
+var jsonContentType = []string{"application/json"}
+
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -111,7 +116,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // writeBody writes a finished JSON body with status 200 in one Write: the
 // headers and bytes writeJSON writes for the document the body encodes.
 func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }

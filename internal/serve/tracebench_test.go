@@ -49,15 +49,3 @@ func benchTracedMiddleware(b *testing.B, lg *slog.Logger) {
 		h.ServeHTTP(rec, req)
 	}
 }
-
-// BenchmarkTracedMiddlewareBase is the same stub handler without the
-// middleware, for subtraction.
-func BenchmarkTracedMiddlewareBase(b *testing.B) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
-	req := httptest.NewRequest(http.MethodGet, "/x", nil)
-	rec := httptest.NewRecorder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inner.ServeHTTP(rec, req)
-	}
-}
