@@ -29,8 +29,8 @@ tier2: tier1
 # $(BENCH_NEW) (per-benchmark min/mean ns/op plus the gates below). The
 # tracing gate records the RouteWithTracingOff/On overhead ratio without a
 # bound (budget: <= 2% on the full-compute route path; see DESIGN.md §11).
-# The focused -count=10 passes tighten the noise floor on both overhead
-# pairs (min ns/op converges to the true floor as count grows).
+# The focused -count=10 pass tightens the noise floor on the telemetry pair
+# (min ns/op converges to the true floor as count grows).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -count=3 ./... | tee bench.out
 	$(GO) test -run='^$$' -bench='EvaluateTelemetry' -count=10 -benchtime=0.5s ./internal/core | tee -a bench.out
@@ -39,16 +39,11 @@ bench:
 	# estimator that resolves a ~0.5µs delta on a noisy box (separately
 	# invoked Off/On minima swing by several percent either way).
 	$(GO) test -run='^$$' -bench='RouteTracingPaired' -count=5 -benchtime=1s ./internal/serve | tee -a bench.out
-	# RouteExplainPaired is the PR 8 explain-off gate: the explain-capable
-	# route handler may cost requests that never ask for an explanation at
-	# most 1% over the attribution-free body (same interleaved estimator).
-	$(GO) test -run='^$$' -bench='RouteExplainPaired' -count=5 -benchtime=1s ./internal/serve | tee -a bench.out
-	# The coldstart gate is the PR 9 snapshot-boot floor: booting from a
-	# baked world snapshot must be at least 20x faster than the full fit
-	# (measured ~55x; the margin absorbs slow CI hosts).
+	# The coldstart gate, the one enforced bound, is the snapshot-boot
+	# floor: booting from a baked world snapshot must be at least 20x faster
+	# than the full fit (measured ~55x; the margin absorbs slow CI hosts).
 	$(GO) run ./cmd/benchjson -o $(BENCH_NEW) \
 		-gate 'tracing=RouteWithTracingOff/RouteWithTracingOn/RouteTracingPaired' \
-		-gate 'explain=RouteExplainOff/RouteExplainOn/RouteExplainPaired@1' \
 		-gate 'coldstart=ColdStartFit/ColdStartSnapshot@x20' bench.out
 	@rm -f bench.out
 
@@ -72,22 +67,28 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotLoad$$' -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioSpec$$' -fuzztime=5s ./internal/scenario
 
-# experiments-golden reruns the reduced-scale reproduction and diffs its
-# stdout against the pinned golden (linux/amd64; see
-# cmd/experiments/testdata/README.md). CI runs the same diff.
+# experiments-golden reruns the reduced-scale reproduction into fast.out
+# and diffs it against the pinned golden (linux/amd64; see
+# cmd/experiments/testdata/README.md). The run and the diff are separate
+# steps, so a run that exits non-zero fails the target even when its stdout
+# matches. CI's experiments-golden job runs this target.
 experiments-golden:
-	$(GO) run ./cmd/experiments -fast | diff cmd/experiments/testdata/fast.golden -
+	$(GO) run ./cmd/experiments -fast > fast.out
+	diff cmd/experiments/testdata/fast.golden fast.out
 
-# ensemble-golden reruns a small five-family scenario sweep and diffs its
-# stdout against the pinned golden (linux/amd64; see
-# cmd/riskroute/testdata/README.md). CI runs the same diff.
+# ensemble-golden reruns a small five-family scenario sweep into
+# ensemble.out and diffs it against the pinned golden (linux/amd64; see
+# cmd/riskroute/testdata/README.md), run and diff as separate steps like
+# experiments-golden. CI's ensemble-golden job runs this target.
 ensemble-golden:
 	$(GO) run ./cmd/riskroute ensemble -networks Sprint,NTT \
 		-scenarios track=20,genesis=10,cut=40,disk=40,regional=40 \
-		-blocks 4000 -event-scale 0.03 | diff cmd/riskroute/testdata/ensemble.golden -
+		-blocks 4000 -event-scale 0.03 > ensemble.out
+	diff cmd/riskroute/testdata/ensemble.golden ensemble.out
 
 # determinism replays the bit-identity tests under contrasting scheduler
-# widths: results must not depend on how many cores the host exposes.
+# widths: results must not depend on how many cores the host exposes. CI's
+# analysis job runs this target.
 determinism:
 	GOMAXPROCS=1 $(GO) test -run 'Deterministic' ./internal/parallel ./internal/kde ./internal/population ./internal/core
 	GOMAXPROCS=4 $(GO) test -run 'Deterministic' -count=1 ./internal/parallel ./internal/kde ./internal/population ./internal/core

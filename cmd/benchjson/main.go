@@ -7,7 +7,7 @@
 //	go test -bench=. -benchmem -count=3 ./... | \
 //	    go run ./cmd/benchjson -o BENCH.json \
 //	        -gate 'tracing=RouteWithTracingOff/RouteWithTracingOn/RouteTracingPaired' \
-//	        -gate 'explain=RouteExplainOff/RouteExplainOn/RouteExplainPaired@1'
+//	        -gate 'coldstart=ColdStartFit/ColdStartSnapshot@x20'
 //
 // Input may also be given as file arguments. Lines that are not benchmark
 // results (package headers, PASS/ok, cpu info) are ignored.

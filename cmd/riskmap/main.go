@@ -43,12 +43,12 @@ func main() {
 	}
 }
 
-// writeSVG renders the layer's SVG and saves it.
-func writeSVG(path string, build func(m *report.SVGMap)) error {
+// writeSVG renders the layer's SVG, width pixels wide, and saves it.
+func writeSVG(path string, width int, build func(m *report.SVGMap)) error {
 	if path == "" {
 		return nil
 	}
-	m := report.NewSVGMap(svgWidthGlobal)
+	m := report.NewSVGMap(width)
 	build(m)
 	f, err := os.Create(path)
 	if err != nil {
@@ -62,13 +62,13 @@ func writeSVG(path string, build func(m *report.SVGMap)) error {
 	return nil
 }
 
-var svgWidthGlobal = 900
-
 func run(layer, network, storm string, eventScale float64, blocks, rows, cols int, seed uint64, svgPath string, svgWidth int) error {
+	if svgWidth < 1 {
+		return fmt.Errorf("SVG width %d below 1 pixel", svgWidth)
+	}
 	if err := datasets.CheckCensusBlocks(blocks); err != nil {
 		return err
 	}
-	svgWidthGlobal = svgWidth
 	switch layer {
 	case "population":
 		census := riskroute.SyntheticCensus(blocks, seed)
@@ -76,7 +76,7 @@ func run(layer, network, storm string, eventScale float64, blocks, rows, cols in
 		f := kde.NewField(grid)
 		f.Values = census.DensityField(grid)
 		fmt.Printf("population density (%d census blocks)\n%s", blocks, report.HeatMap(f, rows, cols))
-		return writeSVG(svgPath, func(m *report.SVGMap) {
+		return writeSVG(svgPath, svgWidth, func(m *report.SVGMap) {
 			m.AddField(f, "#2c7fb8", 0.85)
 		})
 
@@ -85,18 +85,15 @@ func run(layer, network, storm string, eventScale float64, blocks, rows, cols in
 		if err != nil {
 			return err
 		}
-		count := int(float64(et.PaperCount()) * eventScale)
-		events := datasets.GenerateEvents(et, count, seed)
-		model, err := hazard.Fit([]hazard.Source{{
-			Name: et.String(), Events: events, Bandwidth: et.PaperBandwidth(),
-		}}, hazard.FitConfig{})
+		src := hazard.SyntheticSource(et, eventScale, seed)
+		model, err := hazard.Fit([]hazard.Source{src}, hazard.FitConfig{})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s risk surface (%d events, bandwidth %.2f mi)\n%s",
-			et, len(events), et.PaperBandwidth(),
+			et, len(src.Events), src.Bandwidth,
 			report.HeatMap(model.Sources[0].Field, rows, cols))
-		return writeSVG(svgPath, func(m *report.SVGMap) {
+		return writeSVG(svgPath, svgWidth, func(m *report.SVGMap) {
 			m.AddField(model.Sources[0].Field, "#c0392b", 0.85)
 		})
 
@@ -109,7 +106,7 @@ func run(layer, network, storm string, eventScale float64, blocks, rows, cols in
 		grid := geo.NewGrid(geo.ContinentalUS, 60, 140)
 		combined := model.CombinedField(grid)
 		fmt.Printf("aggregate historical outage risk o_h\n%s", report.HeatMap(combined, rows, cols))
-		return writeSVG(svgPath, func(m *report.SVGMap) {
+		return writeSVG(svgPath, svgWidth, func(m *report.SVGMap) {
 			m.AddField(combined, "#c0392b", 0.85)
 		})
 
@@ -120,7 +117,7 @@ func run(layer, network, storm string, eventScale float64, blocks, rows, cols in
 		}
 		fmt.Printf("%s: %d PoPs, %d links\n%s", n.Name, len(n.PoPs), len(n.Links),
 			report.USOutline(n.Locations(), 'o', rows, cols))
-		return writeSVG(svgPath, func(m *report.SVGMap) {
+		return writeSVG(svgPath, svgWidth, func(m *report.SVGMap) {
 			m.AddLinks(n, "#888888", 0.7)
 			m.AddPoPs(n.Locations(), 2.5, "#2c3e50")
 		})
@@ -148,7 +145,7 @@ func run(layer, network, storm string, eventScale float64, blocks, rows, cols in
 			}
 		}
 		fmt.Printf("%s cumulative wind-field scope\n%s", storm, report.HeatMap(f, rows, cols))
-		return writeSVG(svgPath, func(m *report.SVGMap) {
+		return writeSVG(svgPath, svgWidth, func(m *report.SVGMap) {
 			for _, a := range replay.Advisories {
 				m.AddGeoCircle(a.Center, a.TropicalRadiusMi, "#3498db", 0.05)
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"riskroute"
+	"riskroute/internal/scenario"
 )
 
 // cmdEnsemble generates a seeded Monte-Carlo disaster ensemble and sweeps
@@ -22,9 +23,10 @@ func cmdEnsemble(args []string) error {
 	spec := fs.String("scenarios", "track=300,genesis=100,cut=250,disk=200,regional=150",
 		"ensemble composition: family=count, families track, genesis, cut, disk, regional")
 	storm := fs.String("storm", "Sandy", "base storm for the perturbed-track family (Irene, Katrina, Sandy)")
-	posJitter := fs.Float64("pos-jitter", 0.75, "track position jitter σ in degrees")
-	intensityJitter := fs.Float64("intensity-jitter", 0.15, "track intensity jitter σ (fraction of max wind)")
-	radiusJitter := fs.Float64("radius-jitter", 0.15, "wind-radii jitter σ (fraction)")
+	jitter := scenario.DefaultPerturbation()
+	fs.Float64Var(&jitter.PosDeg, "pos-jitter", jitter.PosDeg, "track position jitter σ in degrees")
+	fs.Float64Var(&jitter.IntensityFrac, "intensity-jitter", jitter.IntensityFrac, "track intensity jitter σ (fraction of max wind)")
+	fs.Float64Var(&jitter.RadiusFrac, "radius-jitter", jitter.RadiusFrac, "wind-radii jitter σ (fraction)")
 	routePairs := fs.Int("route-pairs", 4, "PoP pairs routed per network and scenario")
 	lambdaH := fs.Float64("lambda-h", 1e5, "historical risk weight λ_h")
 	lambdaF := fs.Float64("lambda-f", 1e3, "forecast risk weight λ_f")
@@ -64,14 +66,10 @@ func cmdEnsemble(args []string) error {
 	}
 
 	scenarios, err := riskroute.GenerateScenarios(riskroute.ScenarioConfig{
-		Seed:  seedFlag,
-		Spec:  specs,
-		Track: track,
-		Perturb: riskroute.TrackPerturbation{
-			PosDeg:        *posJitter,
-			IntensityFrac: *intensityJitter,
-			RadiusFrac:    *radiusJitter,
-		},
+		Seed:    seedFlag,
+		Spec:    specs,
+		Track:   track,
+		Perturb: jitter,
 		Workers: workersFlag,
 		Metrics: tel.Metrics,
 		Trace:   tel.Trace,

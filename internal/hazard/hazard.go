@@ -49,27 +49,29 @@ type Source struct {
 	Scale float64
 }
 
-// SyntheticSources builds all five synthetic disaster catalogs at the given
-// scale (1.0 = the paper's sizes; <= 0 means 1.0; at least 50 events each)
-// with the paper's Table 1 bandwidths preassigned. The batch CLI and the
-// serving daemon both fit from it, so their risk surfaces match exactly.
+// SyntheticSources builds all five synthetic disaster catalogs with
+// SyntheticSource. The batch CLI and the serving daemon both fit from it, so
+// their risk surfaces match exactly.
 func SyntheticSources(scale float64, seed uint64) []Source {
+	out := make([]Source, len(datasets.EventTypes))
+	for i, et := range datasets.EventTypes {
+		out[i] = SyntheticSource(et, scale, seed)
+	}
+	return out
+}
+
+// SyntheticSource builds one synthetic disaster catalog at the given scale
+// (1.0 = the paper's size; <= 0 means 1.0; at least 50 events) with the
+// paper's Table 1 bandwidth preassigned.
+func SyntheticSource(et datasets.EventType, scale float64, seed uint64) Source {
 	if scale <= 0 {
 		scale = 1
 	}
-	var out []Source
-	for _, et := range datasets.EventTypes {
-		count := int(float64(et.PaperCount()) * scale)
-		if count < 50 {
-			count = 50
-		}
-		out = append(out, Source{
-			Name:      et.String(),
-			Events:    datasets.GenerateEvents(et, count, seed),
-			Bandwidth: et.PaperBandwidth(),
-		})
+	return Source{
+		Name:      et.String(),
+		Events:    datasets.GenerateEvents(et, max(int(float64(et.PaperCount())*scale), 50), seed),
+		Bandwidth: et.PaperBandwidth(),
 	}
-	return out
 }
 
 // SyntheticSeasonalSources builds per-season catalogs for all five event

@@ -52,14 +52,3 @@ func (s *Seasonal) PoPRisks(n *topology.Network, season int) []float64 {
 	}
 	return s.Models[season].PoPRisks(n)
 }
-
-// PeakSeason returns the season index with the highest risk at p.
-func (s *Seasonal) PeakSeason(p geo.Point) int {
-	best, bestV := 0, -1.0
-	for i := 0; i < 4; i++ {
-		if v := s.Models[i].RiskAt(p); v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}

@@ -13,7 +13,7 @@ import (
 // of the package. Three pieces:
 //
 //   - NewLogHandler builds the leveled text/JSON handler behind the
-//     binaries' -log flag; NewLogger wraps one in a logger.
+//     binaries' -log flag; runtel wraps it in the run's flight recorder.
 //   - NopLogger / LoggerOrNop give pipeline code an always-usable logger, so
 //     instrumented stages log unconditionally and a disabled logger costs one
 //     Enabled check (the handler reports false and slog discards the record
@@ -46,11 +46,12 @@ func LoggerOrNop(l *slog.Logger) *slog.Logger {
 	return l
 }
 
-// NewLogHandler builds the slog.Handler behind NewLogger: "text" renders
-// logfmt-ish lines via slog.TextHandler, "json" one JSON object per line,
-// and "off" (or "") the disabled discard handler. Any other format is an
-// error. Callers that compose handlers (e.g. FlightRecorder.Wrap) use this;
-// everyone else uses NewLogger.
+// NewLogHandler builds the slog.Handler behind the binaries' -log flag:
+// "text" renders logfmt-ish lines via slog.TextHandler, "json" one JSON
+// object per line, and "off" (or "") the disabled discard handler. Any other
+// format is an error. Records at Debug and above are emitted. runtel.Run's
+// SetLog hands it to FlightRecorder.Wrap, so the run's flight recorder keeps
+// every record whatever the format.
 func NewLogHandler(format string, w io.Writer) (slog.Handler, error) {
 	opts := &slog.HandlerOptions{Level: slog.LevelDebug}
 	switch format {
@@ -63,20 +64,6 @@ func NewLogHandler(format string, w io.Writer) (slog.Handler, error) {
 	default:
 		return nil, fmt.Errorf("unknown log format %q (want text, json, or off)", format)
 	}
-}
-
-// NewLogger builds a structured logger for format ("text", "json", or
-// "off"); "off" returns the shared NopLogger. Records at Debug and above are
-// emitted.
-func NewLogger(format string, w io.Writer) (*slog.Logger, error) {
-	if format == "off" || format == "" {
-		return nopLogger, nil
-	}
-	h, err := NewLogHandler(format, w)
-	if err != nil {
-		return nil, err
-	}
-	return slog.New(h), nil
 }
 
 // FlightRecorder keeps the last N log records in a ring and formats them

@@ -13,23 +13,24 @@ import (
 	"time"
 )
 
-func TestNewLoggerFormats(t *testing.T) {
+func TestNewLogHandlerFormats(t *testing.T) {
 	var buf bytes.Buffer
-	lg, err := NewLogger("text", &buf)
+	h, err := NewLogHandler("text", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Info("hello", "k", 1)
-	if !strings.Contains(buf.String(), "msg=hello") || !strings.Contains(buf.String(), "k=1") {
+	slog.New(h).Debug("hello", "k", 1)
+	if !strings.Contains(buf.String(), "level=DEBUG") || !strings.Contains(buf.String(), "msg=hello") ||
+		!strings.Contains(buf.String(), "k=1") {
 		t.Fatalf("text output missing fields: %q", buf.String())
 	}
 
 	buf.Reset()
-	lg, err = NewLogger("json", &buf)
+	h, err = NewLogHandler("json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Warn("degraded", "stage", "hazard")
+	slog.New(h).Warn("degraded", "stage", "hazard")
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("json output not JSON: %v: %q", err, buf.String())
@@ -38,20 +39,22 @@ func TestNewLoggerFormats(t *testing.T) {
 		t.Fatalf("json record = %v", rec)
 	}
 
-	buf.Reset()
-	lg, err = NewLogger("off", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg.Error("dropped")
-	if buf.Len() != 0 {
-		t.Fatalf("off logger wrote %q", buf.String())
-	}
-	if lg != NopLogger() {
-		t.Fatal("off should return the shared NopLogger")
+	for _, format := range []string{"off", ""} {
+		buf.Reset()
+		h, err = NewLogHandler(format, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slog.New(h).Error("dropped")
+		if buf.Len() != 0 {
+			t.Fatalf("%q handler wrote %q", format, buf.String())
+		}
+		if h.Enabled(context.Background(), slog.LevelError) {
+			t.Fatalf("%q handler reports itself enabled", format)
+		}
 	}
 
-	if _, err := NewLogger("yaml", &buf); err == nil {
+	if _, err := NewLogHandler("yaml", &buf); err == nil {
 		t.Fatal("want error for unknown format")
 	}
 }

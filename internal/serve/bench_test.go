@@ -36,6 +36,25 @@ func BenchmarkServeRouteCold(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteExplainBody prices an actual explanation: the same route
+// with ?explain=1, which bypasses the cache, attributes both legs and
+// encodes the larger JSON body. Not gated — explanations are an opt-in
+// diagnostic — but tracked so regressions surface in the bench history.
+func BenchmarkRouteExplainBody(b *testing.B) {
+	s := testServer(b)
+	net := s.bases[0].net
+	path := routeURL(net.PoPs[0].Name, net.PoPs[len(net.PoPs)-1].Name, "explain", "1")
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		s.mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d", rec.Code)
+		}
+	}
+}
+
 // BenchmarkRouteWithTracingOff measures a full route computation (cache
 // miss: mux dispatch, admission, engine pair query, JSON encoding) with the
 // tracing middleware bypassed — requests go straight to the mux.

@@ -439,14 +439,42 @@ func TestNewEndpointsEchoRequestID(t *testing.T) {
 	}
 }
 
-// TestExplainMetrics checks the attribution telemetry lands in the registry.
+// TestExplainMetrics checks the attribution telemetry lands in the registry,
+// and only for a request that asks for attribution. A plain route's miss
+// and then its hits from either index, with no explain, explain=0 or
+// explain=false, leave serve.explain.requests_total and the
+// serve.explain.depth count where they were; each explain=1 ask adds one to
+// both, though its plain twin is cached. A hazard probe adds one to
+// serve.hazard.probes_total.
 func TestExplainMetrics(t *testing.T) {
 	s := testServer(t)
 	net := s.bases[0].net
-	before := s.tel.explains.Value()
-	get(t, s, routeURL(net.PoPs[0].Name, net.PoPs[2].Name, "explain", "1"), nil)
-	if got := s.tel.explains.Value(); got != before+1 {
-		t.Fatalf("explain counter %v, want %v", got, before+1)
+	from, to := net.PoPs[0].Name, net.PoPs[2].Name
+	explains, depth := s.tel.explains.Value(), s.tel.explainDepth.Count()
+	for _, extra := range [][]string{nil, {"explain", "0"}, {"explain", "false"}} {
+		text := routeURL(from, to, extra...)
+		s.cache.Reset()
+		// A miss, a raw-index hit on the same text, and a keyed hit on a
+		// text that parses alike.
+		for i, path := range []string{text, text, text + "&junk=1"} {
+			hit := i > 0
+			var resp routeResponse
+			if code := get(t, s, path, &resp); code != http.StatusOK || resp.Cached != hit || resp.Explain != nil {
+				t.Fatalf("GET %s: %d, cached %v, explain %v; want 200, cached %v, no explain",
+					path, code, resp.Cached, resp.Explain != nil, hit)
+			}
+			if e, d := s.tel.explains.Value(), s.tel.explainDepth.Count(); e != explains || d != depth {
+				t.Fatalf("GET %s (cached %v): explain requests %d → %d, depth count %d → %d, want unchanged",
+					path, hit, explains, e, depth, d)
+			}
+		}
+	}
+	for i := int64(1); i <= 2; i++ {
+		get(t, s, routeURL(from, to, "explain", "1"), nil)
+		if e, d := s.tel.explains.Value(), s.tel.explainDepth.Count(); e != explains+i || d != depth+i {
+			t.Fatalf("explain ask %d: explain requests %d, depth count %d, want %d and %d",
+				i, e, d, explains+i, depth+i)
+		}
 	}
 	pb := s.tel.probes.Value()
 	get(t, s, "/debug/hazard?lat=30&lon=-90", nil)

@@ -240,19 +240,11 @@ type routeResponse struct {
 	Explain *routeExplanation `json:"explain,omitempty"`
 }
 
+// handleRoute is the route endpoint body. A query text answered before at
+// this generation is served from the raw index without parsing; any other
+// text is parsed, answered from the keyed index or computed, and then filed
+// under its text too, unless it asks for attribution.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	s.routeImpl(w, r, true)
-}
-
-// routeImpl is the route endpoint body. explainCapable=false serves the
-// explain-free hot path unconditionally — the paired overhead benchmark
-// drives it as the baseline against the production handler.
-//
-// A query text answered before at this generation is served from the raw
-// index without parsing; any other text is parsed, answered from the keyed
-// index or computed, and then filed under its text too, unless it asks for
-// attribution.
-func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapable bool) {
 	if s.deadlineExceeded(w, r) {
 		return
 	}
@@ -279,12 +271,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	if !ok {
 		return
 	}
-	// An attribution query stays out of the raw index even when the
-	// explain-free variant answers it plainly: the production handler reads
-	// the same index and must explain it.
-	attribution := wantExplain(q)
-	explain := explainCapable && attribution
-
+	explain := wantExplain(q)
 	key := cacheKey{gen: snap.gen, kind: kindRoute, network: st.net.Name,
 		src: src, dst: dst, lambdaH: params.LambdaH, lambdaF: params.LambdaF}
 	// Explain responses bypass the cache in both directions: a cached route
@@ -292,9 +279,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 	// worth displacing plain routes.
 	if !explain {
 		if body, ok := s.cache.keyed.Get(key); ok {
-			if !attribution {
-				s.cache.putRaw(raw, body)
-			}
+			s.cache.putRaw(raw, body)
 			s.writeHit(w, body)
 			return
 		}
@@ -313,10 +298,7 @@ func (s *Server) routeImpl(w http.ResponseWriter, r *http.Request, explainCapabl
 		return
 	}
 	if !explain {
-		body := s.writeMiss(w, key, appendRouteBody(make([]byte, 0, routeBodyCap), snap, st, src, dst, params, rr, sp))
-		if !attribution {
-			s.cache.putRaw(raw, body)
-		}
+		s.cache.putRaw(raw, s.writeMiss(w, key, appendRouteBody(make([]byte, 0, routeBodyCap), snap, st, src, dst, params, rr, sp)))
 		return
 	}
 	resp := &routeResponse{

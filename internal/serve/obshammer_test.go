@@ -85,12 +85,12 @@ func TestObservabilityHammer(t *testing.T) {
 	wg.Wait()
 
 	// The SLO engine saw everything the middleware traced.
-	snap := s.SLOSnapshot()
+	snap := s.slo.Snapshot()
 	if len(snap.Windows) == 0 || snap.Windows[len(snap.Windows)-1].Total == 0 {
 		t.Fatalf("SLO engine recorded nothing: %+v", snap)
 	}
 	// The timeline holds every generation the hammer published.
-	if evs := s.Timeline(); len(evs) < swaps {
+	if evs := s.timeline.Records(); len(evs) < swaps {
 		t.Fatalf("timeline has %d events, want >= %d", len(evs), swaps)
 	}
 	// /metrics still parses after the storm.

@@ -166,7 +166,7 @@ func TestRawQueryIndexBounded(t *testing.T) {
 
 // TestExplainQueryBypassesBothIndexes: an explain=1 query is computed and
 // explained on every ask, though its plain twin sits in both indexes, and
-// it files no text even when the explain-free variant answered it plainly.
+// it files no text in either.
 func TestExplainQueryBypassesBothIndexes(t *testing.T) {
 	s := testServer(t)
 	net := s.bases[0].net
@@ -177,10 +177,6 @@ func TestExplainQueryBypassesBothIndexes(t *testing.T) {
 		if rec := serveGet(s.mux, plain); rec.Code != http.StatusOK {
 			t.Fatalf("plain route: %d %s", rec.Code, rec.Body.Bytes())
 		}
-	}
-	off, _ := explainBenchHandlers(s)
-	if rec := serveGet(off, explained); rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), `"explain"`) {
-		t.Fatalf("explain-free variant: %d %s", rec.Code, rec.Body.Bytes())
 	}
 	raw, keyed := s.cache.raw.Len(), s.cache.keyed.Len()
 	hits, misses := s.CacheStats()

@@ -848,9 +848,6 @@ func (s *Server) InFlight() int64 { return s.inflight.Load() }
 // Generation returns the currently served snapshot's generation.
 func (s *Server) Generation() uint64 { return s.snap.Load().gen }
 
-// Ready reports whether the server is warmed up and not draining.
-func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
-
 // Drain marks the server as shutting down: /v1/readyz starts answering 503
 // so load balancers stop sending new work, while in-flight requests finish
 // normally (http.Server.Shutdown handles the connection-level drain).
@@ -863,14 +860,6 @@ func (s *Server) Drain() {
 // Handler returns the daemon's HTTP surface: the route mux wrapped in the
 // request-tracing middleware (unless Config.DisableTracing).
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Timeline returns the retained swap-timeline events, oldest first — the
-// document behind /v1/generations.
-func (s *Server) Timeline() []SwapEvent { return s.timeline.Records() }
-
-// SLOSnapshot reports the burn-rate engine's current state — the document
-// behind /v1/slo.
-func (s *Server) SLOSnapshot() obs.SLOSnapshot { return s.slo.Snapshot() }
 
 // CacheStats returns the result cache's lifetime hit/miss counters. A hit
 // in either index is one hit; a miss is a keyed miss, since a raw miss only

@@ -139,7 +139,7 @@ func TestBakeRefusesRepeatedNetwork(t *testing.T) {
 
 func TestReadyAndHealth(t *testing.T) {
 	s := testServer(t)
-	if !s.Ready() {
+	if !s.ready.Load() || s.draining.Load() {
 		t.Fatal("server not ready after New")
 	}
 	var ready struct {
@@ -439,14 +439,14 @@ func TestAdvisoryPlausibilityGate(t *testing.T) {
 		if _, err := forecast.ParseAdvisory(body); err != nil {
 			t.Fatalf("%s: edited bulletin does not parse: %v", tc.name, err)
 		}
-		gen, events, swapped := s.Generation(), len(s.Timeline()), swaps.Value()
+		gen, events, swapped := s.Generation(), len(s.timeline.Records()), swaps.Value()
 		rec := postAdvisory(s, body)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.field) {
 			t.Errorf("%s: %d %s, want 400 naming %q", tc.name, rec.Code, rec.Body.Bytes(), tc.field)
 		}
-		if s.Generation() != gen || len(s.Timeline()) != events || swaps.Value() != swapped {
+		if s.Generation() != gen || len(s.timeline.Records()) != events || swaps.Value() != swapped {
 			t.Errorf("%s: generation %d -> %d, timeline %d -> %d, swaps_total %d -> %d, want unchanged",
-				tc.name, gen, s.Generation(), events, len(s.Timeline()), swapped, swaps.Value())
+				tc.name, gen, s.Generation(), events, len(s.timeline.Records()), swapped, swaps.Value())
 		}
 	}
 	gen := s.Generation()
@@ -479,8 +479,8 @@ func TestDrainFlipsReadyz(t *testing.T) {
 	s := testServer(t)
 	s.Drain()
 	defer s.draining.Store(false) // shared server: restore for later tests
-	if s.Ready() {
-		t.Fatal("Ready() true while draining")
+	if !s.draining.Load() {
+		t.Fatal("Drain did not mark the server draining")
 	}
 	if code := get(t, s, "/v1/readyz", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining: %d, want 503", code)

@@ -29,13 +29,13 @@ func TestTimelineRingBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	if evs := s.Timeline(); len(evs) != 1 || evs[0].Generation != 1 {
+	if evs := s.timeline.Records(); len(evs) != 1 || evs[0].Generation != 1 {
 		t.Fatalf("fresh server timeline = %+v, want the startup event alone", evs)
 	}
 	for g := uint64(2); g <= timelineSize+2; g++ {
 		s.timeline.Add(SwapEvent{Generation: g})
 	}
-	evs := s.Timeline()
+	evs := s.timeline.Records()
 	if len(evs) != timelineSize {
 		t.Fatalf("timeline holds %d events, want %d", len(evs), timelineSize)
 	}
@@ -51,7 +51,7 @@ func TestTimelineRingBasics(t *testing.T) {
 func TestGenerationsEndpoint(t *testing.T) {
 	s := testServer(t)
 
-	evs := s.Timeline()
+	evs := s.timeline.Records()
 	if len(evs) == 0 || evs[0].Generation != 1 {
 		t.Fatalf("startup event missing: %+v", evs)
 	}
@@ -102,7 +102,7 @@ func TestGenerationsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("revert: %v", err)
 	}
-	evs = s.Timeline()
+	evs = s.timeline.Records()
 	last := evs[len(evs)-1]
 	if last.Generation != reverted || !last.Rollback {
 		t.Fatalf("rollback event: %+v (want generation %d, rollback=true)", last, reverted)
@@ -185,7 +185,7 @@ func TestSwapTelemetryIsOneRecord(t *testing.T) {
 	if got := reg.Counter("serve.swaps_total").Value(); got != swaps {
 		t.Errorf("serve.swaps_total = %d, want %d", got, swaps)
 	}
-	if got := len(s.Timeline()); got != 1+swaps {
+	if got := len(s.timeline.Records()); got != 1+swaps {
 		t.Errorf("timeline holds %d events, want %d", got, 1+swaps)
 	}
 	if got := engineEvents(); got != nets {

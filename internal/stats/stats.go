@@ -38,9 +38,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0

@@ -203,7 +203,7 @@ func TestRNGNorm(t *testing.T) {
 	if m := Mean(xs); math.Abs(m) > 0.03 {
 		t.Errorf("Norm mean = %v, want ~0", m)
 	}
-	if sd := StdDev(xs); math.Abs(sd-1) > 0.03 {
+	if sd := math.Sqrt(Variance(xs)); math.Abs(sd-1) > 0.03 {
 		t.Errorf("Norm stddev = %v, want ~1", sd)
 	}
 }

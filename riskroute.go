@@ -368,19 +368,6 @@ func ParseTopologyLenient(r io.Reader, inj *Injector, health *PipelineHealth) ([
 	return topology.ParseLenient(r, inj, health)
 }
 
-// ParseGraphMLLenient reads a GraphML map, dropping and recording malformed
-// nodes and edges instead of failing.
-func ParseGraphMLLenient(r io.Reader, name string, tier Tier, health *PipelineHealth) (*Network, error) {
-	return topology.ParseGraphMLLenient(r, name, tier, health)
-}
-
-// ParseAdvisoryLenient parses advisory text, zeroing and recording malformed
-// optional fields (movement, winds, hurricane radius) instead of failing;
-// corrupt required fields still error.
-func ParseAdvisoryLenient(text string) (*Advisory, []*ValidationError, error) {
-	return forecast.ParseAdvisoryLenient(text)
-}
-
 // LoadHurricaneReplayLenient is LoadHurricaneReplay with carry-forward: an
 // advisory that fails to parse (or is knocked out by inj) is replaced by the
 // last-known storm state, marked Carried, and recorded in health.
