@@ -7,7 +7,7 @@ BENCH_BASELINE ?= BENCH_PR10.json
 BENCH_NEW ?= BENCH_PR13.json
 BENCH_THRESHOLD ?= 10
 
-.PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism experiments-golden ensemble-golden smoke
+.PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism experiments-golden experiments-full-golden ensemble-golden smoke
 
 # tier1 is the gate every change must keep green: full build + test suite.
 tier1:
@@ -75,6 +75,14 @@ fuzz-smoke:
 experiments-golden:
 	$(GO) run ./cmd/experiments -fast > fast.out
 	diff cmd/experiments/testdata/fast.golden fast.out
+
+# experiments-full-golden does the same for the paper-scale run (~15 s on 2
+# vCPUs), whose tables and figures EXPERIMENTS.md reports: it reruns
+# cmd/experiments into full.out and diffs it against full.golden, run and
+# diff as separate steps. CI's experiments-full-golden job runs this target.
+experiments-full-golden:
+	$(GO) run ./cmd/experiments > full.out
+	diff cmd/experiments/testdata/full.golden full.out
 
 # ensemble-golden reruns a small five-family scenario sweep into
 # ensemble.out and diffs it against the pinned golden (linux/amd64; see

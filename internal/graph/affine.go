@@ -250,8 +250,8 @@ func (a *Affine) PathWeight(path []int, alpha float64) float64 {
 }
 
 // Search is the result of one search over an Affine, held in pooled
-// scratch space. Its slices stay valid until Release hands the space to the
-// next search.
+// scratch space. Its slices are for reading only, and they stay valid
+// until Release hands the space to the next search.
 type Search struct {
 	ShortestTree
 	// Via holds, for each reached node other than the source, the index of
@@ -261,8 +261,11 @@ type Search struct {
 	// source first, so every node follows its predecessor. A guided search
 	// lists each node it expands, once per expansion.
 	Order []int32
-	bound []float64 // a guided search's bound per reached node
-	h     heap
+	// touched lists each node whose Dist the search wrote, source first,
+	// for reset to restore.
+	touched []int32
+	bound   []float64 // a guided search's bound per reached node
+	h       heap
 }
 
 var searchPool = sync.Pool{New: func() any { return new(Search) }}
@@ -325,9 +328,8 @@ func (a *Affine) SweepEntering(src int, cost []float64) *Search {
 	s := searchPool.Get().(*Search)
 	s.reset(a.n, src)
 	dist, prev, via := s.Dist, s.Prev, s.Via
-	dist[src] = 0
 	s.h.push(src, 0)
-	for s.h.len() > 0 {
+	for len(s.h) > 0 {
 		u, d := s.h.pop()
 		if d > dist[u] {
 			continue // stale entry
@@ -337,7 +339,10 @@ func (a *Affine) SweepEntering(src int, cost []float64) *Search {
 			if e.masked() {
 				continue
 			}
-			if nd := d + cost[e.to]; nd < dist[e.to] {
+			if nd, dv := d+cost[e.to], dist[e.to]; nd < dv {
+				if math.IsInf(dv, 1) {
+					s.touched = append(s.touched, e.to)
+				}
 				dist[e.to] = nd
 				prev[e.to] = int32(u)
 				via[e.to] = e.edge
@@ -369,9 +374,8 @@ func (a *Affine) search(src, dst int, alpha float64, bound func(int) float64) (s
 		return s, a.guide(s, dst, alpha, bound)
 	}
 	dist, prev, via := s.Dist, s.Prev, s.Via
-	dist[src] = 0
 	s.h.push(src, 0)
-	for s.h.len() > 0 {
+	for len(s.h) > 0 {
 		u, d := s.h.pop()
 		if d > dist[u] {
 			continue // stale entry
@@ -386,7 +390,10 @@ func (a *Affine) search(src, dst int, alpha float64, bound func(int) float64) (s
 		slope = slope[:len(arcs)] // equal lengths let slope[k] skip its bounds check
 		for k, e := range arcs {
 			w := e.base + alpha*slope[k]
-			if nd := d + w; nd < dist[e.to] {
+			if nd, dv := d+w, dist[e.to]; nd < dv {
+				if math.IsInf(dv, 1) {
+					s.touched = append(s.touched, e.to)
+				}
 				dist[e.to] = nd
 				prev[e.to] = int32(u)
 				via[e.to] = e.edge
@@ -427,10 +434,9 @@ func (a *Affine) search(src, dst int, alpha float64, bound func(int) float64) (s
 func (a *Affine) guide(s *Search, dst int, alpha float64, bound func(int) float64) (tied bool) {
 	dist, prev, via, hv := s.Dist, s.Prev, s.Via, s.bound
 	src := s.Source
-	dist[src] = 0
 	hv[src] = bound(src)
 	s.h.push(src, hv[src])
-	for s.h.len() > 0 {
+	for len(s.h) > 0 {
 		u, key := s.h.pop()
 		if key > dist[dst]+dist[dst]*closeSlack {
 			break // every entry left prices above dst's label
@@ -451,8 +457,9 @@ func (a *Affine) guide(s *Search, dst int, alpha float64, bound func(int) float6
 			w := e.base + alpha*slope[k]
 			nd, dv := d+w, dist[e.to]
 			if nd < dv {
-				if dv == Inf {
-					hv[e.to] = bound(int(e.to)) // first reached: dist was reset to Inf
+				if math.IsInf(dv, 1) { // first reached: dist was reset to Inf
+					hv[e.to] = bound(int(e.to))
+					s.touched = append(s.touched, e.to)
 				}
 				dist[e.to] = nd
 				prev[e.to] = int32(u)
@@ -479,22 +486,31 @@ func (a *Affine) AllPairs(alpha float64) [][]float64 {
 	return out
 }
 
-// reset sizes the scratch space for an n-node search from src.
+// reset readies the scratch space for an n-node search from src, whose
+// label is 0. Between searches every entry of Dist, Prev and Via up to
+// their capacity reads Inf, -1 and -1: each search lists in touched the
+// nodes whose Dist it wrote, and reset restores only those, so it costs
+// what the last search reached, not n.
 func (s *Search) reset(n, src int) {
 	if cap(s.Dist) < n {
 		s.Dist = make([]float64, n)
 		s.Prev = make([]int32, n)
 		s.Via = make([]int32, n)
+		for i := range s.Dist {
+			s.Dist[i], s.Prev[i], s.Via[i] = Inf, -1, -1
+		}
 		s.Order = make([]int32, 0, n)
+		s.touched = make([]int32, 0, n)
 		s.bound = make([]float64, n)
 	}
-	s.Source = src
-	s.Dist, s.Prev, s.Via, s.bound = s.Dist[:n], s.Prev[:n], s.Via[:n], s.bound[:n]
-	for i := range s.Dist {
-		s.Dist[i] = Inf
-		s.Prev[i] = -1
-		s.Via[i] = -1
+	dist, prev, via := s.Dist[:cap(s.Dist)], s.Prev[:cap(s.Prev)], s.Via[:cap(s.Via)]
+	for _, v := range s.touched {
+		dist[v], prev[v], via[v] = Inf, -1, -1
 	}
+	s.Source = src
+	s.Dist, s.Prev, s.Via, s.bound = dist[:n], prev[:n], via[:n], s.bound[:n]
+	s.Dist[src] = 0
+	s.touched = append(s.touched[:0], int32(src))
 	s.Order = s.Order[:0]
-	s.h.reset()
+	s.h = s.h[:0]
 }

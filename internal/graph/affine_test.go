@@ -476,6 +476,107 @@ func TestSweepEnteringMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestPooledScratchAcrossSizes runs Route, RouteGuided, Sweep and
+// SweepEntering in a random interleaving on one goroutine, over
+// adjacencies of 233, 60 (in two unjoined halves) and 7 nodes and a masked
+// view of the largest, so most searches start on scratch space that a
+// search of another size or kind left. After each one, every entry it did
+// not reach must read Inf, -1 and -1, up to the scratch space's capacity,
+// as a full clear before each search would leave it.
+// The nodes a search reached are derived without its labels: the source
+// and the heads of the live arcs out of each node it expanded (its Order,
+// less a route's target). Each Sweep must equal a fresh Graph.Dijkstra bit
+// for bit, each route must return the materialized graph's path and label,
+// and each SweepEntering label must be its predecessor's plus its own cost.
+func TestPooledScratchAcrossSizes(t *testing.T) {
+	rng := stats.NewRNG(31)
+	alphas := []float64{0, 0.5, 3}
+	type world struct {
+		a     *Affine
+		edges []Edge
+		g     []*Graph // the surviving edges' Graph at each of alphas
+		cost  []float64
+	}
+	var worlds []world
+	for _, size := range []struct {
+		n           int
+		split, mask bool
+	}{{233, false, false}, {60, true, false}, {7, false, false}, {233, false, true}} {
+		edges, slopes := randomAffineEdges(rng, size.n, size.split)
+		w := world{a: NewAffine(size.n, edges, slopes), edges: edges, cost: make([]float64, size.n)}
+		var deadEdges, deadNodes []int
+		if size.mask {
+			deadEdges, deadNodes = randomMask(rng, size.n, len(edges))
+			w.a = w.a.Without(deadEdges, deadNodes)
+		}
+		for _, alpha := range alphas {
+			g, _ := survivorGraph(size.n, edges, slopes, alpha, deadEdges, deadNodes)
+			w.g = append(w.g, g)
+		}
+		for v := range w.cost {
+			w.cost[v] = float64(rng.Intn(3))
+		}
+		worlds = append(worlds, w)
+	}
+	reused := 0
+	for round := 0; round < 800; round++ {
+		w := worlds[rng.Intn(len(worlds))]
+		n, k := w.a.n, rng.Intn(len(alphas))
+		alpha, g := alphas[k], w.g[k]
+		src, dst := rng.Intn(n), rng.Intn(n)
+		var s *Search
+		ok := true
+		switch kind := rng.Intn(4); kind {
+		case 0, 1:
+			if kind == 0 {
+				s = w.a.Route(src, dst, alpha)
+			} else {
+				rest := g.Dijkstra(dst).Dist
+				s, _ = w.a.RouteGuided(src, dst, alpha, func(v int) float64 { return rest[v] / 2 })
+			}
+			wantPath, wantDist := g.ShortestPath(src, dst)
+			ok = reflect.DeepEqual(s.PathTo(dst), wantPath) && sameBits(s.Dist[dst], wantDist)
+		case 2:
+			s, dst = w.a.Sweep(src, alpha), -1
+			ok = sameTree(s, g.Dijkstra(src)) && validVia(s, w.edges) && validOrder(s)
+		case 3:
+			s, dst = w.a.SweepEntering(src, w.cost), -1
+			ok = validVia(s, w.edges) && validOrder(s)
+			for v, p := range s.Prev {
+				ok = ok && (p < 0 || sameBits(s.Dist[v], s.Dist[p]+w.cost[v]))
+			}
+		}
+		reached := make([]bool, n)
+		reached[src] = true
+		for _, u := range s.Order {
+			if int(u) == dst {
+				continue
+			}
+			for _, e := range w.a.arcs[w.a.start[u]:w.a.start[u+1]] {
+				reached[e.to] = reached[e.to] || !e.masked()
+			}
+		}
+		dist, prev, via := s.Dist[:cap(s.Dist)], s.Prev[:cap(s.Prev)], s.Via[:cap(s.Via)]
+		for v := range dist {
+			if v < n && reached[v] {
+				ok = ok && !math.IsInf(dist[v], 1) && (v == src) == (prev[v] == -1)
+			} else {
+				ok = ok && math.IsInf(dist[v], 1) && prev[v] == -1 && via[v] == -1
+			}
+		}
+		if cap(s.Dist) > n {
+			reused++
+		}
+		s.Release()
+		if !ok {
+			t.Fatalf("round %d: search on %d nodes from %d (target %d, α %v) differs or left a stale entry", round, n, src, dst, alpha)
+		}
+	}
+	if reused == 0 {
+		t.Error("no search ran on scratch space a larger search had left")
+	}
+}
+
 func TestAffinePanics(t *testing.T) {
 	one := []Edge{{U: 0, V: 1, Weight: 1}}
 	for name, fn := range map[string]func(){

@@ -49,9 +49,9 @@ func (g *Graph) Dijkstra(src int) *ShortestTree {
 	}
 	dist[src] = 0
 
-	h := newHeap(g.n)
+	h := make(heap, 0, g.n)
 	h.push(src, 0)
-	for h.len() > 0 {
+	for len(h) > 0 {
 		u, d := h.pop()
 		if d > dist[u] {
 			continue // stale entry
@@ -85,9 +85,9 @@ func (g *Graph) ShortestPath(u, v int) ([]int, float64) {
 		prev[i] = -1
 	}
 	dist[u] = 0
-	h := newHeap(g.n)
+	h := make(heap, 0, g.n)
 	h.push(u, 0)
-	for h.len() > 0 {
+	for len(h) > 0 {
 		node, d := h.pop()
 		if d > dist[node] {
 			continue
@@ -141,69 +141,56 @@ func (g *Graph) PathWeight(path []int) float64 {
 	return total
 }
 
-// heap is a minimal binary min-heap of (node, priority) pairs specialized
-// for Dijkstra. Duplicate pushes are allowed; stale pops are filtered by the
-// caller.
-type heap struct {
-	nodes []int32
-	prio  []float64
-}
+// heap is a binary min-heap of (node, priority) entries for the searches.
+// Duplicate pushes are allowed; stale pops are filtered by the caller. Push
+// and pop move a hole and write the moving entry once, making exactly the
+// comparisons of a heap that swaps entries level by level, so entries pop
+// in the same order.
+type heap []heapEntry
 
-func newHeap(capacity int) *heap {
-	return &heap{
-		nodes: make([]int32, 0, capacity),
-		prio:  make([]float64, 0, capacity),
-	}
-}
-
-func (h *heap) len() int { return len(h.nodes) }
-
-// reset empties the heap, keeping its capacity for the next search.
-func (h *heap) reset() {
-	h.nodes = h.nodes[:0]
-	h.prio = h.prio[:0]
+type heapEntry struct {
+	prio float64
+	node int32
 }
 
 func (h *heap) push(node int, p float64) {
-	h.nodes = append(h.nodes, int32(node))
-	h.prio = append(h.prio, p)
-	i := len(h.nodes) - 1
+	*h = append(*h, heapEntry{})
+	q := *h
+	i := uint(len(q) - 1)
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.prio[parent] <= h.prio[i] {
+		if q[parent].prio <= p {
 			break
 		}
-		h.swap(i, parent)
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = heapEntry{prio: p, node: int32(node)}
 }
 
 func (h *heap) pop() (int, float64) {
-	node, p := h.nodes[0], h.prio[0]
-	last := len(h.nodes) - 1
-	h.swap(0, last)
-	h.nodes = h.nodes[:last]
-	h.prio = h.prio[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.prio[l] < h.prio[smallest] {
-			smallest = l
+	q := *h
+	n := uint(len(q) - 1)
+	top, x := q[0], q[n]
+	*h = (*h)[:n] // reslicing in place stores the length alone: no write barrier
+	if n > 0 {
+		q = q[:n]
+		i := uint(0)
+		for {
+			smallest, p := i, x.prio
+			if l := 2*i + 1; l < n && q[l].prio < p {
+				smallest, p = l, q[l].prio
+			}
+			if r := 2*i + 2; r < n && q[r].prio < p {
+				smallest = r
+			}
+			if smallest == i {
+				break
+			}
+			q[i] = q[smallest]
+			i = smallest
 		}
-		if r < last && h.prio[r] < h.prio[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.swap(i, smallest)
-		i = smallest
+		q[i] = x
 	}
-	return int(node), p
-}
-
-func (h *heap) swap(i, j int) {
-	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
-	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
+	return int(top.node), top.prio
 }

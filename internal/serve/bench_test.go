@@ -101,18 +101,21 @@ func BenchmarkRouteWithTracingOn(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteTracingPaired is the tracing-overhead gate. It drives the
+// BenchmarkRouteTracingPaired records the tracing overhead. It drives the
 // untraced mux and the traced handler in alternating 32-request batches
 // inside one timer window, so scheduler preemption, GC cycles, and
 // neighboring-tenant noise land on both variants equally, then reports the
 // per-request delta and the overhead ratio directly as benchmark metrics.
-// benchjson picks the overhead-pct metric up (Makefile/CI pass
-// -overhead-paired RouteTracingPaired) and records it as
-// telemetry_overhead.overhead_pct in BENCH_PR7.json. Measured this way the
-// all-in cost of tracing a full-compute route — ID, response header, SLO
-// recording, and the GC amortization of the 32 B those allocate — is
-// stable run to run, while the ratio of separately-invoked Off/On minima
-// swings between -1% and +8% on the same machine.
+// The batch that runs first swaps every iteration (untraced, traced,
+// traced, untraced, ...), so whatever running first or second costs lands
+// on both variants alike: with a fixed order, two identical handlers read
+// +0.006% to +1.04%, all positive. benchjson's tracing gate (Makefile and
+// CI) records the overhead-pct metric under gates, without a bound.
+// Measured this way the all-in cost of tracing a full-compute route — ID,
+// response header, SLO recording, and the GC amortization of the 32 B
+// those allocate — is stable run to run, while the ratio of
+// separately-invoked Off/On minima swings between -1% and +8% on the same
+// machine.
 func BenchmarkRouteTracingPaired(b *testing.B) {
 	s := testServer(b)
 	net := s.bases[0].net
@@ -120,24 +123,24 @@ func BenchmarkRouteTracingPaired(b *testing.B) {
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	h := s.Handler()
 	const batch = 32
-	var offNs, onNs int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	timed := func(h http.Handler) int64 {
 		t0 := time.Now()
 		for j := 0; j < batch; j++ {
 			s.cache.Reset()
-			rec := httptest.NewRecorder()
-			s.mux.ServeHTTP(rec, req)
+			h.ServeHTTP(httptest.NewRecorder(), req)
 		}
-		t1 := time.Now()
-		for j := 0; j < batch; j++ {
-			s.cache.Reset()
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
+		return time.Since(t0).Nanoseconds()
+	}
+	var offNs, onNs int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			offNs += timed(s.mux)
+			onNs += timed(h)
+		} else {
+			onNs += timed(h)
+			offNs += timed(s.mux)
 		}
-		t2 := time.Now()
-		offNs += t1.Sub(t0).Nanoseconds()
-		onNs += t2.Sub(t1).Nanoseconds()
 	}
 	b.StopTimer()
 	if offNs > 0 {
