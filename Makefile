@@ -41,7 +41,8 @@ bench:
 	$(GO) test -run='^$$' -bench='RouteTracingPaired' -count=5 -benchtime=1s ./internal/serve | tee -a bench.out
 	# The coldstart gate, the one enforced bound, is the snapshot-boot
 	# floor: booting from a baked world snapshot must be at least 20x faster
-	# than the full fit (measured ~55x; the margin absorbs slow CI hosts).
+	# than the full fit (measured 66x on a 2-vCPU host; the margin absorbs
+	# slow CI hosts).
 	$(GO) run ./cmd/benchjson -o $(BENCH_NEW) \
 		-gate 'tracing=RouteWithTracingOff/RouteWithTracingOn/RouteTracingPaired' \
 		-gate 'coldstart=ColdStartFit/ColdStartSnapshot@x20' bench.out

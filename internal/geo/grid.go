@@ -114,11 +114,21 @@ func NewPointIndex(points []Point) *PointIndex {
 func (idx *PointIndex) Nearest(q Point) (int, float64) {
 	g := idx.grid
 	qr, qc := g.Cell(q)
+	qLat := DegToRad(q.Lat)
 
 	best := -1
 	bestDist := 0.0
 	consider := func(i int32) {
-		d := Distance(q, idx.points[i])
+		p := idx.points[i]
+		// The meridian arc R·|Δφ| (Distance's own Δφ) is a lower bound on
+		// the great-circle distance. A candidate skips the haversine only
+		// when that bound beats the best by a relative and an absolute
+		// margin far above both computations' rounding, so every candidate
+		// that could tie still reaches Distance.
+		if best != -1 && EarthRadiusMiles*math.Abs(DegToRad(p.Lat)-qLat) > bestDist*(1+1e-9)+1e-9 {
+			return
+		}
+		d := Distance(q, p)
 		if best == -1 || d < bestDist || (d == bestDist && int(i) < best) {
 			best = int(i)
 			bestDist = d

@@ -80,6 +80,11 @@ func bruteNearest(points []Point, q Point) (int, float64) {
 	return best, bestDist
 }
 
+// TestPointIndexMatchesBruteForce requires Nearest to return the brute-force
+// scan's index and distance bit for bit, lowest index first on ties, and
+// KNearest(q, 1) to agree. Every third point gets an exact duplicate and
+// neighbours one ulp away in latitude and in longitude, and every indexed
+// point is also a query, so ties and near-ties at distance 0 are common.
 func TestPointIndexMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	randIn := func(b Bounds) Point {
@@ -93,20 +98,74 @@ func TestPointIndexMatchesBruteForce(t *testing.T) {
 		for i := range points {
 			points[i] = randIn(ContinentalUS)
 		}
-		idx := NewPointIndex(points)
-		if idx.Len() != n {
-			t.Fatalf("Len() = %d, want %d", idx.Len(), n)
+		for i := 0; i < n; i += 3 {
+			p := points[i]
+			points = append(points, p,
+				Point{Lat: math.Nextafter(p.Lat, 90), Lon: p.Lon},
+				Point{Lat: p.Lat, Lon: math.Nextafter(p.Lon, -180)})
 		}
+		idx := NewPointIndex(points)
+		if idx.Len() != len(points) {
+			t.Fatalf("Len() = %d, want %d", idx.Len(), len(points))
+		}
+		queries := append([]Point(nil), points...)
 		for q := 0; q < 200; q++ {
 			// Query both inside and slightly outside the indexed region.
-			query := randIn(ContinentalUS.Expand(3))
+			queries = append(queries, randIn(ContinentalUS.Expand(3)))
+		}
+		for _, query := range queries {
 			gi, gd := idx.Nearest(query)
 			bi, bd := bruteNearest(points, query)
-			if gi != bi && math.Abs(gd-bd) > 1e-9 {
-				t.Errorf("n=%d query %v: index gave %d (%.4f mi), brute force %d (%.4f mi)",
+			if gi != bi || math.Float64bits(gd) != math.Float64bits(bd) {
+				t.Errorf("n=%d query %v: index gave %d (%v mi), brute force %d (%v mi)",
 					n, query, gi, gd, bi, bd)
 			}
+			if k1 := idx.KNearest(query, 1); len(k1) != 1 || k1[0] != gi {
+				t.Errorf("n=%d query %v: KNearest(1) = %v, Nearest = %d", n, query, k1, gi)
+			}
 		}
+	}
+}
+
+// TestPointIndexNearestTieAcrossCells: two points one ulp either side of
+// the query's meridian are equally far from it, and the lower-index one
+// lies in the cell west of the query's, so Nearest scans it after its twin.
+// It must still win. For some latitudes its meridian arc exceeds the
+// computed distance by rounding, which the prefilter's margin absorbs.
+func TestPointIndexNearestTieAcrossCells(t *testing.T) {
+	q := Point{Lat: 35, Lon: -95}
+	rounded := 0
+	for i := 0; i < 200; i++ {
+		lat := 35 + 0.0137*float64(i)
+		west := Point{Lat: lat, Lon: math.Nextafter(-95, -180)}
+		east := Point{Lat: lat, Lon: math.Nextafter(-95, 0)}
+		// The corners make the index 4×4 cells of 2.75° over
+		// [29.5, 40.5]×[-100.5, -89.5], so -95 is a column boundary.
+		points := []Point{west, {Lat: 30, Lon: -100}, {Lat: 40, Lon: -90}, east}
+		idx := NewPointIndex(points)
+		qr, qc := idx.grid.Cell(q)
+		if wr, wc := idx.grid.Cell(west); wr != qr || wc != qc-1 {
+			t.Fatalf("west point in cell (%d,%d), want (%d,%d)", wr, wc, qr, qc-1)
+		}
+		if er, ec := idx.grid.Cell(east); er != qr || ec != qc {
+			t.Fatalf("east point in cell (%d,%d), want (%d,%d)", er, ec, qr, qc)
+		}
+		d := Distance(q, west)
+		if d != Distance(q, east) {
+			t.Fatalf("lat %v: the twins are %v and %v mi away", lat, d, Distance(q, east))
+		}
+		if EarthRadiusMiles*math.Abs(DegToRad(west.Lat)-DegToRad(q.Lat)) > d {
+			rounded++
+		}
+		if gi, gd := idx.Nearest(q); gi != 0 || gd != d {
+			t.Errorf("lat %v: Nearest = %d (%v mi), want 0 (%v mi)", lat, gi, gd, d)
+		}
+		if k1 := idx.KNearest(q, 1); k1[0] != 0 {
+			t.Errorf("lat %v: KNearest(1) = %v, want [0]", lat, k1)
+		}
+	}
+	if rounded == 0 {
+		t.Fatal("no latitude put the meridian arc above the computed distance")
 	}
 }
 

@@ -26,14 +26,14 @@ func NewField(grid geo.Grid) *Field {
 // kernel splatting: each event contributes only to cells within cutoff
 // standard deviations (beyond which the Gaussian is negligible), so cost
 // scales with events × covered cells rather than events × all cells.
-// A cutoff of 5 keeps relative error below 1e-5. The event loop is sharded
+// A cutoff of 5 keeps relative error below 1e-5. The grid rows are split
 // over GOMAXPROCS workers; see RasterizeWorkers for an explicit bound.
 func Rasterize(e *Estimator, grid geo.Grid, cutoff float64) *Field {
 	return RasterizeWorkers(e, grid, cutoff, 0)
 }
 
 // RasterizeWorkers is Rasterize with an explicit worker bound (zero means
-// GOMAXPROCS, one forces sequential). Workers own disjoint grid-row ranges,
+// GOMAXPROCS, one forces sequential). Workers own disjoint grid-row chunks,
 // so every cell accumulates its covering events in catalog order and the
 // field is bit-identical at any worker count.
 func RasterizeWorkers(e *Estimator, grid geo.Grid, cutoff float64, workers int) *Field {
@@ -41,12 +41,9 @@ func RasterizeWorkers(e *Estimator, grid geo.Grid, cutoff float64, workers int) 
 		cutoff = 5
 	}
 	f := NewField(grid)
-	splatInto([][]float64{f.Values}, nil, e.Events, e.Bandwidth, cutoff, grid, workers)
 	sigma := e.Bandwidth
 	norm := 1 / (2 * math.Pi * sigma * sigma * float64(len(e.Events)))
-	for i := range f.Values {
-		f.Values[i] *= norm
-	}
+	newSplatter(grid, sigma, cutoff).splat([][]float64{f.Values}, nil, e.Events, workers, norm)
 	return f
 }
 
@@ -67,9 +64,9 @@ type splatter struct {
 	gridEquirect bool
 }
 
-func newSplatter(grid geo.Grid, sigma, cutoff float64) splatter {
+func newSplatter(grid geo.Grid, sigma, cutoff float64) *splatter {
 	radius := cutoff * sigma
-	s := splatter{
+	s := &splatter{
 		grid:    grid,
 		inv2s2:  1 / (2 * sigma * sigma),
 		radius:  radius,
@@ -90,36 +87,65 @@ func newSplatter(grid geo.Grid, sigma, cutoff float64) splatter {
 
 // splatInto accumulates every event's unnormalized kernel (Σ exp(−d²/2σ²))
 // into fields[fieldOf[ei]] — or into fields[0] for all events when fieldOf
-// is nil — sharding the work across workers by disjoint grid-row blocks.
-// Each cell is owned by exactly one worker and accumulates its covering
-// events in catalog order, so the result is bit-identical at any worker
-// count (DESIGN.md section 8's slot-writing rule).
+// is nil — with splat's row chunking.
 func splatInto(fields [][]float64, fieldOf []int, events []geo.Point, sigma, cutoff float64, grid geo.Grid, workers int) {
-	s := newSplatter(grid, sigma, cutoff)
+	newSplatter(grid, sigma, cutoff).splat(fields, fieldOf, events, workers, 1)
+}
+
+// splat accumulates the events' kernels into fields and scales every cell
+// by norm. The grid rows are cut into chunks that workers draw on demand;
+// each chunk carries the events whose row window reaches it, in catalog
+// order, and scales its own rows. Every cell is owned by one chunk and
+// sums its covering events in catalog order, so the result is
+// bit-identical at any worker count (DESIGN.md section 8's slot-writing
+// rule). One worker takes the grid whole. With more, a chunk spans the
+// kernel's row window, so an event reaches few chunks, but at most a
+// quarter of a worker's share of the rows, so a dense band of events is
+// split between workers.
+func (s *splatter) splat(fields [][]float64, fieldOf []int, events []geo.Point, workers int, norm float64) {
+	grid := s.grid
 	w := parallel.Workers(grid.Rows, workers)
-	if w <= 1 {
-		s.splatRows(fields, fieldOf, events, 0, grid.Rows)
-		return
+	size := grid.Rows
+	if w > 1 {
+		size = max(1, min(max(8, 2*s.latSpan), grid.Rows/(4*w)))
 	}
-	blocks := parallel.Blocks(grid.Rows, w)
-	parallel.ForEach(len(blocks), w, func(bi int) {
-		s.splatRows(fields, fieldOf, events, blocks[bi].Lo, blocks[bi].Hi)
+	chunks := parallel.Chunks(grid.Rows, size)
+	reach := make([][]int32, len(chunks))
+	for ei, ev := range events {
+		er, _ := grid.Cell(ev)
+		for ci := max(er-s.latSpan, 0) / size; ci <= min(er+s.latSpan, grid.Rows-1)/size; ci++ {
+			reach[ci] = append(reach[ci], int32(ei))
+		}
+	}
+	parallel.ForEach(len(chunks), w, func(ci int) {
+		ch := chunks[ci]
+		s.splatRows(fields, fieldOf, events, reach[ci], ch.Lo, ch.Hi)
+		for _, f := range fields {
+			rows := f[grid.Index(ch.Lo, 0):grid.Index(ch.Hi, 0)]
+			for i := range rows {
+				rows[i] *= norm
+			}
+		}
 	})
 }
 
-// splatRows splats every event's window restricted to grid rows [ra, rb).
-// Per-row quantities — cell-center latitude trig, the equirectangular
-// meridian-convergence factor — are hoisted out of the column loop, so the
-// inner loop is a multiply-add and one exp on the fast path.
-func (s *splatter) splatRows(fields [][]float64, fieldOf []int, events []geo.Point, ra, rb int) {
+// splatRows splats the events listed in reach, each restricted to grid rows
+// [ra, rb). Per-row quantities — cell-center latitude trig, the
+// equirectangular meridian-convergence factor — are hoisted out of the
+// column loop, and the haversine path computes each column's longitude
+// term once per event, so the inner loop is a multiply-add and one exp on
+// the fast path.
+func (s *splatter) splatRows(fields [][]float64, fieldOf []int, events []geo.Point, reach []int32, ra, rb int) {
 	grid := s.grid
 	cellW := grid.CellWidth()
 	cellH := grid.CellHeight()
 	lon0 := grid.Bounds.MinLon + 0.5*cellW // longitude of column 0's center
 	lat0 := grid.Bounds.MinLat + 0.5*cellH // latitude of row 0's center
 	const milesPerDeg = geo.EarthRadiusMiles * math.Pi / 180
+	sinLon := make([]float64, grid.Cols) // per-column sin(Δλ/2) of the current haversine event
 
-	for ei, ev := range events {
+	for _, ei := range reach {
+		ev := events[ei]
 		// Conservative (large) cell spans for the cutoff radius.
 		cosLat := math.Cos(geo.DegToRad(ev.Lat))
 		if cosLat < 0.2 {
@@ -174,11 +200,16 @@ func (s *splatter) splatRows(fields [][]float64, fieldOf []int, events []geo.Poi
 			}
 			continue
 		}
-		// Exact path: haversine with the per-row terms hoisted. Cell centers
-		// use the same expressions as grid.CellCenter and the cutoff test runs
-		// in haversine space (h vs sin²(radius/2R)), so accepted cells get the
-		// exact same contribution as a geo.Distance cutoff check while
-		// rejected cells never pay the sqrt/asin.
+		// Exact path: haversine with the per-row and per-column terms
+		// hoisted. Cell centers use the same expressions as grid.CellCenter
+		// and the cutoff test runs in haversine space (h vs sin²(radius/2R)),
+		// so accepted cells get the exact same contribution as a
+		// geo.Distance cutoff check while rejected cells never pay the
+		// sqrt/asin.
+		for c := c0; c <= c1; c++ {
+			lonc := grid.Bounds.MinLon + (float64(c)+0.5)*cellW
+			sinLon[c] = math.Sin(geo.DegToRad(lonc-ev.Lon) / 2)
+		}
 		lat1 := geo.DegToRad(ev.Lat)
 		cosLat1 := math.Cos(lat1)
 		for r := r0; r <= r1; r++ {
@@ -189,9 +220,7 @@ func (s *splatter) splatRows(fields [][]float64, fieldOf []int, events []geo.Poi
 			b := cosLat1 * math.Cos(lat2)
 			row := grid.Index(r, 0)
 			for c := c0; c <= c1; c++ {
-				lonc := grid.Bounds.MinLon + (float64(c)+0.5)*cellW
-				sinLon := math.Sin(geo.DegToRad(lonc-ev.Lon) / 2)
-				h := a + b*sinLon*sinLon
+				h := a + b*sinLon[c]*sinLon[c]
 				if h > s.hRadius {
 					continue
 				}

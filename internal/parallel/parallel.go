@@ -116,26 +116,3 @@ func Chunks(n, size int) []Chunk {
 	}
 	return out
 }
-
-// Blocks splits [0, n) into at most pieces contiguous near-equal ranges
-// (fewer when n < pieces). Unlike Chunks, the boundaries DO depend on
-// pieces: use Blocks only when each index's result is computed entirely by
-// one goroutine (disjoint output ranges), where boundaries cannot affect
-// rounding.
-func Blocks(n, pieces int) []Chunk {
-	if pieces > n {
-		pieces = n
-	}
-	if pieces <= 0 {
-		return nil
-	}
-	out := make([]Chunk, 0, pieces)
-	for p := 0; p < pieces; p++ {
-		lo := p * n / pieces
-		hi := (p + 1) * n / pieces
-		if lo < hi {
-			out = append(out, Chunk{Lo: lo, Hi: hi})
-		}
-	}
-	return out
-}

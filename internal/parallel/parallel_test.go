@@ -94,27 +94,3 @@ func TestChunksFixedBoundaries(t *testing.T) {
 		t.Errorf("Chunks(3,0) = %v, want 3 unit chunks", got)
 	}
 }
-
-func TestBlocksCoverAndPartition(t *testing.T) {
-	for _, n := range []int{1, 7, 100, 1000} {
-		for _, pieces := range []int{1, 2, 3, 8, 2000} {
-			blocks := Blocks(n, pieces)
-			next := 0
-			for _, b := range blocks {
-				if b.Lo != next {
-					t.Fatalf("n=%d pieces=%d: gap at %d (block %v)", n, pieces, next, b)
-				}
-				if b.Hi <= b.Lo {
-					t.Fatalf("n=%d pieces=%d: empty block %v", n, pieces, b)
-				}
-				next = b.Hi
-			}
-			if next != n {
-				t.Fatalf("n=%d pieces=%d: blocks end at %d", n, pieces, next)
-			}
-		}
-	}
-	if got := Blocks(5, 0); got != nil {
-		t.Errorf("Blocks(5,0) = %v, want nil", got)
-	}
-}

@@ -10,6 +10,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"riskroute/internal/parallel"
 )
 
 // enc is a little-endian append-only byte builder; every payload is built
@@ -111,7 +113,7 @@ func Write(w io.Writer, world *World) (string, error) {
 		add(kindCatalog, e.b)
 
 		for pi, p := range parts {
-			e = enc{}
+			e = enc{make([]byte, 0, 24+8*(p[1]-p[0]))}
 			e.u32(uint32(ci))
 			e.u32(uint32(pi))
 			e.u64(uint64(p[0]))
@@ -123,7 +125,7 @@ func Write(w io.Writer, world *World) (string, error) {
 		}
 	}
 
-	e = enc{}
+	e = enc{make([]byte, 0, 8+len(world.Census)*(3*8+4+2))} // two-letter states
 	e.u64(uint64(len(world.Census)))
 	for _, b := range world.Census {
 		e.f64(b.Location.Lat)
@@ -151,7 +153,11 @@ func Write(w io.Writer, world *World) (string, error) {
 
 	// The digest covers the header plus every section's (kind, length,
 	// checksum) record — the same bytes a loader walks before touching
-	// payloads, so both sides derive it at negligible cost.
+	// payloads, so both sides derive it at negligible cost. The checksums
+	// are computed in parallel, then written in section order.
+	sums := parallel.Map(len(sections), 0, func(i int) [sha256.Size]byte {
+		return sha256.Sum256(sections[i].payload)
+	})
 	root := sha256.New()
 	root.Write(header)
 
@@ -160,11 +166,10 @@ func Write(w io.Writer, world *World) (string, error) {
 		return "", fmt.Errorf("snapshot: write header: %w", err)
 	}
 	var sh [secHeaderLen]byte
-	for _, sec := range sections {
-		sum := sha256.Sum256(sec.payload)
+	for i, sec := range sections {
 		binary.LittleEndian.PutUint32(sh[0:], sec.kind)
 		binary.LittleEndian.PutUint64(sh[4:], uint64(len(sec.payload)))
-		copy(sh[12:], sum[:])
+		copy(sh[12:], sums[i][:])
 		root.Write(sh[:])
 		if _, err := bw.Write(sh[:]); err != nil {
 			return "", fmt.Errorf("snapshot: write section header: %w", err)

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -318,6 +319,26 @@ func TestValidateRejects(t *testing.T) {
 		var buf bytes.Buffer
 		if _, err := Write(&buf, w); err == nil {
 			t.Errorf("Write accepted a world with %s", what)
+		}
+	}
+}
+
+// BenchmarkWrite encodes a world shaped like riskrouted's default bake: a
+// 2M-value field split over four part sections beside 20,000 census
+// blocks, written to a discarding writer so the encoding and the checksums
+// are what is timed.
+func BenchmarkWrite(b *testing.B) {
+	world := testWorld()
+	world.Catalogs = append(world.Catalogs, Catalog{
+		Name: "wind", Bandwidth: 3.59, Events: 28769, Scale: 1, Field: testField(1000, 2000, 3),
+	})
+	for i := 0; len(world.Census) < 20000; i++ {
+		world.Census = append(world.Census, world.Census[i])
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Write(io.Discard, world); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
