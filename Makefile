@@ -1,12 +1,5 @@
 GO ?= go
 
-# BENCH_BASELINE / BENCH_NEW name the checked-in summaries the regression
-# gate compares; BENCH_THRESHOLD is the min-ns/op slowdown (percent) that
-# fails bench-compare.
-BENCH_BASELINE ?= BENCH_PR10.json
-BENCH_NEW ?= BENCH_PR13.json
-BENCH_THRESHOLD ?= 10
-
 .PHONY: tier1 tier2 fuzz-smoke bench bench-compare determinism experiments-golden experiments-full-golden ensemble-golden smoke
 
 # tier1 is the gate every change must keep green: full build + test suite.
@@ -26,11 +19,11 @@ tier2: tier1
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs every benchmark three times and distills the text output into
-# $(BENCH_NEW) (per-benchmark min/mean ns/op plus the gates below). The
-# tracing gate records the RouteWithTracingOff/On overhead ratio without a
-# bound (budget: <= 2% on the full-compute route path; see DESIGN.md §11).
-# The focused -count=10 pass tightens the noise floor on the telemetry pair
-# (min ns/op converges to the true floor as count grows).
+# the git-ignored bench.json (per-benchmark min/mean ns/op plus the gates
+# below). The tracing gate records the RouteWithTracingOff/On overhead
+# ratio without a bound (budget: <= 2% on the full-compute route path; see
+# DESIGN.md §11). The focused -count=10 pass tightens the noise floor on
+# the telemetry pair (min ns/op converges to the true floor as count grows).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -count=3 ./... | tee bench.out
 	$(GO) test -run='^$$' -bench='EvaluateTelemetry' -count=10 -benchtime=0.5s ./internal/core | tee -a bench.out
@@ -43,17 +36,18 @@ bench:
 	# floor: booting from a baked world snapshot must be at least 20x faster
 	# than the full fit (measured 66x on a 2-vCPU host; the margin absorbs
 	# slow CI hosts).
-	$(GO) run ./cmd/benchjson -o $(BENCH_NEW) \
+	$(GO) run ./cmd/benchjson -o bench.json \
 		-gate 'tracing=RouteWithTracingOff/RouteWithTracingOn/RouteTracingPaired' \
 		-gate 'coldstart=ColdStartFit/ColdStartSnapshot@x20' bench.out
 	@rm -f bench.out
 
-# bench-compare diffs the new summary against the checked-in baseline and
-# exits nonzero when any benchmark's min ns/op regressed by at least
-# $(BENCH_THRESHOLD) percent. Run `make bench` first to produce $(BENCH_NEW).
+# bench-compare runs the route and set-up benchmarks on commit BASE and on
+# the working tree, in ABBA order on this machine, and exits nonzero when
+# any benchmark's min ns/op regressed by at least 10 percent
+# (scripts/bench-compare.sh; CI's bench job runs the same script):
+#   make bench-compare BASE=main
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) \
-		$(BENCH_BASELINE) $(BENCH_NEW)
+	bash scripts/bench-compare.sh $(BASE)
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=5s ./internal/topology

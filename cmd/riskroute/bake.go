@@ -11,7 +11,8 @@ import (
 
 // cmdBake runs the full offline pipeline — hazard fit, census generation,
 // per-network population assignment and historical PoP risks — and persists
-// the result as a versioned, checksummed binary world snapshot:
+// the hazard surfaces and per-network vectors as a versioned, checksummed
+// binary world snapshot:
 //
 //	riskroute bake -o world.rrws
 //	riskroute bake -o sprint.rrws -networks Sprint -blocks 4000 -event-scale 0.03
@@ -91,9 +92,8 @@ func cmdBake(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("baked %s: %d catalogs, %d networks, %d census blocks, %.1f MiB\n",
-		*out, len(world.Catalogs), len(world.Networks), len(world.Census),
-		float64(info.Size())/(1<<20))
+	fmt.Printf("baked %s: %d catalogs, %d networks, %.1f MiB\n",
+		*out, len(world.Catalogs), len(world.Networks), float64(info.Size())/(1<<20))
 	fmt.Printf("  digest %s\n", digest)
 	fmt.Printf("  boot it: riskrouted -world-snapshot %s -blocks %d -event-scale %g -seed %d\n",
 		*out, w.blocks, w.eventScale, seedFlag)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"sync"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"riskroute"
+	"riskroute/internal/stats"
 )
 
 // runLoadgen drives a running riskrouted with -clients concurrent clients
@@ -57,7 +57,7 @@ func runLoadgen(w io.Writer, o *options) error {
 		go func(id int) {
 			defer wg.Done()
 			// Per-client RNG: deterministic pair sequence per (seed, client).
-			rng := rand.New(rand.NewSource(int64(o.lgSeed) + int64(id)))
+			rng := stats.NewRNG(stats.SplitMix64(stats.SplitMix64(o.lgSeed) + uint64(id)))
 			for time.Now().Before(deadline) {
 				i := rng.Intn(len(pops))
 				j := rng.Intn(len(pops) - 1)

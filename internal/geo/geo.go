@@ -61,22 +61,6 @@ func Distance(a, b Point) float64 {
 	return 2 * EarthRadiusMiles * math.Asin(math.Sqrt(h))
 }
 
-// Midpoint returns the geographic midpoint of the great-circle segment
-// between a and b.
-func Midpoint(a, b Point) Point {
-	lat1 := DegToRad(a.Lat)
-	lon1 := DegToRad(a.Lon)
-	lat2 := DegToRad(b.Lat)
-	dLon := DegToRad(b.Lon - a.Lon)
-
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Point{Lat: RadToDeg(lat3), Lon: normalizeLon(RadToDeg(lon3))}
-}
-
 // Interpolate returns the point a fraction f of the way from a to b along
 // the great circle, with f=0 at a and f=1 at b. Fractions outside [0,1]
 // extrapolate along the same great circle.

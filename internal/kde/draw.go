@@ -9,11 +9,10 @@ import (
 
 // FieldSampler draws points distributed according to a rasterized density
 // field by inverse-transform sampling over its cells: each cell's mass is
-// its stored density times its geographic area (the same area weighting
-// Integral uses), and a draw picks a cell by cumulative mass, then a
-// uniform position inside it. The sampler is a pure function of the field —
-// it takes uniforms rather than owning an RNG, so callers control the
-// random stream and determinism.
+// its stored density times its geographic area, and a draw picks a cell by
+// cumulative mass, then a uniform position inside it. The sampler is a pure
+// function of the field — it takes uniforms rather than owning an RNG, so
+// callers control the random stream and determinism.
 type FieldSampler struct {
 	field *Field
 	cum   []float64 // cumulative area-weighted cell masses, row-major

@@ -335,23 +335,6 @@ func (f *Field) Max() float64 {
 	return max
 }
 
-// Integral approximates the surface integral of the field over its grid in
-// events (dimensionless; ≈1 when the grid covers the kernels' support).
-func (f *Field) Integral() float64 {
-	g := f.Grid
-	hMiles := g.CellHeight() * 69.0
-	total := 0.0
-	for r := 0; r < g.Rows; r++ {
-		lat := g.CellCenter(r, 0).Lat
-		wMiles := g.CellWidth() * 69.0 * math.Cos(geo.DegToRad(lat))
-		area := hMiles * wMiles
-		for c := 0; c < g.Cols; c++ {
-			total += f.Values[g.Index(r, c)] * area
-		}
-	}
-	return total
-}
-
 // Add accumulates other into f cell-wise. The grids must be identical.
 func (f *Field) Add(other *Field) {
 	if f.Grid != other.Grid {

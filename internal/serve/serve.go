@@ -400,12 +400,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	if world == nil {
 		fitStart := time.Now()
-		fw, err := fitWorld(cfg, warm)
+		model, bases, err := fitWorld(cfg, warm)
 		if err != nil {
 			return nil, err
 		}
-		s.model = fw.model
-		s.bases = fw.bases
+		s.model = model
+		s.bases = bases
 		s.boot.FitSeconds = time.Since(fitStart).Seconds()
 	}
 
@@ -460,23 +460,15 @@ func networkIndex(nets []*topology.Network) (map[string]int, error) {
 	return index, nil
 }
 
-// fittedWorld is the full-fit pipeline's output: everything a snapshot
-// persists and generation 1 serves.
-type fittedWorld struct {
-	model  *hazard.Model
-	census *population.Census
-	bases  []*netBase
-	asgs   []*population.Assignment
-}
-
 // fitWorld runs the offline pipeline serve's fit-path boot and `riskroute
 // bake` share: hazard fit, census generation, and per-network assignment +
-// historical PoP risks. Bake and fresh boot producing generation-1 state
-// through the same function is what makes snapshot boots bit-identical by
-// construction.
-func fitWorld(cfg Config, warm *obs.Span) (*fittedWorld, error) {
+// historical PoP risks. It returns the model and one base per network, the
+// state a snapshot persists and generation 1 serves. Bake and fresh boot
+// producing generation-1 state through the same function is what makes
+// snapshot boots bit-identical by construction.
+func fitWorld(cfg Config, warm *obs.Span) (*hazard.Model, []*netBase, error) {
 	if err := datasets.CheckCensusBlocks(cfg.Blocks); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
 	fit := warm.Child("hazard-fit")
 	model, err := hazard.Fit(hazard.SyntheticSources(cfg.EventScale, cfg.Seed),
@@ -484,7 +476,7 @@ func fitWorld(cfg Config, warm *obs.Span) (*fittedWorld, error) {
 			Trace: fit, Health: cfg.Health, Logger: cfg.Logger})
 	fit.End()
 	if err != nil {
-		return nil, fmt.Errorf("serve: hazard fit: %w", err)
+		return nil, nil, fmt.Errorf("serve: hazard fit: %w", err)
 	}
 	census := datasets.GenerateCensus(datasets.CensusConfig{Blocks: cfg.Blocks, Seed: cfg.Seed})
 
@@ -495,7 +487,6 @@ func fitWorld(cfg Config, warm *obs.Span) (*fittedWorld, error) {
 	assign := warm.Child("population-assign")
 	type baseOrErr struct {
 		base *netBase
-		asg  *population.Assignment
 		err  error
 	}
 	slots := parallel.Map(len(cfg.Networks), cfg.Workers, func(i int) baseOrErr {
@@ -504,23 +495,17 @@ func fitWorld(cfg Config, warm *obs.Span) (*fittedWorld, error) {
 		if err != nil {
 			return baseOrErr{err: fmt.Errorf("serve: assigning %q: %w", net.Name, err)}
 		}
-		return baseOrErr{base: newNetBase(net, model.PoPRisks(net), asg.Fractions), asg: asg}
+		return baseOrErr{base: newNetBase(net, model.PoPRisks(net), asg.Fractions)}
 	})
 	assign.End()
-	fw := &fittedWorld{
-		model:  model,
-		census: census,
-		bases:  make([]*netBase, len(slots)),
-		asgs:   make([]*population.Assignment, len(slots)),
-	}
+	bases := make([]*netBase, len(slots))
 	for i, sl := range slots {
 		if sl.err != nil {
-			return nil, sl.err
+			return nil, nil, sl.err
 		}
-		fw.bases[i] = sl.base
-		fw.asgs[i] = sl.asg
+		bases[i] = sl.base
 	}
-	return fw, nil
+	return model, bases, nil
 }
 
 // worldBases verifies a baked world against the serving configuration and,
@@ -576,39 +561,27 @@ func BakeWorld(cfg Config) (*worldsnap.World, error) {
 	}
 	span := cfg.Trace.Child("world-bake")
 	defer span.End()
-	fw, err := fitWorld(cfg, span)
+	model, bases, err := fitWorld(cfg, span)
 	if err != nil {
 		return nil, err
 	}
 
-	byName := make(map[string]datasets.EventType, len(datasets.EventTypes))
-	for _, et := range datasets.EventTypes {
-		byName[et.String()] = et
-	}
-	catalogs := make([]worldsnap.Catalog, len(fw.model.Sources))
-	for i, src := range fw.model.Sources {
-		c := worldsnap.Catalog{
+	catalogs := make([]worldsnap.Catalog, len(model.Sources))
+	for i, src := range model.Sources {
+		catalogs[i] = worldsnap.Catalog{
 			Name:      src.Name,
 			Bandwidth: src.Bandwidth,
 			Events:    src.Events,
-			Scale:     1,
 			Field:     src.Field,
 		}
-		if et, ok := byName[src.Name]; ok {
-			for s := range c.Seasonal {
-				c.Seasonal[s] = datasets.SeasonalShare(et, datasets.Season(s))
-			}
-		}
-		catalogs[i] = c
 	}
-	nets := make([]worldsnap.NetworkState, len(fw.bases))
-	for i, base := range fw.bases {
+	nets := make([]worldsnap.NetworkState, len(bases))
+	for i, base := range bases {
 		nets[i] = worldsnap.NetworkState{
 			Name:      base.net.Name,
 			TopoHash:  worldsnap.HashNetwork(base.net),
 			PoPs:      len(base.net.PoPs),
 			Hist:      base.hist,
-			Served:    fw.asgs[i].Served,
 			Fractions: base.fractions,
 		}
 	}
@@ -616,10 +589,9 @@ func BakeWorld(cfg Config) (*worldsnap.World, error) {
 		Blocks:     cfg.Blocks,
 		EventScale: cfg.EventScale,
 		Seed:       cfg.Seed,
-		Renorm:     fw.model.Renorm(),
-		Lost:       fw.model.Lost,
+		Renorm:     model.Renorm(),
+		Lost:       model.Lost,
 		Catalogs:   catalogs,
-		Census:     fw.census.Blocks,
 		Networks:   nets,
 	}
 	if err := world.Validate(); err != nil {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -117,8 +119,8 @@ func TestSnapshotPreloadedWorld(t *testing.T) {
 }
 
 // TestSnapshotFallback covers every degraded boot: a corrupt file, a
-// drifted world and an invalid baked risk vector must all fall back to the
-// full fit and still serve.
+// drifted world, an invalid baked risk vector and a file in the previous
+// format version must all fall back to the full fit and still serve.
 func TestSnapshotFallback(t *testing.T) {
 	dir := t.TempDir()
 
@@ -177,6 +179,33 @@ func TestSnapshotFallback(t *testing.T) {
 	}
 	if boot = s.Boot(); boot.Path != "fit" || !boot.Fallback || !strings.Contains(boot.FallbackReason, `"Sprint"`) {
 		t.Fatalf("invalid fraction boot = %+v, want fit fallback naming Sprint", boot)
+	}
+	rawGet(t, s, parityPaths()[0])
+
+	// A snapshot written in the previous format version (every file baked
+	// before the census left the format) is refused by version, not read.
+	world, err = BakeWorld(parityConfig())
+	if err != nil {
+		t.Fatalf("BakeWorld: %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := worldsnap.Write(&buf, world); err != nil {
+		t.Fatal(err)
+	}
+	v1 := buf.Bytes()
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	oldPath := filepath.Join(dir, "v1.rrws")
+	if err := os.WriteFile(oldPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg = parityConfig()
+	cfg.WorldSnapshotPath = oldPath
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatalf("New with a version-1 snapshot: %v", err)
+	}
+	if boot = s.Boot(); boot.Path != "fit" || !boot.Fallback || !strings.Contains(boot.FallbackReason, "version 1") {
+		t.Fatalf("version-1 snapshot boot = %+v, want fit fallback naming version 1", boot)
 	}
 	rawGet(t, s, parityPaths()[0])
 }

@@ -15,7 +15,6 @@ import (
 	"riskroute/internal/kde"
 	"riskroute/internal/obs"
 	"riskroute/internal/parallel"
-	"riskroute/internal/population"
 	"riskroute/internal/resilience"
 )
 
@@ -214,9 +213,9 @@ func Decode(data []byte, opt LoadOptions) (*World, *LoadStats, error) {
 
 // decodeSections interprets checksum-verified sections in their mandatory
 // order: meta, then each catalog header followed by its field parts, then
-// the census, then one section per network. Small headers decode inline;
-// the bulk payloads (field parts, census blocks, network vectors) are
-// deferred into jobs that fan out over workers and write disjoint slots.
+// one section per network. Small headers decode inline; the bulk payloads
+// (field parts, network vectors) are deferred into jobs that fan out over
+// workers and write disjoint slots.
 func decodeSections(secs []section, workers int) (*World, error) {
 	if secs[0].kind != kindMeta {
 		return nil, fmt.Errorf("%w: first section is kind %d, want meta", ErrFormat, secs[0].kind)
@@ -237,17 +236,15 @@ func decodeSections(secs []section, workers int) (*World, error) {
 	}
 	nCat := md.u32("meta catalog count")
 	nNet := md.u32("meta network count")
-	nBlocks := md.u64("meta census count")
 	if err := md.done("meta section"); err != nil {
 		return nil, err
 	}
-	if nCat > maxSections || nNet > maxSections || nBlocks > maxCensusBlocks {
-		return nil, fmt.Errorf("%w: implausible meta counts (catalogs=%d networks=%d census=%d)", ErrFormat, nCat, nNet, nBlocks)
+	if nCat > maxSections || nNet > maxSections {
+		return nil, fmt.Errorf("%w: implausible meta counts (catalogs=%d networks=%d)", ErrFormat, nCat, nNet)
 	}
 
 	world.Catalogs = make([]Catalog, nCat)
 	world.Networks = make([]NetworkState, nNet)
-	world.Census = make([]population.Block, nBlocks)
 
 	var jobs []func() error
 	next := 1
@@ -273,10 +270,6 @@ func decodeSections(secs []section, workers int) (*World, error) {
 		c.Name = cd.str("catalog name")
 		c.Bandwidth = cd.f64("catalog bandwidth")
 		c.Events = int(cd.u64("catalog events"))
-		c.Scale = cd.f64("catalog scale")
-		for si := range c.Seasonal {
-			c.Seasonal[si] = cd.f64("catalog seasonal weight")
-		}
 		var b [4]float64
 		for bi := range b {
 			b[bi] = cd.f64("catalog grid bounds")
@@ -333,29 +326,6 @@ func decodeSections(secs []section, workers int) (*World, error) {
 		}
 	}
 
-	cs, err := pop(kindCensus, "census")
-	if err != nil {
-		return nil, err
-	}
-	censusPayload := cs.payload
-	censusDst := world.Census
-	jobs = append(jobs, func() error {
-		d := &dec{b: censusPayload}
-		if n := d.u64("census count"); n != uint64(len(censusDst)) {
-			if d.err != nil {
-				return d.err
-			}
-			return fmt.Errorf("%w: census section holds %d blocks, meta declares %d", ErrFormat, n, len(censusDst))
-		}
-		for i := range censusDst {
-			censusDst[i].Location.Lat = d.f64("census lat")
-			censusDst[i].Location.Lon = d.f64("census lon")
-			censusDst[i].Population = d.f64("census population")
-			censusDst[i].State = d.str("census state")
-		}
-		return d.done("census section")
-	})
-
 	for ni := range world.Networks {
 		s, err := pop(kindNetwork, "network")
 		if err != nil {
@@ -369,14 +339,13 @@ func decodeSections(secs []section, workers int) (*World, error) {
 			copy(dst.TopoHash[:], d.take(32, "network topo hash"))
 			dst.PoPs = int(d.u32("network pop count"))
 			dst.Hist = d.floats("network hist")
-			dst.Served = d.floats("network served")
 			dst.Fractions = d.floats("network fractions")
 			if err := d.done("network section"); err != nil {
 				return err
 			}
-			if len(dst.Hist) != dst.PoPs || len(dst.Served) != dst.PoPs || len(dst.Fractions) != dst.PoPs {
-				return fmt.Errorf("%w: network %q vectors (%d/%d/%d) not aligned with %d PoPs",
-					ErrFormat, dst.Name, len(dst.Hist), len(dst.Served), len(dst.Fractions), dst.PoPs)
+			if len(dst.Hist) != dst.PoPs || len(dst.Fractions) != dst.PoPs {
+				return fmt.Errorf("%w: network %q vectors (%d/%d) not aligned with %d PoPs",
+					ErrFormat, dst.Name, len(dst.Hist), len(dst.Fractions), dst.PoPs)
 			}
 			return nil
 		})

@@ -90,7 +90,6 @@ func Write(w io.Writer, world *World) (string, error) {
 	}
 	e.u32(uint32(len(world.Catalogs)))
 	e.u32(uint32(len(world.Networks)))
-	e.u64(uint64(len(world.Census)))
 	add(kindMeta, e.b)
 
 	for ci, c := range world.Catalogs {
@@ -99,10 +98,6 @@ func Write(w io.Writer, world *World) (string, error) {
 		e.str(c.Name)
 		e.f64(c.Bandwidth)
 		e.u64(uint64(c.Events))
-		e.f64(c.Scale)
-		for _, s := range c.Seasonal {
-			e.f64(s)
-		}
 		for _, b := range gridBounds(c.Field.Grid) {
 			e.f64(b)
 		}
@@ -125,23 +120,12 @@ func Write(w io.Writer, world *World) (string, error) {
 		}
 	}
 
-	e = enc{make([]byte, 0, 8+len(world.Census)*(3*8+4+2))} // two-letter states
-	e.u64(uint64(len(world.Census)))
-	for _, b := range world.Census {
-		e.f64(b.Location.Lat)
-		e.f64(b.Location.Lon)
-		e.f64(b.Population)
-		e.str(b.State)
-	}
-	add(kindCensus, e.b)
-
 	for _, ns := range world.Networks {
 		e = enc{}
 		e.str(ns.Name)
 		e.b = append(e.b, ns.TopoHash[:]...)
 		e.u32(uint32(ns.PoPs))
 		e.floats(ns.Hist)
-		e.floats(ns.Served)
 		e.floats(ns.Fractions)
 		add(kindNetwork, e.b)
 	}

@@ -1,5 +1,5 @@
 // Package snapshot persists a fully fitted RiskRoute world — hazard
-// surfaces, census, per-network population assignments and historical risk
+// surfaces and each network's historical risk and population fraction
 // vectors — as a versioned, checksummed binary file, so a serving daemon can
 // boot in milliseconds instead of re-fitting every catalog. This is the
 // paper's own offline-precompute / online-route split made durable: `riskroute
@@ -25,15 +25,18 @@
 // Section kinds, in their mandatory file order:
 //
 //	meta       world identity: census blocks, event scale, seed, renorm,
-//	           lost layers, catalog / network / census-block counts
-//	catalog    one per fitted source: name, bandwidth, event count, scale,
-//	           per-season weights, raster grid, value count, part count
+//	           lost layers, catalog / network counts
+//	catalog    one per fitted source: name, bandwidth, event count, raster
+//	           grid, value count, part count
 //	fieldpart  the catalog's raster values, split into <=4 MiB runs so
 //	           checksum verification and float decoding fan out over
 //	           internal/parallel
-//	census     the synthetic census block set
 //	network    one per network: name, topology identity hash, and the
-//	           per-PoP historical risk / served / fraction vectors
+//	           per-PoP historical risk / fraction vectors
+//
+// The census itself is not stored: it is a pure function of the meta
+// section's block count and seed, and routing reads only the fractions
+// assigned from it.
 //
 // # Failure semantics
 //
@@ -58,7 +61,6 @@ import (
 
 	"riskroute/internal/geo"
 	"riskroute/internal/kde"
-	"riskroute/internal/population"
 	"riskroute/internal/risk"
 	"riskroute/internal/topology"
 )
@@ -67,7 +69,7 @@ import (
 const (
 	magic = "RRWS"
 	// Version is the wire-format version this package reads and writes.
-	Version      = 1
+	Version      = 2
 	headerLen    = 16
 	secHeaderLen = 4 + 8 + 32 // kind + payload length + SHA-256
 
@@ -80,16 +82,14 @@ const (
 	// a garbage count or length fails fast instead of allocating wildly.
 	maxSections     = 1 << 20
 	maxSectionBytes = 1 << 31
-	maxCensusBlocks = 1 << 26
 )
 
-// Section kinds (wire values; append-only).
+// Section kinds (wire values; append-only). Kind 4 was version 1's census.
 const (
-	kindMeta uint32 = iota + 1
-	kindCatalog
-	kindFieldPart
-	kindCensus
-	kindNetwork
+	kindMeta      uint32 = 1
+	kindCatalog   uint32 = 2
+	kindFieldPart uint32 = 3
+	kindNetwork   uint32 = 5
 )
 
 // Typed load failures. Errors returned by Decode/Load wrap exactly one of
@@ -111,28 +111,23 @@ var (
 	ErrDrift = errors.New("snapshot: input drift")
 )
 
-// Catalog is one fitted hazard source as persisted: the resolved bandwidth,
-// the rasterized density surface, and the catalog's seasonal activity
-// weights (its share of annual events per season, Winter..Fall).
+// Catalog is one fitted hazard source as persisted: the resolved bandwidth
+// and the rasterized density surface.
 type Catalog struct {
 	Name      string
 	Bandwidth float64
 	Events    int
-	Scale     float64
-	Seasonal  [4]float64
 	Field     *kde.Field
 }
 
 // NetworkState is one network's baked serving state: the vectors serve's
-// netBase path needs (historical PoP risk and population fractions), the
-// absolute served population alongside, and the identity hash of the
-// topology they were computed from.
+// netBase path needs (historical PoP risk and population fractions) and the
+// identity hash of the topology they were computed from.
 type NetworkState struct {
 	Name      string
 	TopoHash  [32]byte
 	PoPs      int
 	Hist      []float64 // historical PoP risk, index-aligned with PoPs
-	Served    []float64 // absolute population per PoP
 	Fractions []float64 // population fraction c_i per PoP
 }
 
@@ -149,11 +144,6 @@ type World struct {
 	Renorm   float64 // aggregate renormalization (1 at full fidelity)
 	Lost     []string
 	Catalogs []Catalog
-
-	// Census is the full synthetic block set the assignments were computed
-	// from, so offline tools can re-derive or extend assignments without
-	// re-generating the world.
-	Census []population.Block
 
 	// Networks carries the per-network baked vectors.
 	Networks []NetworkState
@@ -202,8 +192,7 @@ func (w *World) VerifyNetwork(n *topology.Network) (*NetworkState, error) {
 		return nil, fmt.Errorf("%w: network %q topology hash %x differs from baked %x",
 			ErrDrift, n.Name, got[:8], want[:8])
 	}
-	if ns.PoPs != len(n.PoPs) ||
-		len(ns.Hist) != len(n.PoPs) || len(ns.Fractions) != len(n.PoPs) || len(ns.Served) != len(n.PoPs) {
+	if ns.PoPs != len(n.PoPs) || len(ns.Hist) != len(n.PoPs) || len(ns.Fractions) != len(n.PoPs) {
 		return nil, fmt.Errorf("%w: network %q baked vectors sized for %d PoPs, topology has %d",
 			ErrDrift, n.Name, ns.PoPs, len(n.PoPs))
 	}
@@ -237,9 +226,9 @@ func (w *World) Validate() error {
 		if ns.Name == "" {
 			return fmt.Errorf("snapshot: network state has no name")
 		}
-		if len(ns.Hist) != ns.PoPs || len(ns.Served) != ns.PoPs || len(ns.Fractions) != ns.PoPs {
-			return fmt.Errorf("snapshot: network %q vectors (%d/%d/%d) not aligned with %d PoPs",
-				ns.Name, len(ns.Hist), len(ns.Served), len(ns.Fractions), ns.PoPs)
+		if len(ns.Hist) != ns.PoPs || len(ns.Fractions) != ns.PoPs {
+			return fmt.Errorf("snapshot: network %q vectors (%d/%d) not aligned with %d PoPs",
+				ns.Name, len(ns.Hist), len(ns.Fractions), ns.PoPs)
 		}
 	}
 	return nil

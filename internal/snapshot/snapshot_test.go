@@ -11,7 +11,6 @@ import (
 
 	"riskroute/internal/geo"
 	"riskroute/internal/kde"
-	"riskroute/internal/population"
 	"riskroute/internal/topology"
 )
 
@@ -49,8 +48,8 @@ func vec(n int, base float64) []float64 {
 }
 
 // testWorld hand-builds a small but fully populated world: two catalogs on
-// different grids, lost sources, a non-unit renorm, census blocks, and two
-// networks of different sizes.
+// different grids, lost sources, a non-unit renorm, and two networks of
+// different sizes.
 func testWorld() *World {
 	netA, netB := testNet("Alpha", 3), testNet("Beta", 2)
 	return &World{
@@ -60,21 +59,14 @@ func testWorld() *World {
 		Renorm:     0.97,
 		Lost:       []string{"flood"},
 		Catalogs: []Catalog{
-			{Name: "hurricane", Bandwidth: 42.5, Events: 1337, Scale: 1,
-				Seasonal: [4]float64{0.1, 0.2, 0.3, 0.4}, Field: testField(3, 5, 1)},
-			{Name: "quake", Bandwidth: 7.25, Events: 99, Scale: 1,
-				Seasonal: [4]float64{0.25, 0.25, 0.25, 0.25}, Field: testField(2, 2, 2)},
-		},
-		Census: []population.Block{
-			{Location: geo.Point{Lat: 29.76, Lon: -95.37}, Population: 2300, State: "TX"},
-			{Location: geo.Point{Lat: 41.88, Lon: -87.63}, Population: 2700, State: "IL"},
-			{Location: geo.Point{Lat: 40.71, Lon: -74.01}, Population: 8100, State: "NY"},
+			{Name: "hurricane", Bandwidth: 42.5, Events: 1337, Field: testField(3, 5, 1)},
+			{Name: "quake", Bandwidth: 7.25, Events: 99, Field: testField(2, 2, 2)},
 		},
 		Networks: []NetworkState{
 			{Name: "Alpha", TopoHash: HashNetwork(netA), PoPs: 3,
-				Hist: vec(3, 0.1), Served: vec(3, 1000), Fractions: []float64{0.2, 0.3, 0.5}},
+				Hist: vec(3, 0.1), Fractions: []float64{0.2, 0.3, 0.5}},
 			{Name: "Beta", TopoHash: HashNetwork(netB), PoPs: 2,
-				Hist: vec(2, 0.7), Served: vec(2, 2000), Fractions: []float64{0.4, 0.6}},
+				Hist: vec(2, 0.7), Fractions: []float64{0.4, 0.6}},
 		},
 	}
 }
@@ -123,7 +115,7 @@ func TestMultiPartField(t *testing.T) {
 	world := testWorld()
 	big := testField(3, 200000, 3) // 600k values > maxPartValues
 	world.Catalogs = append(world.Catalogs, Catalog{
-		Name: "wind", Bandwidth: 10, Events: 143847, Scale: 1, Field: big,
+		Name: "wind", Bandwidth: 10, Events: 143847, Field: big,
 	})
 	if parts := fieldParts(len(big.Values)); len(parts) < 2 {
 		t.Fatalf("fieldParts(%d) = %d parts, want >= 2", len(big.Values), len(parts))
@@ -323,18 +315,14 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// BenchmarkWrite encodes a world shaped like riskrouted's default bake: a
-// 2M-value field split over four part sections beside 20,000 census
-// blocks, written to a discarding writer so the encoding and the checksums
-// are what is timed.
+// BenchmarkWrite encodes a world whose bulk is shaped like riskrouted's
+// default bake, a 2M-value field split over four part sections, written to
+// a discarding writer so the encoding and the checksums are what is timed.
 func BenchmarkWrite(b *testing.B) {
 	world := testWorld()
 	world.Catalogs = append(world.Catalogs, Catalog{
-		Name: "wind", Bandwidth: 3.59, Events: 28769, Scale: 1, Field: testField(1000, 2000, 3),
+		Name: "wind", Bandwidth: 3.59, Events: 28769, Field: testField(1000, 2000, 3),
 	})
-	for i := 0; len(world.Census) < 20000; i++ {
-		world.Census = append(world.Census, world.Census[i])
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Write(io.Discard, world); err != nil {

@@ -8,24 +8,20 @@ import (
 
 func TestMeanVariance(t *testing.T) {
 	tests := []struct {
-		name     string
-		xs       []float64
-		mean     float64
-		variance float64
+		name string
+		xs   []float64
+		mean float64
 	}{
-		{"empty", nil, 0, 0},
-		{"single", []float64{5}, 5, 0},
-		{"pair", []float64{2, 4}, 3, 1},
-		{"constant", []float64{7, 7, 7, 7}, 7, 0},
-		{"spread", []float64{1, 2, 3, 4, 5}, 3, 2},
+		{"empty", nil, 0},
+		{"single", []float64{5}, 5},
+		{"pair", []float64{2, 4}, 3},
+		{"constant", []float64{7, 7, 7, 7}, 7},
+		{"spread", []float64{1, 2, 3, 4, 5}, 3},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := Mean(tt.xs); math.Abs(got-tt.mean) > 1e-12 {
 				t.Errorf("Mean = %v, want %v", got, tt.mean)
-			}
-			if got := Variance(tt.xs); math.Abs(got-tt.variance) > 1e-12 {
-				t.Errorf("Variance = %v, want %v", got, tt.variance)
 			}
 		})
 	}
@@ -200,10 +196,15 @@ func TestRNGNorm(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.Norm()
 	}
-	if m := Mean(xs); math.Abs(m) > 0.03 {
+	m := Mean(xs)
+	if math.Abs(m) > 0.03 {
 		t.Errorf("Norm mean = %v, want ~0", m)
 	}
-	if sd := math.Sqrt(Variance(xs)); math.Abs(sd-1) > 0.03 {
+	ss := 0.0
+	for _, x := range xs {
+		ss += (x - m) * (x - m)
+	}
+	if sd := math.Sqrt(ss / float64(len(xs))); math.Abs(sd-1) > 0.03 {
 		t.Errorf("Norm stddev = %v, want ~1", sd)
 	}
 }

@@ -433,7 +433,7 @@ type (
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
 // World snapshot persistence: `riskroute bake` captures the fitted world
-// (hazard surfaces, census, per-network assignments and historical risks)
+// (hazard surfaces, per-network historical risks and population fractions)
 // into a versioned, per-section SHA-256-checksummed binary file, and
 // `riskrouted -world-snapshot` boots from it in milliseconds, bit-identical
 // to a fresh fit (see DESIGN.md, "World snapshot persistence").
